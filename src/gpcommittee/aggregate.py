@@ -9,7 +9,7 @@ with a communication expert instead of the prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np

@@ -191,8 +191,10 @@ def run_experiment(config: ExperimentConfig,
                    collect_predictions: bool = False) -> ExperimentResult:
     """Run all repetitions of one experiment; optionally keep raw predictions.
 
-    Numerical failures of individual methods are recorded on their RunRecord
-    (NaN scores plus the error message); remaining methods still run.
+    Failures of individual methods (numerical breakdown, or a fused
+    prediction with non-finite or non-positive variances) are recorded on
+    their RunRecord (NaN scores plus the error message); remaining methods
+    still run.
     """
     config.validate()
     records: list[RunRecord] = []
@@ -207,7 +209,7 @@ def run_experiment(config: ExperimentConfig,
         opt = OptimizerConfig(max_evals=config.max_evals,
                               grad_tolerance=config.grad_tolerance,
                               initial_hp=Hyperparams.default(dataset.input_dim),
-                              seed=rep_seed, method=config.opt_method)
+                              method=config.opt_method)
         committee = train(dataset.X_train, dataset.y_train, part, opt,
                           workers=config.workers)
         art = RepArtifacts(repetition=rep, seed=rep_seed,
@@ -235,7 +237,9 @@ def _score_method(method, committee, dataset, config, rep, rep_seed, art):
         t0 = time.perf_counter()
         agg = _predict_method(method, committee, dataset.X_test, config)
         predict_time = time.perf_counter() - t0
-    except GPCommitteeError as exc:
+    except (GPCommitteeError, ValueError) as exc:
+        # ValueError: the fused prediction failed AggregatedPrediction's
+        # finite, strictly positive variance check
         return RunRecord(method=label, repetition=rep, seed=rep_seed,
                          smse=math.nan, msll=math.nan,
                          train_time_seconds=committee.train_time_seconds,

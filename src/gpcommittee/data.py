@@ -8,8 +8,9 @@ the training statistics, never its own.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,6 +116,20 @@ def toy_generate(n: int, n_test: int, seed: int) -> Dataset:
     return _normalize_dataset(x_train, y_train, x_test, y_test, f"toy{n}", f_test=f_test)
 
 
+def _parse_row(row: list[str], r: int) -> list[float]:
+    parsed = []
+    for c, cell in enumerate(row):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataError(f"non-numeric cell at row {r}, column {c}: {cell!r}") from None
+        # float() accepts "nan" and "inf", which would poison the normalization
+        if not math.isfinite(value):
+            raise DataError(f"non-finite cell at row {r}, column {c}: {cell!r}")
+        parsed.append(value)
+    return parsed
+
+
 def _read_numeric_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
     rows: list[list[float]] = []
     header: list[str] | None = None
@@ -124,19 +139,12 @@ def _read_numeric_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
             if not row or all(cell.strip() == "" for cell in row):
                 continue
             if r == 0:
-                try:
-                    rows.append([float(cell) for cell in row])
-                    continue
+                try:  # a first row that does not parse as numbers is a header
+                    [float(cell) for cell in row]
                 except ValueError:
                     header = [cell.strip() for cell in row]
                     continue
-            parsed = []
-            for c, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(f"non-numeric cell at row {r}, column {c}: {cell!r}") from None
-            rows.append(parsed)
+            rows.append(_parse_row(row, r))
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows")
     widths = {len(row) for row in rows}

@@ -1,8 +1,15 @@
 """Exact GP regression on a single data block.
 
 Fitting factorizes the noisy kernel matrix once with an escalating jitter
-ladder; the stored Cholesky factor backs both the marginal likelihood and
-all predictions, so nothing is re-factorized per test point.
+ladder (LAPACK ``potrf``); the stored Cholesky factor backs all predictions,
+so nothing is re-factorized per test point.
+
+The marginal likelihood, evaluated once per expert per optimizer step, is
+the hot path. Each evaluation builds the kernel matrix ``K`` once, adds the
+noise to the diagonal of a copy to get ``C``, factors ``C = L L'`` with
+``potrf``, inverts it from ``L`` with ``potri`` and hands the same ``K`` to
+the kernel gradients. The gradient is contracted coordinate by coordinate
+without forming ``C^-1 - a a'`` (see :func:`nlml`).
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalBreakdown
 from .kernel import Hyperparams, kernel_matrix, kernel_matrix_grads
@@ -25,8 +33,10 @@ def chol_with_jitter(A: np.ndarray, expert_index: int | None = None,
                      test_index: int | None = None) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``A + jitter*I``, escalating jitter on failure.
 
-    Returns (L, jitter_used). Raises :class:`NumericalBreakdown` with the
-    attempted ladder if the largest jitter still fails.
+    The factorization reads only the lower triangle of ``A``. Returns
+    (L, jitter_used), where ``L`` is Fortran-ordered with exact zeros above
+    the diagonal. Raises :class:`NumericalBreakdown` with the attempted
+    ladder if the largest jitter still fails.
     """
     if not np.all(np.isfinite(A)):
         raise NumericalBreakdown("matrix contains non-finite entries",
@@ -41,11 +51,14 @@ def chol_with_jitter(A: np.ndarray, expert_index: int | None = None,
         jitters.append(j)
         j *= 10.0
     for jitter in jitters:
-        try:
-            L = np.linalg.cholesky(A if jitter == 0.0 else A + jitter * np.eye(A.shape[0]))
+        if jitter == 0.0:
+            A_jit = A
+        else:
+            A_jit = np.array(A, dtype=float)
+            A_jit.flat[:: A.shape[0] + 1] += jitter
+        L, info = dpotrf(A_jit, lower=1, clean=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            continue
     raise NumericalBreakdown(
         f"Cholesky factorization failed after jitter ladder up to {jitters[-1]:.3e}",
         jitters_tried=jitters, expert_index=expert_index, test_index=test_index,
@@ -85,8 +98,8 @@ def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
         raise ValueError("X and y row counts differ")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data contains non-finite entries")
-    K = kernel_matrix(X, X, hp)
-    C = K + hp.noise_variance * np.eye(X.shape[0])
+    C = kernel_matrix(X, X, hp)
+    C.flat[:: X.shape[0] + 1] += hp.noise_variance
     L, jitter = chol_with_jitter(C, expert_index=expert_index)
     alpha = cho_solve((L, True), y)
     return GPModel(X=X, y=y, hp=hp, chol=L, weight_vector=alpha, jitter_used=jitter)
@@ -96,10 +109,18 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
          expert_index: int | None = None) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood and its gradient w.r.t. all log coordinates.
 
-    Value is ``0.5 * y' C^-1 y + sum(log diag chol) + (n/2) log 2pi`` with
-    ``C = K + noise*I``; the gradient uses the trace identity
-    ``0.5 * tr((C^-1 - a a') dC)`` with ``a = C^-1 y``, in the canonical
-    coordinate order (output scale, lengthscales, noise).
+    Value is ``0.5 * y' C^-1 y + sum(log diag L) + (n/2) log 2pi`` with
+    ``C = K + noise*I = L L'``. The gradient is R&W (2006) eq. 5.9,
+    ``0.5 * tr((C^-1 - a a') dC)`` with ``a = C^-1 y``, contracted per
+    coordinate without forming ``C^-1 - a a'``:
+
+    - kernel coordinate j: ``0.5 * (<C^-1, dK_j> - a' dK_j a)``, with
+      ``<., .>`` the elementwise (Frobenius) inner product;
+    - noise (``dC = 2 noise I``): ``noise * (tr C^-1 - a'a)``.
+
+    ``K`` is built once and shared with :func:`kernel_matrix_grads`; ``C^-1``
+    comes from ``L`` by LAPACK ``potri``. Coordinates are in the canonical
+    order (output scale, lengthscales, noise).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -107,21 +128,29 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
     K = kernel_matrix(X, X, hp)
-    C = K + hp.noise_variance * np.eye(n)
+    C = K.copy()
+    C.flat[:: n + 1] += hp.noise_variance
     L, _ = chol_with_jitter(C, expert_index=expert_index)
     alpha = cho_solve((L, True), y)
     value = (0.5 * float(y @ alpha)
              + float(np.sum(np.log(np.diag(L))))
              + 0.5 * n * np.log(2.0 * np.pi))
 
-    Cinv = cho_solve((L, True), np.eye(n))
-    A = Cinv - np.outer(alpha, alpha)
+    Cinv, info = dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalBreakdown(f"potri failed to invert the Cholesky factor (info={info})",
+                                 expert_index=expert_index)
+    # potri fills the lower triangle of a Fortran-ordered array and leaves
+    # L's zeros above it; the transpose is a C-ordered view, so the
+    # symmetrized inverse flattens for np.vdot without a copy.
+    Cinv = Cinv.T
+    Cinv += Cinv.T
+    Cinv.flat[:: n + 1] *= 0.5
     grads = np.empty(hp.n_params)
-    dKs = kernel_matrix_grads(X, hp)
-    for j, dK in enumerate(dKs):
-        grads[j] = 0.5 * float(np.sum(A * dK))
+    for j, dK in enumerate(kernel_matrix_grads(X, hp, K)):
+        grads[j] = 0.5 * (np.vdot(Cinv, dK) - alpha @ (dK @ alpha))
     # noise enters as 2*noise_variance*I on the noisy matrix
-    grads[-1] = hp.noise_variance * float(np.trace(A))
+    grads[-1] = hp.noise_variance * (np.trace(Cinv) - alpha @ alpha)
     return value, grads
 
 

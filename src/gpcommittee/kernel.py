@@ -7,7 +7,7 @@ strictly positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -105,11 +105,15 @@ def kernel_matrix(X: np.ndarray, X_prime: np.ndarray, hp: Hyperparams) -> np.nda
     X = _check_dim(X, hp, "X")
     X_prime = _check_dim(X_prime, hp, "X_prime")
     ls = hp.lengthscales
-    sq = cdist(X / ls, X_prime / ls, metric="sqeuclidean")
-    return hp.output_variance * np.exp(-0.5 * sq)
+    K = cdist(X / ls, X_prime / ls, metric="sqeuclidean")
+    K *= -0.5
+    np.exp(K, out=K)
+    K *= hp.output_variance
+    return K
 
 
-def kernel_matrix_grads(X: np.ndarray, hp: Hyperparams) -> list[np.ndarray]:
+def kernel_matrix_grads(X: np.ndarray, hp: Hyperparams,
+                        K: np.ndarray | None = None) -> list[np.ndarray]:
     """Analytic derivatives of ``kernel_matrix(X, X, hp)`` w.r.t. each log coordinate.
 
     Returns one n x n matrix per kernel hyperparameter, ordered as in
@@ -119,14 +123,19 @@ def kernel_matrix_grads(X: np.ndarray, hp: Hyperparams) -> list[np.ndarray]:
     - d K / d log_output_scale = 2 K
     - d K / d log_lengthscales[i] = K * D_i / l_i^2, with D_i the matrix of
       squared coordinate-i differences.
+
+    ``K`` is ``kernel_matrix(X, X, hp)`` when the caller already holds it; it
+    is computed here only when omitted, and it is never modified.
     """
     X = _check_dim(X, hp, "X")
     if X.shape[0] == 0:
         raise ValueError("X must be nonempty")
-    K = kernel_matrix(X, X, hp)
+    if K is None:
+        K = kernel_matrix(X, X, hp)
     grads = [2.0 * K]
-    ls2 = hp.lengthscales ** 2
-    for i in range(hp.input_dim):
-        diff = X[:, i][:, None] - X[:, i][None, :]
-        grads.append(K * (diff * diff) / ls2[i])
+    for z in (X / hp.lengthscales).T:
+        dK = z[:, None] - z[None, :]
+        dK *= dK
+        dK *= K
+        grads.append(dK)
     return grads

@@ -27,7 +27,6 @@ class OptimizerConfig:
     max_evals: int = 500
     grad_tolerance: float = 1e-6
     initial_hp: Hyperparams = field(default_factory=lambda: Hyperparams.default(1))
-    seed: int = 0  # reserved for randomized restarts; current methods are deterministic
     method: str = "cg"  # "cg" (Polak-Ribiere) or "lbfgs"
 
     def __post_init__(self):

@@ -82,6 +82,15 @@ def test_csv_non_numeric_cell_reported(tmp_path):
         load_csv(path, target_column=-1, test_fraction=0.5, seed=0)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_csv_non_finite_cell_reported(tmp_path, cell):
+    # float() accepts these, so without the check they reach normalization
+    rows = ["1,2", "2,4", "3,6", "4,8", f"5,{cell}", "6,12"]
+    path = _write(tmp_path, "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=r"non-finite cell at row 4, column 1"):
+        load_csv(path, target_column=-1, test_fraction=0.5, seed=0)
+
+
 def test_csv_constant_column_warns(tmp_path):
     path = _write(tmp_path, "1,5,2\n2,5,4\n3,5,6\n4,5,8\n")
     with pytest.warns(UserWarning, match="constant"):

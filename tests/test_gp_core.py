@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gpcommittee import Hyperparams, NumericalBreakdown, fit, nlml, predict
-from gpcommittee.kernel import kernel_matrix
+from gpcommittee.gp import chol_with_jitter
+from gpcommittee.kernel import kernel_matrix, kernel_matrix_grads
 
 
 def hp_1d(log_sf=0.0, log_l=0.0, log_noise=0.0):
@@ -145,3 +146,88 @@ def test_numerical_breakdown_carries_ladder():
         chol_with_jitter(bad)
     assert len(err.value.jitters_tried) > 1
     assert err.value.jitters_tried[0] == 0.0
+
+
+def _nlml_reference(X, y, hp, jitter=0.0):
+    # R&W (2006) eq. 5.9 written out with an explicit inverse
+    n = y.size
+    C = kernel_matrix(X, X, hp) + (hp.noise_variance + jitter) * np.eye(n)
+    Cinv = np.linalg.inv(C)
+    a = Cinv @ y
+    A = Cinv - np.outer(a, a)
+    value = 0.5 * y @ a + 0.5 * np.linalg.slogdet(C)[1] + 0.5 * n * np.log(2 * np.pi)
+    grads = [0.5 * np.sum(A * dK) for dK in kernel_matrix_grads(X, hp)]
+    grads.append(hp.noise_variance * np.trace(A))
+    return value, np.array(grads), np.linalg.cond(C)
+
+
+@pytest.mark.parametrize("n, d, log_l", [(250, 1, -2.0), (150, 8, 0.5)])
+def test_nlml_matches_explicit_inverse_reference(n, d, log_l):
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(n, d))
+    y = np.sin(3 * X[:, 0]) + 0.3 * rng.normal(size=n)
+    hp = Hyperparams(0.1, log_l + 0.1 * rng.normal(size=d), -1.2)
+    value, grad = nlml(X, y, hp)
+    ref_value, ref_grad, _ = _nlml_reference(X, y, hp)
+    assert value == pytest.approx(ref_value, rel=1e-10)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-10)
+
+
+def test_nlml_matches_reference_when_jitter_fires():
+    rng = np.random.default_rng(7)
+    X = rng.uniform(size=(40, 1))
+    X = np.vstack([X, X[:5]])
+    y = np.sin(6 * X[:, 0])
+    hp = hp_1d(log_l=-1.0, log_noise=-50.0)
+    C = kernel_matrix(X, X, hp) + hp.noise_variance * np.eye(45)
+    _, jitter = chol_with_jitter(C)
+    assert jitter > 0.0
+    value, grad = nlml(X, y, hp)
+    ref_value, ref_grad, cond = _nlml_reference(X, y, hp, jitter)
+    # the jittered system has cond ~ 1e11, so two float64 evaluations can
+    # agree only to the forward-error bound cond * eps, not to 1e-10
+    tol = cond * np.finfo(float).eps
+    assert abs(value - ref_value) <= tol * abs(ref_value)
+    assert np.linalg.norm(grad - ref_grad) <= tol * np.linalg.norm(ref_grad)
+
+
+def test_cholesky_factor_is_exactly_lower_triangular():
+    # nlml's potri symmetrization relies on exact zeros above the diagonal
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(30, 2))
+    hp = Hyperparams(0.0, np.zeros(2), -1.0)
+    K = kernel_matrix(X, X, hp)
+    X_dup = np.vstack([X, X[:3]])
+    dup = kernel_matrix(X_dup, X_dup, hp)  # singular: the ladder must fire
+    for A, fired in ((K + 0.1 * np.eye(30), False), (dup, True)):
+        L, jitter = chol_with_jitter(A)
+        assert (jitter > 0.0) == fired
+        assert np.all(np.triu(L, 1) == 0.0)
+        np.testing.assert_allclose(L @ L.T, A + jitter * np.eye(A.shape[0]),
+                                   rtol=0, atol=1e-12)
+
+
+def test_nlml_builds_kernel_once_and_solves_only_vectors(monkeypatch):
+    from gpcommittee import gp, kernel
+    builds = []
+    solve_rhs = []
+    kernel_matrix_orig = kernel.kernel_matrix
+    cho_solve_orig = gp.cho_solve
+
+    def counting_kernel_matrix(*args, **kwargs):
+        builds.append(1)
+        return kernel_matrix_orig(*args, **kwargs)
+
+    def counting_cho_solve(c_and_lower, b, *args, **kwargs):
+        solve_rhs.append(np.ndim(b))
+        return cho_solve_orig(c_and_lower, b, *args, **kwargs)
+
+    # the gradient code looks kernel_matrix up in its own module
+    monkeypatch.setattr(gp, "kernel_matrix", counting_kernel_matrix)
+    monkeypatch.setattr(kernel, "kernel_matrix", counting_kernel_matrix)
+    monkeypatch.setattr(gp, "cho_solve", counting_cho_solve)
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(20, 3))
+    gp.nlml(X, rng.normal(size=20), Hyperparams(0.0, np.zeros(3), -1.0))
+    assert len(builds) == 1
+    assert solve_rhs and all(ndim == 1 for ndim in solve_rhs)

@@ -102,6 +102,20 @@ def test_grad_output_scale_identity():
     np.testing.assert_array_equal(grads[0], 2.0 * kernel_matrix(X, X, hp))
 
 
+def test_grads_reuse_given_kernel_matrix_exactly():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(12, 3))
+    hp = Hyperparams(0.3, np.array([-0.2, 0.1, 0.4]), -1.0)
+    K = kernel_matrix(X, X, hp)
+    K_before = K.copy()
+    with_K = kernel_matrix_grads(X, hp, K)
+    without_K = kernel_matrix_grads(X, hp)
+    assert len(with_K) == len(without_K) == 4
+    for a, b in zip(with_K, without_K):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(K, K_before)
+
+
 def test_grad_lengthscale_single_point_is_zero():
     hp = hp_1d()
     grads = kernel_matrix_grads(np.array([[0.3]]), hp)
