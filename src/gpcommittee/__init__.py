@@ -17,7 +17,7 @@ from .errors import (DataError, DegenerateTargets, GPCommitteeError, InvalidPart
                      InvalidStart, MissingCommunicationSubset, NumericalBreakdown)
 from .gp import GPModel, fit, nlml, predict
 from .kernel import Hyperparams, kernel_matrix, kernel_matrix_grads, se_kernel
-from .metrics import EvalResult, evaluate, msll, smse
+from .metrics import msll, smse
 from .optimize import OptimizeResult, OptimizerConfig, minimize
 from .partition import (Partition, PartitionKind, disjoint_partition,
                         grbcm_partition, random_partition)
@@ -36,7 +36,7 @@ __all__ = [
     "InvalidStart", "MissingCommunicationSubset", "NumericalBreakdown",
     "GPModel", "fit", "nlml", "predict",
     "Hyperparams", "kernel_matrix", "kernel_matrix_grads", "se_kernel",
-    "EvalResult", "evaluate", "msll", "smse",
+    "msll", "smse",
     "OptimizeResult", "OptimizerConfig", "minimize",
     "Partition", "PartitionKind", "disjoint_partition", "grbcm_partition",
     "random_partition",

@@ -1,10 +1,13 @@
 """Aggregation rules that fuse per-expert predictive distributions.
 
-All rules operate in precision (inverse variance) space. PoE and GPoE
-multiply expert densities; BCM and RBCM additionally divide out prior
-density so far-from-data predictions recover the prior; NPAE solves one
-cross-covariance system per test point; GRBCM corrects augmented experts
-with a communication expert instead of the prior.
+PoE, GPoE, BCM, RBCM and GRBCM are one closed-form formula in precision
+(inverse variance) space, the weighted form of Deisenroth & Ng (2015): the
+fused precision is ``sum_i beta_i / var_i + (1 - sum_i beta_i) / var_b``.
+PoE and GPoE take no base density ``b``; BCM and RBCM take the prior, so
+far-from-data predictions recover it; GRBCM takes the communication expert
+and fuses the augmented experts. The rules differ only in their weights and
+in their precision floor. NPAE instead solves one cross-covariance system
+per test point.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .ensemble import ExpertEnsemble, experts_predict, _map_in_order
+from .ensemble import ExpertEnsemble, experts_predict
 from .errors import MissingCommunicationSubset
 from .gp import chol_with_jitter, predict, _VARIANCE_GUARD
 from .kernel import Hyperparams, kernel_matrix
@@ -69,10 +72,6 @@ class AggregatedPrediction:
             raise ValueError("aggregated variances must be finite and strictly positive")
 
 
-def _prior_value(prior_var) -> float:
-    return prior_var.value if isinstance(prior_var, PriorVariance) else float(prior_var)
-
-
 def _as_expert_matrices(means, variances):
     means = np.atleast_2d(np.asarray(means, dtype=float))
     variances = np.atleast_2d(np.asarray(variances, dtype=float))
@@ -83,28 +82,55 @@ def _as_expert_matrices(means, variances):
     return means, variances
 
 
-def beta_entropy(prior_var, expert_var: float) -> float:
+def _entropy_gap(base_var, expert_var):
+    return np.maximum(0.0, 0.5 * (np.log(base_var) - np.log(expert_var)))
+
+
+def _fuse(means, variances, betas, floor, base=None):
+    """The one closed-form fusion: weighted precisions add.
+
+    Precision is ``sum_i beta_i / var_i``, plus ``(1 - sum_i beta_i) / var_b``
+    when a base density ``(mean_b, var_b)`` is given; the precision-weighted
+    mean sum is formed the same way. ``betas=None`` means unit weights. The
+    precision is floored at ``floor``. Returns (mean, var, floored count).
+    """
+    if betas is None:
+        precision = np.sum(1.0 / variances, axis=0)
+        weighted = np.sum(means / variances, axis=0)
+    else:
+        precision = np.sum(betas / variances, axis=0)
+        weighted = np.sum(betas * means / variances, axis=0)
+    if base is not None:
+        base_mean, base_var = base
+        leftover = 1.0 - (means.shape[0] if betas is None else np.sum(betas, axis=0))
+        precision = precision + leftover / base_var
+        weighted = weighted + leftover * base_mean / base_var
+    floored = precision < floor
+    var = 1.0 / np.maximum(precision, floor)
+    return var * weighted, var, int(np.sum(floored))
+
+
+def beta_entropy(prior_var: PriorVariance, expert_var) -> float:
     """Differential-entropy gap between prior and expert predictive density.
 
     ``0.5 * (log prior_var - log expert_var)``, clamped below at 0 so a
     numerically overshooting expert simply loses its vote.
     """
-    pv = _prior_value(prior_var)
     if np.any(np.asarray(expert_var) <= 0):
         raise ValueError("expert_var must be > 0")
-    return np.maximum(0.0, 0.5 * (np.log(pv) - np.log(expert_var)))
+    return _entropy_gap(prior_var.value, expert_var)
 
 
 def poe(means, variances) -> AggregatedPrediction:
     """Product of experts with unit weights: precisions simply add."""
     means, variances = _as_expert_matrices(means, variances)
-    precision = np.sum(1.0 / variances, axis=0)
-    var = 1.0 / precision
-    mean = var * np.sum(means / variances, axis=0)
+    # a sum of positive precisions never reaches a floor of 0
+    mean, var, _ = _fuse(means, variances, None, floor=0.0)
     return AggregatedPrediction(mean, var, AggregationMethod.POE)
 
 
-def gpoe(means, variances, prior_var, mode: str = "uniform") -> AggregatedPrediction:
+def gpoe(means, variances, prior_var: PriorVariance,
+         mode: str = "uniform") -> AggregatedPrediction:
     """Generalized product of experts.
 
     ``uniform`` uses weights 1/M: the mean equals the PoE mean and the
@@ -113,57 +139,40 @@ def gpoe(means, variances, prior_var, mode: str = "uniform") -> AggregatedPredic
     is floored at the prior precision (the blow-up stays visible in betas).
     """
     means, variances = _as_expert_matrices(means, variances)
-    M = means.shape[0]
-    pv = _prior_value(prior_var)
     if mode == "uniform":
         base = poe(means, variances)
-        return AggregatedPrediction(base.means, M * base.variances,
+        return AggregatedPrediction(base.means, means.shape[0] * base.variances,
                                     AggregationMethod.GPOE_UNIFORM)
     if mode != "entropy":
         raise ValueError(f"unknown gpoe mode {mode!r}")
-    betas = beta_entropy(pv, variances)
-    precision = np.sum(betas / variances, axis=0)
-    floored = precision < 1.0 / pv
-    precision = np.maximum(precision, 1.0 / pv)
-    var = 1.0 / precision
-    mean = var * np.sum(betas * means / variances, axis=0)
+    betas = beta_entropy(prior_var, variances)
+    mean, var, floored = _fuse(means, variances, betas, floor=1.0 / prior_var.value)
     return AggregatedPrediction(mean, var, AggregationMethod.GPOE_ENTROPY,
-                                betas=betas, degeneracy_count=int(np.sum(floored)))
+                                betas=betas, degeneracy_count=floored)
 
 
-def _bcm_style(weighted_precision, weighted_mean_sum, beta_sum, prior_precision, method, betas):
-    precision = weighted_precision + (1.0 - beta_sum) * prior_precision
-    floor = _PRECISION_FLOOR_RATIO * prior_precision
-    floored = precision < floor
-    precision = np.maximum(precision, floor)
-    var = 1.0 / precision
-    mean = var * weighted_mean_sum
-    return AggregatedPrediction(mean, var, method, betas=betas,
-                                degeneracy_count=int(np.sum(floored)))
-
-
-def bcm(means, variances, prior_var) -> AggregatedPrediction:
+def bcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
     """Bayesian committee machine: unit weights plus a prior correction term."""
     means, variances = _as_expert_matrices(means, variances)
-    M = means.shape[0]
-    prior_precision = 1.0 / _prior_value(prior_var)
-    return _bcm_style(np.sum(1.0 / variances, axis=0),
-                      np.sum(means / variances, axis=0),
-                      float(M), prior_precision, AggregationMethod.BCM, None)
+    pv = prior_var.value
+    mean, var, floored = _fuse(means, variances, None,
+                               floor=_PRECISION_FLOOR_RATIO * (1.0 / pv), base=(0.0, pv))
+    return AggregatedPrediction(mean, var, AggregationMethod.BCM,
+                                degeneracy_count=floored)
 
 
-def rbcm(means, variances, prior_var) -> AggregatedPrediction:
+def rbcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
     """Robust BCM: entropy weights on experts, prior fills the leftover mass."""
     means, variances = _as_expert_matrices(means, variances)
-    pv = _prior_value(prior_var)
-    betas = beta_entropy(pv, variances)
-    return _bcm_style(np.sum(betas / variances, axis=0),
-                      np.sum(betas * means / variances, axis=0),
-                      np.sum(betas, axis=0), 1.0 / pv,
-                      AggregationMethod.RBCM, betas)
+    pv = prior_var.value
+    betas = beta_entropy(prior_var, variances)
+    mean, var, floored = _fuse(means, variances, betas,
+                               floor=_PRECISION_FLOOR_RATIO * (1.0 / pv), base=(0.0, pv))
+    return AggregatedPrediction(mean, var, AggregationMethod.RBCM, betas=betas,
+                                degeneracy_count=floored)
 
 
-def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray, workers: int = 1) -> AggregatedPrediction:
+def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     """Nested pointwise aggregation: treat expert means as correlated random
     variables and regress the target on them.
 
@@ -179,25 +188,20 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray, workers: int = 1) -> Aggre
     experts = ensemble.experts
     M = len(experts)
     n_test = Xstar.shape[0]
-
-    def blocks(model):
-        Ks = kernel_matrix(model.X, Xstar, hp)
-        U = cho_solve((model.chol, True), Ks)
-        return Ks, U, Ks.T @ model.weight_vector
-
-    per_expert = _map_in_order(blocks, experts, workers)
     k_cross = np.empty((M, n_test))   # cov[mu_i, y*]
     mu = np.empty((M, n_test))
-    for i, (Ks, U, mean_i) in enumerate(per_expert):
-        k_cross[i] = np.sum(Ks * U, axis=0)
-        mu[i] = mean_i
+    U = []                            # C_i^-1 K_i*
+    for i, model in enumerate(experts):
+        Ks = kernel_matrix(model.X, Xstar, hp)
+        U.append(cho_solve((model.chol, True), Ks))
+        k_cross[i] = np.sum(Ks * U[i], axis=0)
+        mu[i] = Ks.T @ model.weight_vector
     K_agg = np.empty((M, M, n_test))  # cov[mu_i, mu_j]
     for i in range(M):
         K_agg[i, i] = k_cross[i]
-        U_i = per_expert[i][1]
         for j in range(i + 1, M):
             K_ij = kernel_matrix(experts[i].X, experts[j].X, hp)
-            w = np.sum(U_i * (K_ij @ per_expert[j][1]), axis=0)
+            w = np.sum(U[i] * (K_ij @ U[j]), axis=0)
             K_agg[i, j] = w
             K_agg[j, i] = w
 
@@ -219,8 +223,9 @@ def grbcm_fuse(mu_c, var_c, mu_aug, var_aug, prior_precision: float):
 
     Row 0 of the augmented statistics keeps weight 1; later rows get the
     entropy gap between the communication and augmented densities, clamped at
-    0. The combined precision subtracts the communication precision weighted
-    by the surplus weight mass, and is floored (counted) on underflow.
+    0. The communication density is the base of the fusion, so its precision
+    is subtracted with the surplus weight mass; the fused precision is floored
+    (counted) on underflow.
     """
     mu_c = np.asarray(mu_c, dtype=float).ravel()
     var_c = np.asarray(var_c, dtype=float).ravel()
@@ -228,20 +233,14 @@ def grbcm_fuse(mu_c, var_c, mu_aug, var_aug, prior_precision: float):
     if np.any(var_c <= 0):
         raise ValueError("communication variances must be strictly positive")
     betas = np.ones_like(mu_aug)
-    if mu_aug.shape[0] > 1:
-        betas[1:] = np.maximum(0.0, 0.5 * (np.log(var_c)[None, :] - np.log(var_aug[1:])))
-    beta_sum = np.sum(betas, axis=0)
-    precision = np.sum(betas / var_aug, axis=0) - (beta_sum - 1.0) / var_c
-    floor = _PRECISION_FLOOR_RATIO * prior_precision
-    floored = precision < floor
-    precision = np.maximum(precision, floor)
-    var = 1.0 / precision
-    mean = var * (np.sum(betas * mu_aug / var_aug, axis=0)
-                  - (beta_sum - 1.0) * mu_c / var_c)
-    return mean, var, betas, int(np.sum(floored))
+    betas[1:] = _entropy_gap(var_c[None, :], var_aug[1:])
+    mean, var, floored = _fuse(mu_aug, var_aug, betas,
+                               floor=_PRECISION_FLOOR_RATIO * prior_precision,
+                               base=(mu_c, var_c))
+    return mean, var, betas, floored
 
 
-def grbcm(ensemble: ExpertEnsemble, Xstar: np.ndarray, workers: int = 1) -> AggregatedPrediction:
+def grbcm(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     """Committee correction against a communication expert.
 
     The first augmented expert keeps weight 1 (its density is exact given the
@@ -254,7 +253,7 @@ def grbcm(ensemble: ExpertEnsemble, Xstar: np.ndarray, workers: int = 1) -> Aggr
         raise MissingCommunicationSubset(
             "grbcm needs a communication subset and prepared augmented experts")
     mu_c, var_c = predict(ensemble.experts[part.communication_index], Xstar)
-    mu_aug, var_aug = experts_predict(ensemble, Xstar, workers=workers, augmented=True)
+    mu_aug, var_aug = experts_predict(ensemble, Xstar, augmented=True)
     prior_precision = 1.0 / (ensemble.hp.output_variance + ensemble.hp.noise_variance)
     mean, var, betas, floored = grbcm_fuse(mu_c, var_c, mu_aug, var_aug, prior_precision)
     return AggregatedPrediction(mean, var, AggregationMethod.GRBCM, betas=betas,

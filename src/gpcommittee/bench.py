@@ -63,7 +63,7 @@ class ExperimentConfig:
     seed: int = 0
     repetitions: int = 1
     rebalance: bool = True
-    workers: int = 1
+    workers: int = 1                      # accepted and has no effect
     normalized_metrics: bool = False
     out_dir: str | None = None
 
@@ -162,7 +162,7 @@ def _build_partition(config: ExperimentConfig, dataset: Dataset, M: int,
 def _predict_method(method: str, ensemble: ExpertEnsemble, Xstar: np.ndarray,
                     config: ExperimentConfig) -> aggregate.AggregatedPrediction:
     if method in ("poe", "gpoe", "bcm", "rbcm"):
-        means, variances = experts_predict(ensemble, Xstar, workers=config.workers)
+        means, variances = experts_predict(ensemble, Xstar)
         prior = PriorVariance.from_hyperparams(ensemble.hp)
         if method == "poe":
             return aggregate.poe(means, variances)
@@ -172,11 +172,11 @@ def _predict_method(method: str, ensemble: ExpertEnsemble, Xstar: np.ndarray,
             return aggregate.bcm(means, variances, prior)
         return aggregate.rbcm(means, variances, prior)
     if method == "npae":
-        return aggregate.npae(ensemble, Xstar, workers=config.workers)
+        return aggregate.npae(ensemble, Xstar)
     # augmented experts are part of the prediction phase by the committee's
     # complexity accounting, so they are fitted inside the timed region
-    prepared = prepare_grbcm(ensemble, workers=config.workers)
-    return aggregate.grbcm(prepared, Xstar, workers=config.workers)
+    prepared = prepare_grbcm(ensemble)
+    return aggregate.grbcm(prepared, Xstar)
 
 
 def _interior_mask(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
@@ -210,8 +210,7 @@ def run_experiment(config: ExperimentConfig,
                               grad_tolerance=config.grad_tolerance,
                               initial_hp=Hyperparams.default(dataset.input_dim),
                               method=config.opt_method)
-        committee = train(dataset.X_train, dataset.y_train, part, opt,
-                          workers=config.workers)
+        committee = train(dataset.X_train, dataset.y_train, part, opt)
         art = RepArtifacts(repetition=rep, seed=rep_seed,
                            hp_vector=committee.hp.to_vector(),
                            y_mean=dataset.norm_stats.y_mean,

@@ -58,7 +58,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--opt-method", choices=("cg", "lbfgs"), default="cg")
     p.add_argument("--no-rebalance", action="store_true",
                    help="keep raw k-means cluster sizes")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--normalized-metrics", action="store_true",
                    help="score on the normalized scale instead of original units")
     p.add_argument("--out", default=None, help="output directory")
@@ -76,7 +75,6 @@ def _config_from_args(args) -> ExperimentConfig:
         seed=args.seed,
         repetitions=args.reps,
         rebalance=not args.no_rebalance,
-        workers=args.workers,
         normalized_metrics=args.normalized_metrics,
         out_dir=args.out,
         **_parse_dataset(args),

@@ -184,6 +184,12 @@ def load_csv(path: str, target_column: int | str, test_fraction: float | None = 
     if split_files is not None:
         train_idx = _read_index_file(split_files[0])
         test_idx = _read_index_file(split_files[1])
+        rows, counts = np.unique(np.concatenate([train_idx, test_idx]), return_counts=True)
+        repeated = rows[counts > 1]
+        if repeated.size:
+            # a shared row would leak test targets into training
+            raise DataError(f"split files repeat or share {repeated.size} row "
+                            f"index(es), first {repeated[0]}")
     else:
         if not (0.0 < test_fraction < 1.0):
             raise ValueError("test_fraction must be in (0, 1)")
@@ -210,7 +216,3 @@ def denormalize_predictions(means: np.ndarray, variances: np.ndarray,
 def denormalize_inputs(X: np.ndarray, stats: NormStats) -> np.ndarray:
     """Map normalized inputs back to original units."""
     return np.asarray(X) * stats.x_std + stats.x_mean
-
-
-def normalize_targets(y: np.ndarray, stats: NormStats) -> np.ndarray:
-    return (np.asarray(y) - stats.y_mean) / stats.y_std

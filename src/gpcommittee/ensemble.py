@@ -1,15 +1,14 @@
 """Factorized committee training: M experts with shared hyperparameters.
 
 The training objective is the sum of per-expert negative log marginal
-likelihoods; per-expert work fans out to a thread pool when requested and is
-always reduced in subset-index order so results match bit-for-bit across
-worker counts.
+likelihoods. Every per-expert step (objective terms, final fits, GRBCM's
+augmented fits and predictions) is one loop over the experts in subset-index
+order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,13 +18,6 @@ from .errors import MissingCommunicationSubset, NumericalBreakdown
 from .kernel import Hyperparams
 from .optimize import OptimizerConfig, minimize
 from .partition import Partition
-
-
-def _map_in_order(fn, items, workers: int):
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -60,8 +52,18 @@ class ExpertEnsemble:
         }
 
 
+def _for_expert(fn, i: int, X: np.ndarray, y: np.ndarray, hp: Hyperparams):
+    """``fn(X, y, hp, expert_index=i)``, re-raising a breakdown that names expert ``i``."""
+    try:
+        return fn(X, y, hp, expert_index=i)
+    except NumericalBreakdown as exc:
+        raise NumericalBreakdown(
+            f"expert {i}: {exc}", jitters_tried=exc.jitters_tried, expert_index=i
+        ) from exc
+
+
 def factorized_nlml(X: np.ndarray, y: np.ndarray, partition: Partition,
-                    hp: Hyperparams, workers: int = 1) -> tuple[float, np.ndarray]:
+                    hp: Hyperparams) -> tuple[float, np.ndarray]:
     """Sum of per-expert NLML values and gradients over the partition.
 
     Identical to the single-GP objective when M = 1. A factorization failure
@@ -72,40 +74,22 @@ def factorized_nlml(X: np.ndarray, y: np.ndarray, partition: Partition,
         X = X[:, None]
     y = np.asarray(y, dtype=float).ravel()
     partition.validate(X.shape[0])
-
-    def one(item):
-        i, idx = item
-        try:
-            return gp.nlml(X[idx], y[idx], hp, expert_index=i)
-        except NumericalBreakdown as exc:
-            raise NumericalBreakdown(
-                f"expert {i}: {exc}", jitters_tried=exc.jitters_tried, expert_index=i
-            ) from exc
-
-    parts = _map_in_order(one, list(enumerate(partition.subsets)), workers)
     value = 0.0
     grad = np.zeros(hp.n_params)
-    for v, g in parts:
+    for i, idx in enumerate(partition.subsets):
+        v, g = _for_expert(gp.nlml, i, X[idx], y[idx], hp)
         value += v
         grad += g
     return value, grad
 
 
-def _fit_experts(X, y, partition, hp, workers):
-    def one(item):
-        i, idx = item
-        try:
-            return gp.fit(X[idx], y[idx], hp, expert_index=i)
-        except NumericalBreakdown as exc:
-            raise NumericalBreakdown(
-                f"expert {i}: {exc}", jitters_tried=exc.jitters_tried, expert_index=i
-            ) from exc
-
-    return _map_in_order(one, list(enumerate(partition.subsets)), workers)
+def _fit_experts(X, y, partition, hp):
+    return [_for_expert(gp.fit, i, X[idx], y[idx], hp)
+            for i, idx in enumerate(partition.subsets)]
 
 
 def train(X: np.ndarray, y: np.ndarray, partition: Partition,
-          opt_config: OptimizerConfig, workers: int = 1) -> ExpertEnsemble:
+          opt_config: OptimizerConfig) -> ExpertEnsemble:
     """Optimize shared hyperparameters on the factorized objective, then refit
     every expert (Cholesky + weight vector) at the optimum."""
     X = np.asarray(X, dtype=float)
@@ -113,51 +97,35 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition,
         X = X[:, None]
     y = np.asarray(y, dtype=float).ravel()
     t0 = time.perf_counter()
-    result = minimize(lambda hp: factorized_nlml(X, y, partition, hp, workers=workers),
-                      opt_config)
-    experts = _fit_experts(X, y, partition, result.best_hp, workers)
+    result = minimize(lambda hp: factorized_nlml(X, y, partition, hp), opt_config)
+    experts = _fit_experts(X, y, partition, result.best_hp)
     elapsed = time.perf_counter() - t0
     return ExpertEnsemble(hp=result.best_hp, partition=partition, experts=experts,
                           augmented_experts=None, train_time_seconds=elapsed,
                           opt_evals=result.evals_used, opt_trace=tuple(result.trace))
 
 
-def prepare_grbcm(ensemble: ExpertEnsemble, workers: int = 1) -> ExpertEnsemble:
+def prepare_grbcm(ensemble: ExpertEnsemble) -> ExpertEnsemble:
     """Fit the M-1 augmented experts on (communication subset + subset i).
 
-    Rows are concatenated communication-first. Returns a new ensemble; the
-    input is left untouched.
+    Each is fitted on the communication expert's rows followed by expert i's
+    rows; a breakdown names expert i. Returns a new ensemble; the input is
+    left untouched.
     """
-    part = ensemble.partition
-    if part.communication_index is None:
+    c = ensemble.partition.communication_index
+    if c is None:
         raise MissingCommunicationSubset(
             "partition has no designated communication subset")
-    comm = part.subsets[part.communication_index]
-    others = [idx for i, idx in enumerate(part.subsets) if i != part.communication_index]
-    hp = ensemble.hp
-    X_full, y_full = _gather_training_arrays(ensemble)
-
-    def one(idx):
-        rows = np.concatenate([comm, idx])
-        return gp.fit(X_full[rows], y_full[rows], hp)
-
-    augmented = _map_in_order(one, others, workers)
+    comm = ensemble.experts[c]
+    augmented = [
+        _for_expert(gp.fit, i, np.concatenate([comm.X, model.X]),
+                    np.concatenate([comm.y, model.y]), ensemble.hp)
+        for i, model in enumerate(ensemble.experts) if i != c
+    ]
     return replace(ensemble, augmented_experts=augmented)
 
 
-def _gather_training_arrays(ensemble: ExpertEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    # reassemble the full training arrays from the per-expert views
-    n = ensemble.partition.n_points
-    d = ensemble.experts[0].X.shape[1]
-    X = np.empty((n, d))
-    y = np.empty(n)
-    for idx, model in zip(ensemble.partition.subsets, ensemble.experts):
-        X[idx] = model.X
-        y[idx] = model.y
-    return X, y
-
-
-def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray, workers: int = 1,
+def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
                     augmented: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Per-expert predictive means and variances, stacked one row per expert.
 
@@ -169,7 +137,7 @@ def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray, workers: int = 
         if ensemble.augmented_experts is None:
             raise MissingCommunicationSubset("augmented experts not prepared")
         models = ensemble.augmented_experts
-    outputs = _map_in_order(lambda m: gp.predict(m, Xstar), models, workers)
+    outputs = [gp.predict(m, Xstar) for m in models]
     means = np.vstack([m for m, _ in outputs])
     variances = np.vstack([v for _, v in outputs])
     return means, variances

@@ -8,18 +8,9 @@ values mean better-than-trivial and the trivial model scores 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateTargets
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    smse: float
-    msll: float
-    n_test: int
 
 
 def smse(pred_means: np.ndarray, y_true: np.ndarray) -> float:
@@ -53,12 +44,3 @@ def msll(pred_means: np.ndarray, pred_vars: np.ndarray, y_true: np.ndarray,
     model = _gaussian_log_loss(y_true, pred_means, pred_vars)
     trivial = _gaussian_log_loss(y_true, train_mean, train_var)
     return float(np.mean(model - trivial))
-
-
-def evaluate(pred_means, pred_vars, y_true, train_mean, train_var) -> EvalResult:
-    """Convenience bundle of both metrics."""
-    return EvalResult(
-        smse=smse(pred_means, y_true),
-        msll=msll(pred_means, pred_vars, y_true, train_mean, train_var),
-        n_test=int(np.asarray(y_true).size),
-    )

@@ -43,10 +43,6 @@ class Partition:
     def M(self) -> int:
         return len(self.subsets)
 
-    @property
-    def n_points(self) -> int:
-        return int(sum(s.size for s in self.subsets))
-
     def validate(self, n: int) -> None:
         """Check coverage, disjointness, non-emptiness and the communication index."""
         seen = np.concatenate(self.subsets) if self.subsets else np.array([], dtype=int)

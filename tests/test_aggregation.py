@@ -190,6 +190,91 @@ def test_inputs_validated():
         poe(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
+def _reference_rules(means, variances, pv, mu_c, var_c, prior_precision):
+    """Each closed-form rule written out as its own formula."""
+    M = means.shape[0]
+    out = {}
+    precision = np.sum(1.0 / variances, axis=0)
+    var = 1.0 / precision
+    out["poe"] = (var * np.sum(means / variances, axis=0), var)
+    out["gpoe_uniform"] = (out["poe"][0], M * var)
+
+    betas = np.maximum(0.0, 0.5 * (np.log(pv) - np.log(variances)))
+    precision = np.sum(betas / variances, axis=0)
+    floored = precision < 1.0 / pv
+    var = 1.0 / np.maximum(precision, 1.0 / pv)
+    out["gpoe_entropy"] = (var * np.sum(betas * means / variances, axis=0), var,
+                           betas, int(np.sum(floored)))
+
+    floor = 1e-12 * (1.0 / pv)
+    for name, w, w_sum in (("bcm", 1.0, float(M)),
+                           ("rbcm", betas, np.sum(betas, axis=0))):
+        precision = np.sum(w / variances, axis=0) + (1.0 - w_sum) * (1.0 / pv)
+        floored = precision < floor
+        var = 1.0 / np.maximum(precision, floor)
+        out[name] = (var * np.sum(w * means / variances, axis=0), var, int(np.sum(floored)))
+
+    g = np.ones_like(means)
+    g[1:] = np.maximum(0.0, 0.5 * (np.log(var_c)[None, :] - np.log(variances[1:])))
+    g_sum = np.sum(g, axis=0)
+    precision = np.sum(g / variances, axis=0) - (g_sum - 1.0) / var_c
+    floor = 1e-12 * prior_precision
+    floored = precision < floor
+    var = 1.0 / np.maximum(precision, floor)
+    mean = var * (np.sum(g * means / variances, axis=0) - (g_sum - 1.0) * mu_c / var_c)
+    out["grbcm"] = (mean, var, g, int(np.sum(floored)))
+    return out
+
+
+@pytest.mark.parametrize("var_range, prior_precision, floors", [
+    ((0.05, 1.2), 1.0 / 1.3, False),
+    # experts worse than the prior, and a prior precision so large that
+    # GRBCM's floor passes its precision: every floor fires somewhere
+    ((1.0, 3.0), 1e12, True),
+])
+def test_fusion_matches_reference_formulas(var_range, prior_precision, floors):
+    rng = np.random.default_rng(11)
+    M, n, pv = 7, 50, 1.3
+    means = rng.normal(size=(M, n))
+    variances = rng.uniform(*var_range, size=(M, n))
+    mu_c = rng.normal(size=n)
+    var_c = rng.uniform(0.5, 1.3, size=n)
+    ref = _reference_rules(means, variances, pv, mu_c, var_c, prior_precision)
+    prior = PriorVariance(pv)
+
+    agg = poe(means, variances)
+    np.testing.assert_array_equal(agg.means, ref["poe"][0])
+    np.testing.assert_array_equal(agg.variances, ref["poe"][1])
+    agg = gpoe(means, variances, prior, mode="uniform")
+    np.testing.assert_array_equal(agg.means, ref["gpoe_uniform"][0])
+    np.testing.assert_array_equal(agg.variances, ref["gpoe_uniform"][1])
+    agg = gpoe(means, variances, prior, mode="entropy")
+    mean, var, betas, count = ref["gpoe_entropy"]
+    np.testing.assert_array_equal(agg.means, mean)
+    np.testing.assert_array_equal(agg.variances, var)
+    np.testing.assert_array_equal(agg.betas, betas)
+    assert agg.degeneracy_count == count
+
+    # the prior term divides by the prior variance where the reference
+    # multiplies by its inverse: equal to rounding, not bit for bit
+    for rule, name in ((bcm, "bcm"), (rbcm, "rbcm")):
+        agg = rule(means, variances, prior)
+        mean, var, count = ref[name]
+        np.testing.assert_allclose(agg.means, mean, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(agg.variances, var, rtol=1e-14, atol=0)
+        assert agg.degeneracy_count == count
+
+    mean, var, betas, count = grbcm_fuse(mu_c, var_c, means, variances, prior_precision)
+    ref_mean, ref_var, ref_betas, ref_count = ref["grbcm"]
+    np.testing.assert_array_equal(mean, ref_mean)
+    np.testing.assert_array_equal(var, ref_var)
+    np.testing.assert_array_equal(betas, ref_betas)
+    assert count == ref_count
+
+    counts = (ref["gpoe_entropy"][3], ref["bcm"][2], ref["grbcm"][3])
+    assert all(c > 0 for c in counts) if floors else counts == (0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # NPAE
 

@@ -111,6 +111,20 @@ def test_csv_split_files(tmp_path):
     assert ds.n_train == 3 and ds.n_test == 2
 
 
+
+@pytest.mark.parametrize("train_rows, test_rows, message", [
+    ("0 1 2 3 4 5 6", "5 6 7 7", r"share 3 row index\(es\), first 5"),
+    ("0 1 2 2", "3 4", r"share 1 row index\(es\), first 2"),
+])
+def test_csv_split_files_reject_shared_or_repeated_rows(tmp_path, train_rows, test_rows,
+                                                         message):
+    # a row in both lists would leak a test target into training
+    path = _write(tmp_path, "".join(f"{i},{2 * i}\n" for i in range(8)))
+    train = _write(tmp_path, "\n".join(train_rows.split()) + "\n", name="train.idx")
+    test = _write(tmp_path, "\n".join(test_rows.split()) + "\n", name="test.idx")
+    with pytest.raises(DataError, match=message):
+        load_csv(path, target_column=-1, split_files=(train, test))
+
 def test_csv_requires_exactly_one_split_spec(tmp_path):
     path = _write(tmp_path, "1,2\n3,4\n")
     with pytest.raises(ValueError):

@@ -166,24 +166,6 @@ def test_experts_predict_far_recovers_prior():
     np.testing.assert_allclose(variances, prior, rtol=1e-10)
 
 
-def test_worker_count_does_not_change_results():
-    rng = np.random.default_rng(8)
-    X = rng.uniform(size=(90, 2))
-    y = rng.normal(size=90)
-    part = random_partition(90, 4, seed=3)
-    hp = Hyperparams.default(2)
-    v1, g1 = factorized_nlml(X, y, part, hp, workers=1)
-    v4, g4 = factorized_nlml(X, y, part, hp, workers=4)
-    assert v1 == v4
-    np.testing.assert_array_equal(g1, g4)
-    committee = train(X, y, part, OptimizerConfig(max_evals=5, initial_hp=hp))
-    Xstar = rng.uniform(size=(15, 2))
-    m1, s1 = experts_predict(committee, Xstar, workers=1)
-    m4, s4 = experts_predict(committee, Xstar, workers=4)
-    np.testing.assert_array_equal(m1, m4)
-    np.testing.assert_array_equal(s1, s4)
-
-
 def test_shared_hyperparameters_across_experts():
     ds, committee = _small_committee(M=3)
     assert all(m.hp is committee.hp for m in committee.experts)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpcommittee import DegenerateTargets, evaluate, msll, smse
+from gpcommittee import DegenerateTargets, msll, smse
 
 
 def test_smse_perfect_predictions():
@@ -85,13 +85,3 @@ def test_msll_unimodal_in_variance():
     # decreasing toward the oracle from both sides
     assert all(a >= b for a, b in zip(losses[:best], losses[1:best + 1]))
     assert all(a <= b for a, b in zip(losses[best:], losses[best + 1:]))
-
-
-def test_evaluate_bundles_metrics():
-    rng = np.random.default_rng(4)
-    y = rng.normal(size=60)
-    preds = y + 0.1
-    res = evaluate(preds, np.ones_like(y), y, 0.0, 1.0)
-    assert res.n_test == 60
-    assert res.smse == pytest.approx(smse(preds, y))
-    assert res.msll == pytest.approx(msll(preds, np.ones_like(y), y, 0.0, 1.0))
