@@ -32,7 +32,7 @@ from .optimize import OptimizerConfig
 from .partition import (Partition, PartitionKind, disjoint_partition,
                         grbcm_partition, random_partition)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 METHOD_CHOICES = ("poe", "gpoe", "bcm", "rbcm", "npae", "grbcm")
 PARTITION_CHOICES = ("random", "disjoint", "grbcm")
 
@@ -57,14 +57,12 @@ class ExperimentConfig:
     m0: int | None = None
     methods: tuple[str, ...] = ("poe", "gpoe", "bcm", "rbcm", "grbcm")
     gpoe_mode: str = "uniform"
-    max_evals: int = 500
-    grad_tolerance: float = 1e-6
-    opt_method: str = "cg"
+    max_evals: int = OptimizerConfig.max_evals
+    opt_method: str = OptimizerConfig.method
     seed: int = 0
     repetitions: int = 1
     rebalance: bool = True
     workers: int = 1                      # accepted and has no effect
-    normalized_metrics: bool = False
     out_dir: str | None = None
 
     def validate(self) -> None:
@@ -74,6 +72,9 @@ class ExperimentConfig:
             raise ValueError("csv dataset requires csv_path")
         if (self.M is None) == (self.m0 is None):
             raise ValueError("give exactly one of M (experts) or m0 (subset size)")
+        for name, value in (("M", self.M), ("m0", self.m0)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.partition_kind not in PARTITION_CHOICES:
             raise ValueError(f"partition_kind must be one of {PARTITION_CHOICES}")
         unknown = [m for m in self.methods if m not in METHOD_CHOICES]
@@ -83,6 +84,8 @@ class ExperimentConfig:
             raise ValueError("gpoe_mode must be 'uniform' or 'entropy'")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        # the optimizer settings are checked by their owner
+        OptimizerConfig(max_evals=self.max_evals, method=self.opt_method)
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,8 @@ class RunRecord:
 class RepArtifacts:
     """Raw per-repetition material kept for sweep-level diagnostics."""
 
-    repetition: int
-    seed: int
     hp_vector: np.ndarray
-    y_mean: float
     y_std: float
-    y_test: np.ndarray
     interior_mask: np.ndarray
     f_test: np.ndarray | None
     predictions: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
@@ -207,15 +206,11 @@ def run_experiment(config: ExperimentConfig,
         part = _build_partition(config, dataset, M, rep_seed)
         partitions.append(part)
         opt = OptimizerConfig(max_evals=config.max_evals,
-                              grad_tolerance=config.grad_tolerance,
                               initial_hp=Hyperparams.default(dataset.input_dim),
                               method=config.opt_method)
         committee = train(dataset.X_train, dataset.y_train, part, opt)
-        art = RepArtifacts(repetition=rep, seed=rep_seed,
-                           hp_vector=committee.hp.to_vector(),
-                           y_mean=dataset.norm_stats.y_mean,
+        art = RepArtifacts(hp_vector=committee.hp.to_vector(),
                            y_std=dataset.norm_stats.y_std,
-                           y_test=dataset.y_test,
                            interior_mask=_interior_mask(config, dataset),
                            f_test=dataset.f_test)
         for method in config.methods:
@@ -246,14 +241,12 @@ def _score_method(method, committee, dataset, config, rep, rep_seed, art):
                          error=f"{type(exc).__name__}: {exc}")
     if art is not None:
         art.predictions[label] = (agg.means, agg.variances)
+    # original units only: SMSE and MSLL do not change under the affine map
+    # from normalized units, so a normalized-scale score would repeat them
     stats = dataset.norm_stats
-    if config.normalized_metrics:
-        means_eval, vars_eval, y_eval = agg.means, agg.variances, dataset.y_test
-        train_mean, train_var = 0.0, 1.0
-    else:
-        means_eval, vars_eval = denormalize_predictions(agg.means, agg.variances, stats)
-        y_eval = dataset.y_test * stats.y_std + stats.y_mean
-        train_mean, train_var = stats.y_mean, stats.y_std ** 2
+    means_eval, vars_eval = denormalize_predictions(agg.means, agg.variances, stats)
+    y_eval = dataset.y_test * stats.y_std + stats.y_mean
+    train_mean, train_var = stats.y_mean, stats.y_std ** 2
     betas = agg.betas
     return RunRecord(
         method=label,

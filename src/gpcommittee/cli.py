@@ -13,8 +13,8 @@ import json
 import re
 import sys
 
-from .bench import (ExperimentConfig, METHOD_CHOICES, PARTITION_CHOICES,
-                    consistency_sweep, run_experiment)
+from .bench import (ExperimentConfig, PARTITION_CHOICES, consistency_sweep,
+                    run_experiment)
 
 
 def _parse_dataset(args) -> dict:
@@ -28,38 +28,37 @@ def _parse_dataset(args) -> dict:
                 "test_fraction": args.test_fraction}
     m = re.fullmatch(r"toy(\d+)", args.dataset or "")
     if not m:
-        raise SystemExit("--dataset must look like toy1000, or use --csv PATH")
+        raise ValueError("--dataset must look like toy1000, or use --csv PATH")
     return {"dataset": "toy", "n": int(m.group(1)), "n_test": args.n_test}
 
 
-def _methods(raw: str) -> tuple[str, ...]:
-    methods = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    bad = [m for m in methods if m not in METHOD_CHOICES]
-    if bad:
-        raise SystemExit(f"unknown methods {bad}; choose from {METHOD_CHOICES}")
-    return methods
+def _method_list(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    # every default is ExperimentConfig's own, so the CLI adds none
     p.add_argument("--dataset", default=None, help="toy dataset spec, e.g. toy1000")
     p.add_argument("--csv", default=None, help="CSV dataset path")
-    p.add_argument("--target-col", default="-1",
+    p.add_argument("--target-col", default=ExperimentConfig.target_column,
                    help="target column index or header name (CSV only)")
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--test-fraction", type=float, default=ExperimentConfig.test_fraction)
     p.add_argument("--n-test", type=int, default=None, help="toy test size")
-    p.add_argument("--partition", choices=PARTITION_CHOICES, default="disjoint")
+    p.add_argument("--partition", choices=PARTITION_CHOICES,
+                   default=ExperimentConfig.partition_kind)
     p.add_argument("--experts", type=int, default=None, metavar="M")
     p.add_argument("--subset-size", type=int, default=None, metavar="M0")
-    p.add_argument("--methods", default="poe,gpoe,bcm,rbcm,grbcm")
-    p.add_argument("--gpoe-beta", choices=("uniform", "entropy"), default="uniform")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-evals", type=int, default=500)
-    p.add_argument("--opt-method", choices=("cg", "lbfgs"), default="cg")
+    p.add_argument("--methods", type=_method_list, default=ExperimentConfig.methods,
+                   help="comma-separated aggregation methods")
+    p.add_argument("--gpoe-beta", choices=("uniform", "entropy"),
+                   default=ExperimentConfig.gpoe_mode)
+    p.add_argument("--reps", type=int, default=ExperimentConfig.repetitions)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--max-evals", type=int, default=ExperimentConfig.max_evals)
+    p.add_argument("--opt-method", choices=("cg", "lbfgs"),
+                   default=ExperimentConfig.opt_method)
     p.add_argument("--no-rebalance", action="store_true",
                    help="keep raw k-means cluster sizes")
-    p.add_argument("--normalized-metrics", action="store_true",
-                   help="score on the normalized scale instead of original units")
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -68,20 +67,19 @@ def _config_from_args(args) -> ExperimentConfig:
         partition_kind=args.partition,
         M=args.experts,
         m0=args.subset_size,
-        methods=_methods(args.methods),
+        methods=args.methods,
         gpoe_mode=args.gpoe_beta,
         max_evals=args.max_evals,
         opt_method=args.opt_method,
         seed=args.seed,
         repetitions=args.reps,
         rebalance=not args.no_rebalance,
-        normalized_metrics=args.normalized_metrics,
         out_dir=args.out,
         **_parse_dataset(args),
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gpcommittee-bench",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -92,9 +90,18 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(sweep_p)
     sweep_p.add_argument("--n-list", required=True,
                          help="comma-separated increasing training sizes")
-    args = parser.parse_args(argv)
+    return parser
 
-    config = _config_from_args(args)
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _config_from_args(args)
+        config.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
+
     if args.command == "run":
         result = run_experiment(config)
         for rec in result.records:
@@ -109,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
 
     n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     if config.m0 is None:
-        raise SystemExit("sweep requires --subset-size")
+        parser.error("sweep requires --subset-size")
     report = consistency_sweep(config, n_list, out_dir=args.out)
     print(json.dumps(report["flags"], indent=2))
     return 0

@@ -46,7 +46,6 @@ class Dataset:
     X_test: np.ndarray
     y_test: np.ndarray
     norm_stats: NormStats
-    name: str
     f_test: np.ndarray | None = None
 
     @property
@@ -62,7 +61,7 @@ class Dataset:
         return self.X_train.shape[1]
 
 
-def _normalize_dataset(X_train, y_train, X_test, y_test, name, f_test=None) -> Dataset:
+def _normalize_dataset(X_train, y_train, X_test, y_test, f_test=None) -> Dataset:
     X_train = np.asarray(X_train, dtype=float)
     X_test = np.asarray(X_test, dtype=float)
     y_train = np.asarray(y_train, dtype=float).ravel()
@@ -86,7 +85,6 @@ def _normalize_dataset(X_train, y_train, X_test, y_test, name, f_test=None) -> D
         X_test=(X_test - x_mean) / x_std,
         y_test=(y_test - y_mean) / y_std,
         norm_stats=stats,
-        name=name,
         f_test=None if f_test is None else (np.asarray(f_test, dtype=float) - y_mean) / y_std,
     )
 
@@ -113,7 +111,7 @@ def toy_generate(n: int, n_test: int, seed: int) -> Dataset:
     x_test = rng.uniform(*TOY_TEST_RANGE, size=(n_test, 1))
     f_test = toy_function(x_test[:, 0])
     y_test = f_test + rng.normal(0.0, TOY_NOISE_STD, size=n_test)
-    return _normalize_dataset(x_train, y_train, x_test, y_test, f"toy{n}", f_test=f_test)
+    return _normalize_dataset(x_train, y_train, x_test, y_test, f_test=f_test)
 
 
 def _parse_row(row: list[str], r: int) -> list[float]:
@@ -138,8 +136,8 @@ def _read_numeric_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
         for r, row in enumerate(reader):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
-            if r == 0:
-                try:  # a first row that does not parse as numbers is a header
+            if header is None and not rows:
+                try:  # a first non-blank row that does not parse as numbers is a header
                     [float(cell) for cell in row]
                 except ValueError:
                     header = [cell.strip() for cell in row]
@@ -154,8 +152,17 @@ def _read_numeric_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
 
 
 def _read_index_file(path: str) -> np.ndarray:
+    indices = []
     with open(path) as fh:
-        return np.asarray([int(line) for line in fh if line.strip()], dtype=int)
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                indices.append(int(line))
+            except ValueError:
+                raise DataError(f"{path}, line {line_no}: row index must be an integer, "
+                                f"got {line.strip()!r}") from None
+    return np.asarray(indices, dtype=int)
 
 
 def load_csv(path: str, target_column: int | str, test_fraction: float | None = None,
@@ -164,7 +171,7 @@ def load_csv(path: str, target_column: int | str, test_fraction: float | None = 
 
     Exactly one of ``test_fraction`` (seeded random split) or ``split_files``
     (paths to train/test row-index lists, one integer per line) must be given.
-    A non-numeric first line is treated as a header, in which case
+    A non-numeric first non-blank line is treated as a header, in which case
     ``target_column`` may be a column name.
     """
     if (test_fraction is None) == (split_files is None):
@@ -201,9 +208,7 @@ def load_csv(path: str, target_column: int | str, test_fraction: float | None = 
     for idx, label in ((train_idx, "train"), (test_idx, "test")):
         if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
             raise DataError(f"{label} split indices out of range")
-    import os
-    name = os.path.splitext(os.path.basename(path))[0]
-    return _normalize_dataset(X[train_idx], y[train_idx], X[test_idx], y[test_idx], name)
+    return _normalize_dataset(X[train_idx], y[train_idx], X[test_idx], y[test_idx])
 
 
 def denormalize_predictions(means: np.ndarray, variances: np.ndarray,

@@ -169,16 +169,6 @@ def _rebalance(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
             break
 
 
-def _labels_to_subsets(labels: np.ndarray, k: int, index_map: np.ndarray | None = None) -> list[np.ndarray]:
-    subsets = []
-    for c in range(k):
-        members = np.where(labels == c)[0]
-        if index_map is not None:
-            members = index_map[members]
-        subsets.append(np.sort(members))
-    return subsets
-
-
 def disjoint_partition(X: np.ndarray, M: int, seed: int, rebalance: bool = True) -> Partition:
     """Partition by k-means clusters on the inputs, optionally size-rebalanced."""
     X = np.asarray(X, dtype=float)
@@ -196,7 +186,7 @@ def disjoint_partition(X: np.ndarray, M: int, seed: int, rebalance: bool = True)
         if rebalance:
             sizes = np.bincount(labels, minlength=M)
             _rebalance(X, labels, centroids, _near_equal_targets(n, M, sizes))
-        subsets = _labels_to_subsets(labels, M)
+        subsets = [np.flatnonzero(labels == c) for c in range(M)]
     return Partition(subsets=subsets, kind=PartitionKind.DISJOINT,
                      communication_index=None, seed=seed)
 

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from gpcommittee import (AggregatedPrediction, AggregationMethod, ExperimentConfig,
                          aggregate, run_experiment)
@@ -23,3 +24,17 @@ def test_invalid_fused_prediction_recorded_per_method(monkeypatch):
     for rec in records.values():
         assert rec.error is None
         assert math.isfinite(rec.smse) and math.isfinite(rec.msll)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (dict(M=0), "M must be >= 1, got 0"),
+    (dict(m0=0), "m0 must be >= 1, got 0"),
+    (dict(m0=-5), "m0 must be >= 1, got -5"),
+])
+def test_non_positive_committee_size_rejected(sizes, message):
+    # m0=0 divided by zero and m0=-5 ran a one-expert committee
+    config = ExperimentConfig(n=120, n_test=30, max_evals=3, **sizes)
+    with pytest.raises(ValueError, match=message):
+        config.validate()
+    with pytest.raises(ValueError, match=message):
+        run_experiment(config)

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from gpcommittee import RunRecord, read_results_csv
-from gpcommittee.cli import main
+from gpcommittee import ExperimentConfig, RunRecord, read_results_csv
+from gpcommittee.cli import _config_from_args, _parser, main
 
 SMALL = ["--subset-size", "50", "--max-evals", "5", "--methods", "poe,grbcm"]
 
@@ -24,6 +24,29 @@ def test_workers_flag_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--dataset", "toy200", *SMALL, "--workers", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "give exactly one of M (experts) or m0 (subset size)"),
+    (["--experts", "4", "--subset-size", "50"],
+     "give exactly one of M (experts) or m0 (subset size)"),
+    (["--subset-size", "0"], "m0 must be >= 1, got 0"),
+    (["--subset-size", "50", "--methods", "poe,foo"], "unknown methods ['foo']"),
+    (["--subset-size", "50", "--max-evals", "0"], "max_evals must be >= 1"),
+])
+def test_invalid_config_is_a_usage_error(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--dataset", "toy200", *args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"gpcommittee-bench: error: {message}")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_adds_no_defaults_of_its_own():
+    args = _parser().parse_args(["run", "--dataset", "toy200", "--subset-size", "50"])
+    assert _config_from_args(args) == ExperimentConfig(dataset="toy", n=200, m0=50)
 
 
 def test_sweep_writes_flags(tmp_path, capsys):

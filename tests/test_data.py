@@ -76,6 +76,13 @@ def test_csv_header_autodetect(tmp_path):
     assert ds.n_train + ds.n_test == 4
 
 
+def test_csv_header_after_blank_line(tmp_path):
+    path = _write(tmp_path, "\nx,y\n1,2\n3,4\n5,6\n7,8\n")
+    ds = load_csv(path, target_column="y", test_fraction=0.5, seed=0)
+    assert ds.input_dim == 1
+    assert ds.n_train + ds.n_test == 4
+
+
 def test_csv_non_numeric_cell_reported(tmp_path):
     path = _write(tmp_path, "1,2\n3,oops\n5,6\n")
     with pytest.raises(DataError, match=r"row 1, column 1"):
@@ -124,6 +131,15 @@ def test_csv_split_files_reject_shared_or_repeated_rows(tmp_path, train_rows, te
     test = _write(tmp_path, "\n".join(test_rows.split()) + "\n", name="test.idx")
     with pytest.raises(DataError, match=message):
         load_csv(path, target_column=-1, split_files=(train, test))
+
+
+def test_csv_split_file_non_integer_line(tmp_path):
+    path = _write(tmp_path, "1,2\n3,4\n5,6\n7,8\n9,10\n")
+    train = _write(tmp_path, "0\n\n2\nabc\n", name="train.idx")
+    test = _write(tmp_path, "1\n3\n", name="test.idx")
+    with pytest.raises(DataError, match=r"train\.idx, line 4: .*'abc'"):
+        load_csv(path, target_column=-1, split_files=(train, test))
+
 
 def test_csv_requires_exactly_one_split_spec(tmp_path):
     path = _write(tmp_path, "1,2\n3,4\n")
