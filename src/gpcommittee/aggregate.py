@@ -190,11 +190,12 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     n_test = Xstar.shape[0]
     k_cross = np.empty((M, n_test))   # cov[mu_i, y*]
     mu = np.empty((M, n_test))
-    U = []                            # C_i^-1 K_i*
+    U = []                            # C_i^-1 K_i* = L_i^-T V_i
     for i, model in enumerate(experts):
         Ks = kernel_matrix(model.X, Xstar, hp)
-        U.append(cho_solve((model.chol, True), Ks))
-        k_cross[i] = np.sum(Ks * U[i], axis=0)
+        V = model.chol_inv @ Ks
+        U.append(model.chol_inv.T @ V)
+        k_cross[i] = np.sum(V * V, axis=0)
         mu[i] = Ks.T @ model.weight_vector
     K_agg = np.empty((M, M, n_test))  # cov[mu_i, mu_j]
     for i in range(M):

@@ -72,7 +72,10 @@ class ExperimentConfig:
             raise ValueError("csv dataset requires csv_path")
         if (self.M is None) == (self.m0 is None):
             raise ValueError("give exactly one of M (experts) or m0 (subset size)")
-        for name, value in (("M", self.M), ("m0", self.m0)):
+        sizes = [("M", self.M), ("m0", self.m0)]
+        if self.dataset == "toy":
+            sizes += [("n", self.n), ("n_test", self.n_test)]
+        for name, value in sizes:
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.partition_kind not in PARTITION_CHOICES:

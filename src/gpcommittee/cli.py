@@ -15,6 +15,7 @@ import sys
 
 from .bench import (ExperimentConfig, PARTITION_CHOICES, consistency_sweep,
                     run_experiment)
+from .errors import DataError
 
 
 def _parse_dataset(args) -> dict:
@@ -34,6 +35,14 @@ def _parse_dataset(args) -> dict:
 
 def _method_list(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def _size_list(raw: str) -> list[int]:
+    try:
+        return [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {raw!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -88,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(run_p)
     sweep_p = sub.add_parser("sweep", help="consistency sweep over training sizes")
     _add_common(sweep_p)
-    sweep_p.add_argument("--n-list", required=True,
+    sweep_p.add_argument("--n-list", type=_size_list, required=True,
                          help="comma-separated increasing training sizes")
     return parser
 
@@ -101,9 +110,22 @@ def main(argv: list[str] | None = None) -> int:
         config.validate()
     except ValueError as exc:
         parser.error(str(exc))
+    if args.command == "sweep" and config.m0 is None:
+        parser.error("sweep requires --subset-size")
 
-    if args.command == "run":
-        result = run_experiment(config)
+    try:
+        if args.command == "sweep":
+            report = consistency_sweep(config, args.n_list, out_dir=args.out)
+        else:
+            result = run_experiment(config)
+    except (DataError, OSError) as exc:
+        # unreadable or malformed input data: report it, not the call stack
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
+
+    if args.command == "sweep":
+        print(json.dumps(report["flags"], indent=2))
+    else:
         for rec in result.records:
             if rec.error:
                 print(f"{rec.method:14s} rep {rec.repetition}: FAILED {rec.error}")
@@ -112,13 +134,6 @@ def main(argv: list[str] | None = None) -> int:
                       f"smse={rec.smse:.4f} msll={rec.msll:+.4f} "
                       f"train={rec.train_time_seconds:.2f}s "
                       f"predict={rec.predict_time_seconds:.2f}s")
-        return 0
-
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-    if config.m0 is None:
-        parser.error("sweep requires --subset-size")
-    report = consistency_sweep(config, n_list, out_dir=args.out)
-    print(json.dumps(report["flags"], indent=2))
     return 0
 
 

@@ -2,8 +2,9 @@
 
 The training objective is the sum of per-expert negative log marginal
 likelihoods. Every per-expert step (objective terms, final fits, GRBCM's
-augmented fits and predictions) is one loop over the experts in subset-index
-order.
+augmented experts and predictions) is one loop over the experts in
+subset-index order. GRBCM's augmented experts are block extensions of the
+communication expert (:func:`gp.extend`), so its factor is never recomputed.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ from .partition import Partition
 class ExpertEnsemble:
     """Shared hyperparameters plus the fitted experts of one committee.
 
-    ``augmented_experts`` holds the models trained on (communication subset +
+    ``augmented_experts`` holds the models on (communication subset +
     ordinary subset i), one per non-communication subset in ascending subset
-    order; it stays None until :func:`prepare_grbcm` runs.
+    order, each stored as a block extension of the communication expert; it
+    stays None until :func:`prepare_grbcm` runs.
     """
 
     hp: Hyperparams
     partition: Partition
     experts: list[gp.GPModel]
-    augmented_experts: list[gp.GPModel] | None
+    augmented_experts: list[gp.BlockExtension] | None
     train_time_seconds: float
     opt_evals: int = 0
     opt_trace: tuple[float, ...] = ()
@@ -52,10 +54,10 @@ class ExpertEnsemble:
         }
 
 
-def _for_expert(fn, i: int, X: np.ndarray, y: np.ndarray, hp: Hyperparams):
-    """``fn(X, y, hp, expert_index=i)``, re-raising a breakdown that names expert ``i``."""
+def _for_expert(i: int, fn, *args):
+    """``fn(*args, expert_index=i)``, re-raising a breakdown that names expert ``i``."""
     try:
-        return fn(X, y, hp, expert_index=i)
+        return fn(*args, expert_index=i)
     except NumericalBreakdown as exc:
         raise NumericalBreakdown(
             f"expert {i}: {exc}", jitters_tried=exc.jitters_tried, expert_index=i
@@ -77,14 +79,14 @@ def factorized_nlml(X: np.ndarray, y: np.ndarray, partition: Partition,
     value = 0.0
     grad = np.zeros(hp.n_params)
     for i, idx in enumerate(partition.subsets):
-        v, g = _for_expert(gp.nlml, i, X[idx], y[idx], hp)
+        v, g = _for_expert(i, gp.nlml, X[idx], y[idx], hp)
         value += v
         grad += g
     return value, grad
 
 
 def _fit_experts(X, y, partition, hp):
-    return [_for_expert(gp.fit, i, X[idx], y[idx], hp)
+    return [_for_expert(i, gp.fit, X[idx], y[idx], hp)
             for i, idx in enumerate(partition.subsets)]
 
 
@@ -97,6 +99,7 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition,
         X = X[:, None]
     y = np.asarray(y, dtype=float).ravel()
     t0 = time.perf_counter()
+    gp.retain_freed_memory()
     result = minimize(lambda hp: factorized_nlml(X, y, partition, hp), opt_config)
     experts = _fit_experts(X, y, partition, result.best_hp)
     elapsed = time.perf_counter() - t0
@@ -106,22 +109,23 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition,
 
 
 def prepare_grbcm(ensemble: ExpertEnsemble) -> ExpertEnsemble:
-    """Fit the M-1 augmented experts on (communication subset + subset i).
+    """Build the M-1 augmented experts on (communication subset + subset i).
 
-    Each is fitted on the communication expert's rows followed by expert i's
-    rows; a breakdown names expert i. Returns a new ensemble; the input is
-    left untouched.
+    Each is the GP on the communication expert's rows followed by expert i's
+    rows, built by :func:`gp.extend` as a block extension of the
+    communication expert: it keeps only the cross block ``B_i = K_ic L_c^-T``
+    and the inverse Schur factor ``S_i^-1``. The communication block inherits
+    the communication expert's jitter, and the jitter ladder runs on the Schur
+    complement ``C_ii - B_i B_i'`` only; a breakdown there names expert i.
+    Returns a new ensemble; the input is left untouched.
     """
     c = ensemble.partition.communication_index
     if c is None:
         raise MissingCommunicationSubset(
             "partition has no designated communication subset")
     comm = ensemble.experts[c]
-    augmented = [
-        _for_expert(gp.fit, i, np.concatenate([comm.X, model.X]),
-                    np.concatenate([comm.y, model.y]), ensemble.hp)
-        for i, model in enumerate(ensemble.experts) if i != c
-    ]
+    augmented = [_for_expert(i, gp.extend, comm, model.X, model.y)
+                 for i, model in enumerate(ensemble.experts) if i != c]
     return replace(ensemble, augmented_experts=augmented)
 
 
@@ -130,14 +134,16 @@ def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
     """Per-expert predictive means and variances, stacked one row per expert.
 
     With ``augmented=True`` the rows come from the augmented experts instead
-    (requires :func:`prepare_grbcm` first).
+    (requires :func:`prepare_grbcm` first): the communication expert's terms
+    ``L_c^-1 K_c*`` and ``L_c^-1 y_c`` are formed once and each augmented
+    expert adds its own block (see :func:`gp.predict_extended`).
     """
-    models = ensemble.experts
     if augmented:
         if ensemble.augmented_experts is None:
             raise MissingCommunicationSubset("augmented experts not prepared")
-        models = ensemble.augmented_experts
-    outputs = [gp.predict(m, Xstar) for m in models]
+        comm = ensemble.experts[ensemble.partition.communication_index]
+        return gp.predict_extended(comm, ensemble.augmented_experts, Xstar)
+    outputs = [gp.predict(m, Xstar) for m in ensemble.experts]
     means = np.vstack([m for m, _ in outputs])
     variances = np.vstack([v for _, v in outputs])
     return means, variances

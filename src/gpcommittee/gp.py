@@ -1,24 +1,36 @@
-"""Exact GP regression on a single data block.
+"""Exact GP regression on a single data block, and its extension by a second block.
 
 Fitting factorizes the noisy kernel matrix once with an escalating jitter
-ladder (LAPACK ``potrf``); the stored Cholesky factor backs all predictions,
-so nothing is re-factorized per test point.
+ladder (LAPACK ``potrf``) and inverts the factor once (``trtri``). Prediction
+then needs one matrix product, ``V = L^-1 K*``, so nothing is solved per test
+point or per right-hand side.
+
+A fitted model extends to its own rows plus a second block without
+refactoring its own block (:func:`extend`): the joint factor is
+``[[L_b, 0], [B, S]]`` with ``B = K_xb L_b^-T`` and ``S`` the Cholesky factor
+of the Schur complement ``C_xx - B B'``. The base block keeps the jitter it
+was fitted with, and the jitter ladder runs on the Schur complement only, so
+the extended model is the GP whose noisy matrix carries the block-diagonal
+jitter ``diag(j_b I, j_s I)``.
 
 The marginal likelihood, evaluated once per expert per optimizer step, is
 the hot path. Each evaluation builds the kernel matrix ``K`` once, adds the
 noise to the diagonal of a copy to get ``C``, factors ``C = L L'`` with
 ``potrf``, inverts it from ``L`` with ``potri`` and hands the same ``K`` to
 the kernel gradients. The gradient is contracted coordinate by coordinate
-without forming ``C^-1 - a a'`` (see :func:`nlml`).
+without forming ``C^-1 - a a'`` (see :func:`nlml`). Its several ``m x m``
+temporaries are freed and allocated again on every evaluation, so training
+first fixes glibc's heap thresholds (see :func:`retain_freed_memory`).
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
 from .errors import NumericalBreakdown
 from .kernel import Hyperparams, kernel_matrix, kernel_matrix_grads
@@ -27,6 +39,35 @@ from .kernel import Hyperparams, kernel_matrix, kernel_matrix_grads
 _JITTER_START = 1e-10
 _JITTER_STOP = 1e-2
 _VARIANCE_GUARD = 1.0 - 1e-10
+# glibc mallopt parameters (malloc.h) and the largest block the heap keeps
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_RETAINED_BLOCK_BYTES = 32 << 20
+
+
+def retain_freed_memory() -> None:
+    """Let the C heap keep freed blocks of up to 32 MiB for reuse (glibc only).
+
+    By default glibc serves blocks above a dynamic threshold by fresh
+    ``mmap`` and returns a heap top above twice that threshold to the system
+    on ``free``; the threshold only rises when a larger mapped block is
+    freed. An objective evaluation allocates and frees several ``m x m``
+    arrays, more than twice the largest block freed before unless an earlier
+    stage happened to free a bigger one, so every evaluation faults its pages
+    in again. Fixing both thresholds, for the whole process, makes the reuse
+    independent of what ran before. Nothing happens where the C library has
+    no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # setting either value freezes both, so the trim threshold follows only
+    # a mmap threshold that was accepted
+    if mallopt(_M_MMAP_THRESHOLD, _RETAINED_BLOCK_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, 2 * _RETAINED_BLOCK_BYTES)
 
 
 def chol_with_jitter(A: np.ndarray, expert_index: int | None = None,
@@ -65,18 +106,36 @@ def chol_with_jitter(A: np.ndarray, expert_index: int | None = None,
     )
 
 
+def _triangular_inverse(L: np.ndarray, expert_index: int | None = None) -> np.ndarray:
+    """``L^-1`` of a lower Cholesky factor by LAPACK ``trtri``, exactly zero above the diagonal."""
+    L_inv, info = dtrtri(L, lower=1)
+    if info != 0:
+        raise NumericalBreakdown(f"trtri failed to invert the Cholesky factor (info={info})",
+                                 expert_index=expert_index)
+    return L_inv
+
+
+def _noisy_variance(hp: Hyperparams, explained: np.ndarray) -> np.ndarray:
+    """Prior variance minus the ``explained`` part, clamped at ``noise_variance * (1 - 1e-10)``."""
+    variances = hp.output_variance - explained + hp.noise_variance
+    return np.maximum(variances, hp.noise_variance * _VARIANCE_GUARD)
+
+
 @dataclass(frozen=True)
 class GPModel:
-    """One trained GP expert: data view, Cholesky factor and weight vector.
+    """One trained GP expert: data view, Cholesky factor, its inverse and weight vector.
 
-    ``chol @ chol.T`` reconstructs ``K + (noise_variance + jitter_used) * I``
-    and ``weight_vector`` solves that system against ``y``.
+    ``chol @ chol.T`` reconstructs ``K + (noise_variance + jitter_used) * I``,
+    ``chol_inv`` is ``chol``'s lower-triangular inverse, which turns every
+    prediction into matrix products, and ``weight_vector`` solves that system
+    against ``y``.
     """
 
     X: np.ndarray
     y: np.ndarray
     hp: Hyperparams
     chol: np.ndarray
+    chol_inv: np.ndarray
     weight_vector: np.ndarray
     jitter_used: float
 
@@ -87,7 +146,8 @@ class GPModel:
 
 def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
         expert_index: int | None = None) -> GPModel:
-    """Fit an exact GP: factorize ``K + (noise + jitter_used)*I`` and precompute the weight vector.
+    """Fit an exact GP: factorize ``K + (noise + jitter_used)*I``, invert the
+    factor and precompute the weight vector.
 
     ``jitter_used`` is 0 unless the factorization fails and the
     :func:`chol_with_jitter` ladder fires. The fitted model is then the GP
@@ -110,7 +170,8 @@ def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
     C.flat[:: X.shape[0] + 1] += hp.noise_variance
     L, jitter = chol_with_jitter(C, expert_index=expert_index)
     alpha = cho_solve((L, True), y)
-    return GPModel(X=X, y=y, hp=hp, chol=L, weight_vector=alpha, jitter_used=jitter)
+    return GPModel(X=X, y=y, hp=hp, chol=L, chol_inv=_triangular_inverse(L, expert_index),
+                   weight_vector=alpha, jitter_used=jitter)
 
 
 def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
@@ -177,7 +238,74 @@ def predict(model: GPModel, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Xstar = Xstar[:, None]
     Kstar = kernel_matrix(model.X, Xstar, hp)
     means = Kstar.T @ model.weight_vector
-    V = solve_triangular(model.chol, Kstar, lower=True)
-    variances = hp.output_variance - np.sum(V * V, axis=0) + hp.noise_variance
-    floor = hp.noise_variance * _VARIANCE_GUARD
-    return means, np.maximum(variances, floor)
+    V = model.chol_inv @ Kstar
+    return means, _noisy_variance(hp, np.sum(V * V, axis=0))
+
+
+@dataclass(frozen=True)
+class BlockExtension:
+    """A GP on a fitted base model's rows followed by the rows ``X``, ``y``.
+
+    Only the new rows of the joint factor ``[[L_b, 0], [cross, S]]`` are
+    kept: ``cross = K_xb L_b^-T`` and ``schur_inv = S^-1``, where
+    ``S S' = C_xx - cross cross' + jitter_used * I``. The base block is the
+    base model's own factor, with the jitter it was fitted with.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    cross: np.ndarray
+    schur_inv: np.ndarray
+    jitter_used: float
+
+    @property
+    def n(self) -> int:
+        """Training rows of the joint model: the base rows plus ``X``'s."""
+        return self.cross.shape[1] + self.X.shape[0]
+
+
+def extend(base: GPModel, X: np.ndarray, y: np.ndarray,
+           expert_index: int | None = None) -> BlockExtension:
+    """Extend ``base`` by the rows ``(X, y)`` without refactoring its block.
+
+    The jitter ladder of :func:`chol_with_jitter` runs on the Schur complement
+    ``C_xx - cross cross'`` only; ``X`` and ``y`` are taken as validated.
+    """
+    hp = base.hp
+    cross = kernel_matrix(X, base.X, hp) @ base.chol_inv.T
+    schur = kernel_matrix(X, X, hp)
+    schur.flat[:: X.shape[0] + 1] += hp.noise_variance
+    schur -= cross @ cross.T
+    S, jitter = chol_with_jitter(schur, expert_index=expert_index)
+    return BlockExtension(X=X, y=y, cross=cross,
+                          schur_inv=_triangular_inverse(S, expert_index), jitter_used=jitter)
+
+
+def predict_extended(base: GPModel, extensions: list[BlockExtension],
+                     Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive means and noisy variances of each extension of ``base``, one row each.
+
+    The base terms ``V_b = L_b^-1 K_b*`` and ``z_b = L_b^-1 y_b`` are formed
+    once. Extension i adds ``W_i = S_i^-1 (K_i* - cross_i V_b)`` and
+    ``z_i = S_i^-1 (y_i - cross_i z_b)``: its mean is ``V_b' z_b + W_i' z_i``
+    and its variance the prior minus ``|V_b|^2 + |W_i|^2``, floored as in
+    :func:`predict`.
+    """
+    hp = base.hp
+    Xstar = np.asarray(Xstar, dtype=float)
+    if Xstar.ndim == 1:
+        Xstar = Xstar[:, None]
+    V_b = base.chol_inv @ kernel_matrix(base.X, Xstar, hp)
+    z_b = base.chol_inv @ base.y
+    base_mean = V_b.T @ z_b
+    base_explained = np.sum(V_b * V_b, axis=0)
+    means = np.empty((len(extensions), Xstar.shape[0]))
+    variances = np.empty_like(means)
+    for k, ext in enumerate(extensions):
+        Kstar = kernel_matrix(ext.X, Xstar, hp)
+        Kstar -= ext.cross @ V_b
+        W = ext.schur_inv @ Kstar
+        z = ext.schur_inv @ (ext.y - ext.cross @ z_b)
+        means[k] = base_mean + W.T @ z
+        variances[k] = _noisy_variance(hp, base_explained + np.sum(W * W, axis=0))
+    return means, variances

@@ -33,6 +33,8 @@ def test_workers_flag_is_rejected():
     (["--subset-size", "0"], "m0 must be >= 1, got 0"),
     (["--subset-size", "50", "--methods", "poe,foo"], "unknown methods ['foo']"),
     (["--subset-size", "50", "--max-evals", "0"], "max_evals must be >= 1"),
+    (["--dataset", "toy0", "--subset-size", "5"], "n must be >= 1, got 0"),
+    (["--subset-size", "50", "--n-test", "0"], "n_test must be >= 1, got 0"),
 ])
 def test_invalid_config_is_a_usage_error(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
@@ -42,6 +44,32 @@ def test_invalid_config_is_a_usage_error(capsys, args, message):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith(f"gpcommittee-bench: error: {message}")
     assert "Traceback" not in captured.err
+
+
+def test_sweep_size_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dataset", "toy100", *SMALL, "--n-list", "100,abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == ("gpcommittee-bench sweep: error: argument --n-list: "
+                                    "expected comma-separated integers, got '100,abc'")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("table, message", [
+    ("x,y\n0.1,1.0\n0.2,oops\n", "non-numeric cell at row 2, column 1: 'oops'"),
+    (None, "No such file or directory"),
+])
+def test_bad_csv_is_one_error_line(tmp_path, capsys, table, message):
+    path = tmp_path / "table.csv"
+    if table is not None:
+        path.write_text(table)
+    assert main(["run", "--csv", str(path), "--subset-size", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("gpcommittee-bench: error: ")
+    assert message in captured.err
 
 
 def test_cli_adds_no_defaults_of_its_own():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gpcommittee import (Hyperparams, MissingCommunicationSubset, OptimizerConfig,
-                         experts_predict, factorized_nlml, fit, grbcm_partition,
-                         minimize, nlml, predict, prepare_grbcm, random_partition,
-                         toy_generate, train)
+from gpcommittee import (Hyperparams, MissingCommunicationSubset, NumericalBreakdown,
+                         OptimizerConfig, experts_predict, factorized_nlml, fit,
+                         grbcm_partition, minimize, nlml, predict, prepare_grbcm,
+                         random_partition, toy_generate, train)
 from gpcommittee.partition import disjoint_partition
 
 
@@ -99,6 +99,24 @@ def test_train_budget_one_keeps_initial_hp():
     assert all(m.chol is not None for m in committee.experts)
 
 
+def test_factor_inverse_failure_names_expert(monkeypatch):
+    from gpcommittee import gp
+    calls = []
+
+    def dtrtri_failing_on_second_expert(L, lower):
+        calls.append(L.shape)
+        return L, (3 if len(calls) == 2 else 0)
+
+    monkeypatch.setattr(gp, "dtrtri", dtrtri_failing_on_second_expert)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(30, 1))
+    part = random_partition(30, 3, seed=0)
+    with pytest.raises(NumericalBreakdown, match="expert 1: trtri failed") as err:
+        train(X, rng.normal(size=30), part,
+              OptimizerConfig(max_evals=1, initial_hp=Hyperparams.default(1)))
+    assert err.value.expert_index == 1
+
+
 def _small_committee(n=120, M=3, seed=0, kind="grbcm"):
     ds = toy_generate(n, 40, seed=seed)
     if kind == "grbcm":
@@ -138,9 +156,9 @@ def test_augmented_expert_never_less_informative():
     comm = committee.experts[committee.partition.communication_index]
     Xstar = np.random.default_rng(6).uniform(-1.5, 1.5, size=(30, 1))
     _, var_comm = predict(comm, Xstar)
-    for aug in prepared.augmented_experts:
-        _, var_aug = predict(aug, Xstar)
-        assert np.all(var_aug <= var_comm + 1e-8)
+    _, var_aug = experts_predict(prepared, Xstar, augmented=True)
+    assert var_aug.shape == (len(prepared.augmented_experts), Xstar.shape[0])
+    assert np.all(var_aug <= var_comm + 1e-8)
 
 
 def test_experts_predict_single_expert_matches_full_gp():

@@ -1,8 +1,11 @@
+import ctypes
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from gpcommittee import Hyperparams, NumericalBreakdown, fit, nlml, predict
-from gpcommittee.gp import chol_with_jitter
+from gpcommittee.gp import chol_with_jitter, extend, predict_extended, retain_freed_memory
 from gpcommittee.kernel import kernel_matrix, kernel_matrix_grads
 
 
@@ -238,3 +241,102 @@ def test_nlml_builds_kernel_once_and_solves_only_vectors(monkeypatch):
     gp.nlml(X, rng.normal(size=20), Hyperparams(0.0, np.zeros(3), -1.0))
     assert len(builds) == 1
     assert solve_rhs and all(ndim == 1 for ndim in solve_rhs)
+
+
+def _jittered_or_clean(jittered, rng):
+    # duplicated rows under negligible noise make the noisy matrix singular
+    X = rng.uniform(size=(40, 1))
+    if jittered:
+        return np.vstack([X, X[:5]]), hp_1d(log_l=-1.0, log_noise=-50.0)
+    return X, hp_1d(log_l=-1.0, log_noise=-1.0)
+
+
+@pytest.mark.parametrize("jittered", [False, True])
+def test_chol_inv_is_the_lower_triangular_inverse(jittered):
+    X, hp = _jittered_or_clean(jittered, np.random.default_rng(10))
+    model = fit(X, np.sin(6 * X[:, 0]), hp)
+    assert (model.jitter_used > 0.0) == jittered
+    assert np.all(np.triu(model.chol_inv, 1) == 0.0)
+    # trtri's residual bound: n * eps * cond(L)
+    n = X.shape[0]
+    tol = n * np.finfo(float).eps * np.linalg.cond(model.chol)
+    assert np.max(np.abs(model.chol_inv @ model.chol - np.eye(n))) <= tol
+
+
+@pytest.mark.parametrize("jittered", [False, True])
+def test_predict_matches_triangular_solve_reference(jittered):
+    rng = np.random.default_rng(11)
+    X, hp = _jittered_or_clean(jittered, rng)
+    model = fit(X, np.sin(6 * X[:, 0]), hp)
+    assert (model.jitter_used > 0.0) == jittered
+    Xstar = rng.uniform(-0.5, 1.5, size=(30, 1))
+    means, variances = predict(model, Xstar)
+    Kstar = kernel_matrix(X, Xstar, hp)
+    V = solve_triangular(model.chol, Kstar, lower=True)
+    prior = hp.output_variance + hp.noise_variance
+    ref = np.maximum(prior - np.sum(V * V, axis=0), hp.noise_variance * (1 - 1e-10))
+    np.testing.assert_array_equal(means, Kstar.T @ model.weight_vector)
+    if not jittered:
+        np.testing.assert_allclose(variances, ref, rtol=1e-12)
+        return
+    # near the data the variance is the jitter left after cancelling the
+    # prior, so the two products agree to cond(C) * eps of the prior
+    C = kernel_matrix(X, X, hp) + (hp.noise_variance + model.jitter_used) * np.eye(X.shape[0])
+    assert np.max(np.abs(variances - ref)) <= np.linalg.cond(C) * np.finfo(float).eps * prior
+
+
+def _block(kind, rng):
+    if kind == "spread":
+        return np.arange(0.0, 10.0)[:, None] + rng.uniform(0.0, 0.1, size=(10, 1))
+    dense = rng.uniform(size=(20, 1))
+    return np.vstack([dense, dense[:5]])
+
+
+@pytest.mark.parametrize("base_kind, ext_kind", [
+    ("spread", "spread"),   # no jitter
+    ("dup", "spread"),      # the base block needs jitter
+    ("spread", "dup"),      # only the Schur complement needs jitter
+])
+def test_block_extension_equals_dense_gp_with_block_jitter(base_kind, ext_kind):
+    rng = np.random.default_rng(12)
+    Xb, Xe = _block(base_kind, rng), _block(ext_kind, rng)
+    X = np.vstack([Xb, Xe])
+    y = np.sin(6 * X[:, 0])
+    hp = hp_1d(log_l=-1.0, log_noise=-50.0)
+    nb = Xb.shape[0]
+    base = fit(Xb, y[:nb], hp)
+    ext = extend(base, Xe, y[nb:])
+    assert (base.jitter_used > 0.0) == (base_kind == "dup")
+    assert (ext.jitter_used > 0.0) == (ext_kind == "dup")
+    assert ext.n == X.shape[0]
+    Xstar = np.linspace(-1.0, 11.0, 60)[:, None]
+    means, variances = predict_extended(base, [ext], Xstar)
+
+    jitter = np.concatenate([np.full(nb, base.jitter_used), np.full(Xe.shape[0], ext.jitter_used)])
+    C = kernel_matrix(X, X, hp) + np.diag(hp.noise_variance + jitter)
+    Kstar = kernel_matrix(X, Xstar, hp)
+    prior = hp.output_variance + hp.noise_variance
+    ref_means = Kstar.T @ np.linalg.solve(C, y)
+    ref_vars = np.maximum(prior - np.sum(Kstar * np.linalg.solve(C, Kstar), axis=0),
+                          hp.noise_variance * (1 - 1e-10))
+    tol = np.linalg.cond(C) * np.finfo(float).eps
+    assert np.max(np.abs(means[0] - ref_means)) <= tol * np.max(np.abs(ref_means))
+    assert np.max(np.abs(variances[0] - ref_vars)) <= tol * prior
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def test_retain_freed_memory_serves_large_arrays_from_the_heap():
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("mallinfo2 needs glibc >= 2.33")
+    libc.mallinfo2.restype = _Mallinfo2
+    retain_freed_memory()
+    mapped = libc.mallinfo2().hblkhd
+    block = np.ones((1000, 1000))  # 8 MB: above glibc's default mmap threshold
+    assert libc.mallinfo2().hblkhd == mapped
+    del block
