@@ -345,6 +345,12 @@ def _per_rep_series(per_n: dict, method: str, key: str, rep: int) -> list[float]
     return [per_n[n][method][key][rep] for n in sorted(per_n)]
 
 
+def check_n_list(n_list: list[int]) -> None:
+    """Raise ``ValueError`` unless the sweep sizes are increasing and at least two."""
+    if list(n_list) != sorted(n_list) or len(n_list) < 2:
+        raise ValueError("n_list must be increasing with at least two sizes")
+
+
 def consistency_sweep(base_config: ExperimentConfig, n_list: list[int],
                       out_dir: str | None = None) -> dict:
     """Run the experiment at each n with m0 held fixed and report trends.
@@ -353,8 +359,7 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int],
     variance (original units) for every repetition and n, plus pass/fail
     flags for the monotone consistency trends.
     """
-    if list(n_list) != sorted(n_list) or len(n_list) < 2:
-        raise ValueError("n_list must be increasing with at least two sizes")
+    check_n_list(n_list)
     if base_config.m0 is None:
         raise ValueError("sweep requires m0 (fixed subset size)")
     base_config.validate()

@@ -13,8 +13,8 @@ import json
 import re
 import sys
 
-from .bench import (ExperimentConfig, PARTITION_CHOICES, consistency_sweep,
-                    run_experiment)
+from .bench import (ExperimentConfig, PARTITION_CHOICES, check_n_list,
+                    consistency_sweep, run_experiment)
 from .errors import DataError
 
 
@@ -39,10 +39,15 @@ def _method_list(raw: str) -> tuple[str, ...]:
 
 def _size_list(raw: str) -> list[int]:
     try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
+        sizes = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {raw!r}") from None
+    try:
+        check_n_list(sizes)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {raw!r}") from None
+    return sizes
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -68,14 +68,14 @@ def factorized_nlml(X: np.ndarray, y: np.ndarray, partition: Partition,
                     hp: Hyperparams) -> tuple[float, np.ndarray]:
     """Sum of per-expert NLML values and gradients over the partition.
 
-    Identical to the single-GP objective when M = 1. A factorization failure
-    is re-raised naming the offending expert index.
+    Identical to the single-GP objective when M = 1. The partition is taken
+    as validated (:func:`train` checks it once, not on every evaluation). A
+    factorization failure is re-raised naming the offending expert index.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=float).ravel()
-    partition.validate(X.shape[0])
     value = 0.0
     grad = np.zeros(hp.n_params)
     for i, idx in enumerate(partition.subsets):
@@ -93,11 +93,16 @@ def _fit_experts(X, y, partition, hp):
 def train(X: np.ndarray, y: np.ndarray, partition: Partition,
           opt_config: OptimizerConfig) -> ExpertEnsemble:
     """Optimize shared hyperparameters on the factorized objective, then refit
-    every expert (Cholesky + weight vector) at the optimum."""
+    every expert (Cholesky + weight vector) at the optimum.
+
+    The partition is validated against ``X`` once, before the first
+    objective evaluation.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=float).ravel()
+    partition.validate(X.shape[0])
     t0 = time.perf_counter()
     gp.retain_freed_memory()
     result = minimize(lambda hp: factorized_nlml(X, y, partition, hp), opt_config)

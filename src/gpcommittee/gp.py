@@ -16,11 +16,13 @@ jitter ``diag(j_b I, j_s I)``.
 The marginal likelihood, evaluated once per expert per optimizer step, is
 the hot path. Each evaluation builds the kernel matrix ``K`` once, adds the
 noise to the diagonal of a copy to get ``C``, factors ``C = L L'`` with
-``potrf``, inverts it from ``L`` with ``potri`` and hands the same ``K`` to
-the kernel gradients. The gradient is contracted coordinate by coordinate
-without forming ``C^-1 - a a'`` (see :func:`nlml`). Its several ``m x m``
-temporaries are freed and allocated again on every evaluation, so training
-first fixes glibc's heap thresholds (see :func:`retain_freed_memory`).
+``potrf`` and inverts it from ``L`` with ``potri``. The noise gradient is read
+off ``C^-1``; then :func:`kernel.kernel_matrix_grads` multiplies ``C^-1`` by
+the same ``K`` in place and contracts all kernel coordinates at once through
+``(K * C^-1) [1, Z]``, so no derivative matrix and no ``C^-1 - a a'`` is
+formed (see :func:`nlml`). Its few ``m x m`` temporaries are freed and
+allocated again on every evaluation, so training first fixes glibc's heap
+thresholds (see :func:`retain_freed_memory`).
 """
 
 from __future__ import annotations
@@ -180,16 +182,17 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
 
     Value is ``0.5 * y' C^-1 y + sum(log diag L) + (n/2) log 2pi`` with
     ``C = K + noise*I = L L'``. The gradient is R&W (2006) eq. 5.9,
-    ``0.5 * tr((C^-1 - a a') dC)`` with ``a = C^-1 y``, contracted per
-    coordinate without forming ``C^-1 - a a'``:
+    ``0.5 * tr((C^-1 - a a') dC)`` with ``a = C^-1 y``, and ``C^-1 - a a'``
+    is never formed:
 
-    - kernel coordinate j: ``0.5 * (<C^-1, dK_j> - a' dK_j a)``, with
-      ``<., .>`` the elementwise (Frobenius) inner product;
-    - noise (``dC = 2 noise I``): ``noise * (tr C^-1 - a'a)``.
+    - noise (``dC = 2 noise I``): ``noise * (tr C^-1 - a'a)``;
+    - kernel coordinates: :func:`kernel_matrix_grads`, which turns ``C^-1``
+      into ``K * C^-1`` in place and contracts every coordinate through one
+      product with ``[1, Z]``, ``Z`` the scaled and centred inputs.
 
-    ``K`` is built once and shared with :func:`kernel_matrix_grads`; ``C^-1``
-    comes from ``L`` by LAPACK ``potri``. Coordinates are in the canonical
-    order (output scale, lengthscales, noise).
+    ``K`` is built once and shared with the kernel gradient; ``C^-1`` comes
+    from ``L`` by LAPACK ``potri``. Coordinates are in the canonical order
+    (output scale, lengthscales, noise).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -210,16 +213,15 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
         raise NumericalBreakdown(f"potri failed to invert the Cholesky factor (info={info})",
                                  expert_index=expert_index)
     # potri fills the lower triangle of a Fortran-ordered array and leaves
-    # L's zeros above it; the transpose is a C-ordered view, so the
-    # symmetrized inverse flattens for np.vdot without a copy.
+    # L's zeros above it; the transpose is a C-ordered view like K.
     Cinv = Cinv.T
     Cinv += Cinv.T
     Cinv.flat[:: n + 1] *= 0.5
     grads = np.empty(hp.n_params)
-    for j, dK in enumerate(kernel_matrix_grads(X, hp, K)):
-        grads[j] = 0.5 * (np.vdot(Cinv, dK) - alpha @ (dK @ alpha))
-    # noise enters as 2*noise_variance*I on the noisy matrix
+    # noise enters as 2*noise_variance*I on the noisy matrix; read it before
+    # the kernel gradient overwrites Cinv
     grads[-1] = hp.noise_variance * (np.trace(Cinv) - alpha @ alpha)
+    grads[:-1] = kernel_matrix_grads(X, hp, K, Cinv, alpha)
     return value, grads
 
 

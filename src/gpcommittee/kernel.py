@@ -1,8 +1,14 @@
-"""Squared-exponential covariance, batched kernel matrices, and analytic gradients.
+"""Squared-exponential covariance, batched kernel matrices, and the kernel
+part of the marginal-likelihood gradient.
 
 All hyperparameters live on a log scale so downstream optimization is
 unconstrained while the underlying amplitudes, lengthscales and noise stay
 strictly positive.
+
+The gradient is returned already contracted against ``C^-1 - a a'``
+(:func:`kernel_matrix_grads`): every SE derivative matrix is ``K`` times a
+squared difference, so ``K * C^-1`` times ``[1, Z]`` gives all ``1 + d``
+entries and no derivative matrix is built.
 """
 
 from __future__ import annotations
@@ -112,30 +118,46 @@ def kernel_matrix(X: np.ndarray, X_prime: np.ndarray, hp: Hyperparams) -> np.nda
     return K
 
 
-def kernel_matrix_grads(X: np.ndarray, hp: Hyperparams,
-                        K: np.ndarray | None = None) -> list[np.ndarray]:
-    """Analytic derivatives of ``kernel_matrix(X, X, hp)`` w.r.t. each log coordinate.
+def kernel_matrix_grads(X: np.ndarray, hp: Hyperparams, K: np.ndarray,
+                        Cinv: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Kernel part of the NLML gradient, ``0.5 * <Cinv - alpha alpha', dK_j>`` per coordinate.
 
-    Returns one n x n matrix per kernel hyperparameter, ordered as in
-    :meth:`Hyperparams.to_vector` but without the noise coordinate (the noise
-    derivative acts on the noisy matrix and is handled by the GP core):
+    ``K`` is ``kernel_matrix(X, X, hp)``, ``Cinv`` a symmetric ``n x n`` array
+    (the inverse noisy matrix in :func:`gp.nlml`) and ``alpha`` an ``n``-vector;
+    ``<., .>`` is the elementwise (Frobenius) inner product and ``dK_j`` the
+    derivative of ``K`` w.r.t. kernel log coordinate ``j``. Returns the
+    ``1 + d`` values ordered as in :meth:`Hyperparams.to_vector` without the
+    noise coordinate (the noise derivative acts on the noisy matrix and is
+    handled by the GP core).
 
-    - d K / d log_output_scale = 2 K
-    - d K / d log_lengthscales[i] = K * D_i / l_i^2, with D_i the matrix of
-      squared coordinate-i differences.
+    With ``z = X / lengthscales``, ``dK / d log_output_scale = 2 K`` and
+    ``dK / d log_lengthscales[j] = K * D_j``, where ``D_j`` holds the squared
+    differences ``(z_ij - z_kj)^2``. No ``D_j`` is formed: with
+    ``H = K * (Cinv - alpha alpha')`` and ``P = [1, Z]``,
 
-    ``K`` is ``kernel_matrix(X, X, hp)`` when the caller already holds it; it
-    is computed here only when omitted, and it is never modified.
+    - ``H P = (K * Cinv) P - alpha * (K (alpha * P))``, two products;
+    - the output-scale entry is ``sum(H 1)``;
+    - lengthscale ``j`` is ``sum_i z_ij^2 (H 1)_i - sum_i z_ij (H Z)_ij``.
+
+    ``Z`` is ``z`` centred per column; ``D_j`` does not change under the
+    shift, and without it the expanded square cancels badly on inputs far
+    from the origin.
+
+    ``Cinv`` is overwritten with ``K * Cinv``; ``K`` is never modified.
     """
     X = _check_dim(X, hp, "X")
     if X.shape[0] == 0:
         raise ValueError("X must be nonempty")
-    if K is None:
-        K = kernel_matrix(X, X, hp)
-    grads = [2.0 * K]
-    for z in (X / hp.lengthscales).T:
-        dK = z[:, None] - z[None, :]
-        dK *= dK
-        dK *= K
-        grads.append(dK)
+    P = np.empty((X.shape[0], 1 + hp.input_dim))
+    P[:, 0] = 1.0
+    Z = P[:, 1:]
+    np.divide(X, hp.lengthscales, out=Z)
+    Z -= Z.mean(axis=0)
+    Cinv *= K
+    HP = Cinv @ P
+    HP -= alpha[:, None] * (K @ (alpha[:, None] * P))
+    H1 = HP[:, 0]
+    grads = np.empty(1 + hp.input_dim)
+    grads[0] = H1.sum()
+    grads[1:] = H1 @ (Z * Z) - np.einsum("ij,ij->j", Z, HP[:, 1:])
     return grads

@@ -56,6 +56,19 @@ def test_sweep_size_list_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("sizes", ["200,100", "200"])
+def test_sweep_sizes_out_of_order_are_a_usage_error(capsys, sizes):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dataset", "toy100", *SMALL, "--n-list", sizes])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "gpcommittee-bench sweep: error: argument --n-list: "
+        f"n_list must be increasing with at least two sizes, got '{sizes}'")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("table, message", [
     ("x,y\n0.1,1.0\n0.2,oops\n", "non-numeric cell at row 2, column 1: 'oops'"),
     (None, "No such file or directory"),

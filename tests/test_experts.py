@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gpcommittee import (Hyperparams, MissingCommunicationSubset, NumericalBreakdown,
-                         OptimizerConfig, experts_predict, factorized_nlml, fit,
-                         grbcm_partition, minimize, nlml, predict, prepare_grbcm,
-                         random_partition, toy_generate, train)
+from gpcommittee import (Hyperparams, InvalidPartition, MissingCommunicationSubset,
+                         NumericalBreakdown, OptimizerConfig, experts_predict,
+                         factorized_nlml, fit, grbcm_partition, minimize, nlml, predict,
+                         prepare_grbcm, random_partition, toy_generate, train)
 from gpcommittee.partition import disjoint_partition
 
 
@@ -115,6 +117,39 @@ def test_factor_inverse_failure_names_expert(monkeypatch):
         train(X, rng.normal(size=30), part,
               OptimizerConfig(max_evals=1, initial_hp=Hyperparams.default(1)))
     assert err.value.expert_index == 1
+
+
+def test_train_rejects_overlapping_partition_before_any_evaluation(monkeypatch):
+    from gpcommittee import gp
+    calls = []
+    monkeypatch.setattr(gp, "nlml", lambda *args, **kwargs: calls.append(1))
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(30, 1))
+    part = random_partition(30, 3, seed=0)
+    overlapping = replace(part, subsets=[part.subsets[0], part.subsets[1],
+                                         np.concatenate([part.subsets[2], part.subsets[0][:1]])])
+    with pytest.raises(InvalidPartition, match="disjoint cover"):
+        train(X, rng.normal(size=30), overlapping,
+              OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)))
+    assert calls == []
+
+
+def test_train_validates_partition_once(monkeypatch):
+    from gpcommittee.partition import Partition
+    calls = []
+    validate = Partition.validate
+
+    def counting_validate(self, n):
+        calls.append(n)
+        validate(self, n)
+
+    monkeypatch.setattr(Partition, "validate", counting_validate)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(30, 1))
+    committee = train(X, rng.normal(size=30), random_partition(30, 3, seed=0),
+                      OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)))
+    assert committee.opt_evals > 1
+    assert calls == [30]
 
 
 def _small_committee(n=120, M=3, seed=0, kind="grbcm"):

@@ -6,7 +6,7 @@ from scipy.linalg import solve_triangular
 
 from gpcommittee import Hyperparams, NumericalBreakdown, fit, nlml, predict
 from gpcommittee.gp import chol_with_jitter, extend, predict_extended, retain_freed_memory
-from gpcommittee.kernel import kernel_matrix, kernel_matrix_grads
+from gpcommittee.kernel import kernel_matrix
 
 
 def hp_1d(log_sf=0.0, log_l=0.0, log_noise=0.0):
@@ -159,24 +159,36 @@ def test_numerical_breakdown_carries_ladder():
 
 
 def _nlml_reference(X, y, hp, jitter=0.0):
-    # R&W (2006) eq. 5.9 written out with an explicit inverse
+    # R&W (2006) eq. 5.9 written out with an explicit inverse and every
+    # derivative matrix built from its definition: 2K, and K * D_j with D_j
+    # the squared differences of coordinate j over its lengthscale
     n = y.size
-    C = kernel_matrix(X, X, hp) + (hp.noise_variance + jitter) * np.eye(n)
+    K = kernel_matrix(X, X, hp)
+    C = K + (hp.noise_variance + jitter) * np.eye(n)
     Cinv = np.linalg.inv(C)
     a = Cinv @ y
     A = Cinv - np.outer(a, a)
     value = 0.5 * y @ a + 0.5 * np.linalg.slogdet(C)[1] + 0.5 * n * np.log(2 * np.pi)
-    grads = [0.5 * np.sum(A * dK) for dK in kernel_matrix_grads(X, hp)]
+    dKs = [2.0 * K]
+    for z in (X / hp.lengthscales).T:
+        dKs.append(K * (z[:, None] - z[None, :]) ** 2)
+    grads = [0.5 * np.sum(A * dK) for dK in dKs]
     grads.append(hp.noise_variance * np.trace(A))
     return value, np.array(grads), np.linalg.cond(C)
 
 
-@pytest.mark.parametrize("n, d, log_l", [(250, 1, -2.0), (150, 8, 0.5)])
-def test_nlml_matches_explicit_inverse_reference(n, d, log_l):
+@pytest.mark.parametrize("n, d, log_l, shift", [
+    pytest.param(250, 1, -2.0, 0.0, id="250-1--2.0"),
+    pytest.param(150, 8, 0.5, 0.0, id="150-8-0.5"),
+    # inputs far from the origin: the contracted gradient must centre them
+    pytest.param(250, 1, -2.0, 500.0, id="250-1--2.0-shift500"),
+])
+def test_nlml_matches_explicit_inverse_reference(n, d, log_l, shift):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(n, d))
     y = np.sin(3 * X[:, 0]) + 0.3 * rng.normal(size=n)
     hp = Hyperparams(0.1, log_l + 0.1 * rng.normal(size=d), -1.2)
+    X = X + shift
     value, grad = nlml(X, y, hp)
     ref_value, ref_grad, _ = _nlml_reference(X, y, hp)
     assert value == pytest.approx(ref_value, rel=1e-10)

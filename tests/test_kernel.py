@@ -94,12 +94,21 @@ def test_stationarity_translation():
         assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
 
 
+def _spd_and_vector(rng, n):
+    B = rng.normal(size=(n, n))
+    return B @ B.T / n + np.eye(n), rng.normal(size=n)
+
+
 def test_grad_output_scale_identity():
+    # d K / d log_output_scale = 2 K, so entry 0 is <A - a a', K>
     rng = np.random.default_rng(4)
     X = rng.normal(size=(6, 2))
     hp = Hyperparams(0.3, np.array([-0.2, 0.1]), -1.0)
-    grads = kernel_matrix_grads(X, hp)
-    np.testing.assert_array_equal(grads[0], 2.0 * kernel_matrix(X, X, hp))
+    K = kernel_matrix(X, X, hp)
+    A, a = _spd_and_vector(rng, 6)
+    expected = np.sum((A - np.outer(a, a)) * K)
+    grads = kernel_matrix_grads(X, hp, K, A.copy(), a)
+    assert grads[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_grads_reuse_given_kernel_matrix_exactly():
@@ -108,37 +117,39 @@ def test_grads_reuse_given_kernel_matrix_exactly():
     hp = Hyperparams(0.3, np.array([-0.2, 0.1, 0.4]), -1.0)
     K = kernel_matrix(X, X, hp)
     K_before = K.copy()
-    with_K = kernel_matrix_grads(X, hp, K)
-    without_K = kernel_matrix_grads(X, hp)
-    assert len(with_K) == len(without_K) == 4
-    for a, b in zip(with_K, without_K):
-        np.testing.assert_array_equal(a, b)
+    A, a = _spd_and_vector(rng, 12)
+    grads = kernel_matrix_grads(X, hp, K, A, a)
+    assert grads.shape == (4,)
     np.testing.assert_array_equal(K, K_before)
 
 
 def test_grad_lengthscale_single_point_is_zero():
     hp = hp_1d()
-    grads = kernel_matrix_grads(np.array([[0.3]]), hp)
-    assert grads[1] == pytest.approx(0.0)
+    X = np.array([[0.3]])
+    K = kernel_matrix(X, X, hp)
+    grads = kernel_matrix_grads(X, hp, K, np.array([[2.0]]), np.array([0.5]))
+    assert grads[1] == 0.0
 
 
 def test_grads_match_finite_differences():
+    # 0.5 * <A - a a', dK_j> against a central difference of kernel_matrix
     rng = np.random.default_rng(5)
     step = 1e-6
-    for trial in range(5):
-        d = int(rng.integers(1, 4))
-        X = rng.normal(size=(5, d))
-        vec = np.concatenate(([rng.normal() * 0.3],
-                              rng.normal(size=d) * 0.3, [-1.0]))
+    for d in (1, 2, 3, 8):
+        X = rng.normal(size=(7, d))
+        vec = np.concatenate(([rng.normal() * 0.3], rng.normal(size=d) * 0.3, [-1.0]))
         hp = Hyperparams.from_vector(vec)
-        grads = kernel_matrix_grads(X, hp)
+        A, a = _spd_and_vector(rng, 7)
+        grads = kernel_matrix_grads(X, hp, kernel_matrix(X, X, hp), A.copy(), a)
+        assert grads.shape == (1 + d,)
         for j in range(1 + d):  # kernel coordinates only (no noise)
             plus, minus = vec.copy(), vec.copy()
             plus[j] += step
             minus[j] -= step
             fd = (kernel_matrix(X, X, Hyperparams.from_vector(plus))
                   - kernel_matrix(X, X, Hyperparams.from_vector(minus))) / (2 * step)
-            np.testing.assert_allclose(grads[j], fd, rtol=1e-5, atol=1e-10)
+            expected = 0.5 * np.sum((A - np.outer(a, a)) * fd)
+            assert grads[j] == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
 def test_hyperparams_vector_round_trip():
