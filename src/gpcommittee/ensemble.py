@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gp
-from .errors import MissingCommunicationSubset, NumericalBreakdown
+from .errors import DataError, MissingCommunicationSubset, NumericalBreakdown
 from .kernel import Hyperparams
 from .optimize import OptimizerConfig, minimize
 from .partition import Partition
@@ -93,15 +93,22 @@ def _fit_experts(X, y, partition, hp):
 def train(X: np.ndarray, y: np.ndarray, partition: Partition,
           opt_config: OptimizerConfig) -> ExpertEnsemble:
     """Optimize shared hyperparameters on the factorized objective, then refit
-    every expert (Cholesky + weight vector) at the optimum.
+    every expert (factor inverse + weight vector) at the optimum.
 
-    The partition is validated against ``X`` once, before the first
-    objective evaluation.
+    ``X`` and ``y`` are checked once, before the first objective evaluation:
+    a row count mismatch or a non-finite entry raises :class:`DataError`
+    naming the first bad row, and the partition is validated against ``X``.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} targets")
+    bad = ~(np.all(np.isfinite(X), axis=1) & np.isfinite(y))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataError(f"training row {row} is not finite: x={X[row].tolist()}, y={y[row]}")
     partition.validate(X.shape[0])
     t0 = time.perf_counter()
     gp.retain_freed_memory()

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpcommittee import (Hyperparams, InvalidPartition, MissingCommunicationSubset,
+from gpcommittee import (DataError, Hyperparams, InvalidPartition, MissingCommunicationSubset,
                          NumericalBreakdown, OptimizerConfig, experts_predict,
                          factorized_nlml, fit, grbcm_partition, minimize, nlml, predict,
                          prepare_grbcm, random_partition, toy_generate, train)
@@ -98,18 +98,24 @@ def test_train_budget_one_keeps_initial_hp():
     committee = train(X, y, part, OptimizerConfig(max_evals=1, initial_hp=start))
     np.testing.assert_array_equal(committee.hp.to_vector(), start.to_vector())
     assert len(committee.experts) == 3
-    assert all(m.chol is not None for m in committee.experts)
+    assert all(m.chol_inv.shape == (10, 10) for m in committee.experts)
 
 
 def test_factor_inverse_failure_names_expert(monkeypatch):
-    from gpcommittee import gp
+    from gpcommittee import ensemble, gp
     calls = []
 
-    def dtrtri_failing_on_second_expert(L, lower):
+    def dtrtri_failing_on_second_expert(L, **kwargs):
         calls.append(L.shape)
         return L, (3 if len(calls) == 2 else 0)
 
-    monkeypatch.setattr(gp, "dtrtri", dtrtri_failing_on_second_expert)
+    def minimize_then_arm(*args, **kwargs):
+        # every nlml inverts its factor too; fail only in the final fits
+        result = minimize(*args, **kwargs)
+        monkeypatch.setattr(gp, "dtrtri", dtrtri_failing_on_second_expert)
+        return result
+
+    monkeypatch.setattr(ensemble, "minimize", minimize_then_arm)
     rng = np.random.default_rng(5)
     X = rng.uniform(size=(30, 1))
     part = random_partition(30, 3, seed=0)
@@ -117,6 +123,54 @@ def test_factor_inverse_failure_names_expert(monkeypatch):
         train(X, rng.normal(size=30), part,
               OptimizerConfig(max_evals=1, initial_hp=Hyperparams.default(1)))
     assert err.value.expert_index == 1
+    assert calls == [(10, 10), (10, 10)]
+
+
+def test_nlml_reports_a_failed_block_inverse(monkeypatch):
+    from gpcommittee import gp
+    calls = []
+
+    def dtrtri_failing_on_last_block(L, **kwargs):
+        # 140 rows split into four base blocks of 35, the top-left one last
+        calls.append(L.shape)
+        return L, (2 if len(calls) == 4 else 0)
+
+    monkeypatch.setattr(gp, "dtrtri", dtrtri_failing_on_last_block)
+    rng = np.random.default_rng(6)
+    with pytest.raises(NumericalBreakdown, match="trtri failed") as err:
+        nlml(rng.uniform(size=(140, 1)), rng.normal(size=140), hp_1d(), expert_index=4)
+    assert calls == [(35, 35)] * 4
+    assert err.value.expert_index == 4
+
+
+@pytest.mark.parametrize("bad_X, bad_y, row", [
+    pytest.param(True, False, 7, id="inf-in-X"),
+    pytest.param(False, True, 12, id="nan-in-y"),
+])
+def test_train_rejects_non_finite_data_before_any_evaluation(monkeypatch, bad_X, bad_y, row):
+    from gpcommittee import gp
+    calls = []
+    monkeypatch.setattr(gp, "nlml", lambda *args, **kwargs: calls.append(1))
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(30, 1))
+    y = rng.normal(size=30)
+    if bad_X:
+        X[row, 0] = np.inf
+        X[row + 3, 0] = np.nan
+    if bad_y:
+        y[row] = np.nan
+        y[row + 3] = np.inf
+    with pytest.raises(DataError, match=f"training row {row} is not finite"):
+        train(X, y, random_partition(30, 3, seed=0),
+              OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)))
+    assert calls == []
+
+
+def test_train_rejects_a_target_count_mismatch():
+    rng = np.random.default_rng(5)
+    with pytest.raises(DataError, match="X has 30 rows but y has 29 targets"):
+        train(rng.uniform(size=(30, 1)), rng.normal(size=29), random_partition(30, 3, seed=0),
+              OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)))
 
 
 def test_train_rejects_overlapping_partition_before_any_evaluation(monkeypatch):

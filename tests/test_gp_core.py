@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from gpcommittee import Hyperparams, NumericalBreakdown, fit, nlml, predict
-from gpcommittee.gp import chol_with_jitter, extend, predict_extended, retain_freed_memory
+from gpcommittee.gp import (_triangular_inverse, chol_with_jitter, extend, predict_extended,
+                            retain_freed_memory)
 from gpcommittee.kernel import kernel_matrix
 
 
@@ -16,7 +17,7 @@ def hp_1d(log_sf=0.0, log_l=0.0, log_noise=0.0):
 def test_fit_scalar_example():
     # n=1, X=[0], y=[0], sigma_f=1, sigma_eps=1: C = [2]
     model = fit(np.array([[0.0]]), np.array([0.0]), hp_1d())
-    assert model.chol[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    assert model.chol_inv[0, 0] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-14)
     assert model.weight_vector[0] == 0.0
     assert model.jitter_used == 0.0
 
@@ -29,7 +30,8 @@ def test_fit_reconstruction_invariant():
     model = fit(X, y, hp)
     C = (kernel_matrix(X, X, hp)
          + (hp.noise_variance + model.jitter_used) * np.eye(25))
-    rel = np.linalg.norm(model.chol @ model.chol.T - C) / np.linalg.norm(C)
+    # L^-1 C L^-T = I exactly when L L' = C
+    rel = np.linalg.norm(model.chol_inv @ C @ model.chol_inv.T - np.eye(25)) / np.sqrt(25)
     assert rel <= 1e-8
     residual = np.linalg.norm(C @ model.weight_vector - y)
     assert residual <= 1e-8 * np.linalg.norm(y)
@@ -60,7 +62,8 @@ def test_nlml_zero_targets_complexity_only():
     hp = hp_1d(log_noise=-0.5)
     value, _ = nlml(X, np.zeros(8), hp)
     model = fit(X, np.zeros(8), hp)
-    expected = float(np.sum(np.log(np.diag(model.chol)))) + 4.0 * np.log(2 * np.pi)
+    # log det L = -log det L^-1
+    expected = -float(np.sum(np.log(np.diag(model.chol_inv)))) + 4.0 * np.log(2 * np.pi)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -214,7 +217,8 @@ def test_nlml_matches_reference_when_jitter_fires():
 
 
 def test_cholesky_factor_is_exactly_lower_triangular():
-    # nlml's potri symmetrization relies on exact zeros above the diagonal
+    # the blocked inverse and nlml's symmetrisation of lauum's lower
+    # triangle rely on exact zeros above the diagonal
     rng = np.random.default_rng(8)
     X = rng.normal(size=(30, 2))
     hp = Hyperparams(0.0, np.zeros(2), -1.0)
@@ -255,24 +259,54 @@ def test_nlml_builds_kernel_once_and_solves_only_vectors(monkeypatch):
     assert solve_rhs and all(ndim == 1 for ndim in solve_rhs)
 
 
-def _jittered_or_clean(jittered, rng):
-    # duplicated rows under negligible noise make the noisy matrix singular
-    X = rng.uniform(size=(40, 1))
-    if jittered:
-        return np.vstack([X, X[:5]]), hp_1d(log_l=-1.0, log_noise=-50.0)
-    return X, hp_1d(log_l=-1.0, log_noise=-1.0)
+def _jittered_or_clean(jittered, rng, n=None):
+    # n rows (40 clean, 45 jittered by default); duplicated rows under
+    # negligible noise make the noisy matrix singular
+    if not jittered:
+        X = rng.uniform(size=(n or 40, 1))
+        return X, hp_1d(log_l=-1.0, log_noise=-1.0)
+    X = rng.uniform(size=((n or 45) - 5, 1))
+    return np.vstack([X, X[:5]]), hp_1d(log_l=-1.0, log_noise=-50.0)
 
 
-@pytest.mark.parametrize("jittered", [False, True])
-def test_chol_inv_is_the_lower_triangular_inverse(jittered):
-    X, hp = _jittered_or_clean(jittered, np.random.default_rng(10))
+def _noisy_factor(X, hp):
+    C = kernel_matrix(X, X, hp)
+    C.flat[:: X.shape[0] + 1] += hp.noise_variance
+    return chol_with_jitter(C)
+
+
+# 64 rows and fewer are one trtri call; more recurse through the trsm join
+@pytest.mark.parametrize("jittered, n", [
+    pytest.param(False, None, id="False"),
+    pytest.param(True, None, id="True"),
+    *(pytest.param(jittered, n, id=f"{'dup' if jittered else 'clean'}-{n}")
+      for n in (45, 65, 140, 270) for jittered in (False, True) if (jittered, n) != (True, 45)),
+])
+def test_chol_inv_is_the_lower_triangular_inverse(jittered, n):
+    X, hp = _jittered_or_clean(jittered, np.random.default_rng(10), n)
     model = fit(X, np.sin(6 * X[:, 0]), hp)
     assert (model.jitter_used > 0.0) == jittered
     assert np.all(np.triu(model.chol_inv, 1) == 0.0)
+    # fit factors the same matrix with the same ladder
+    L, jitter = _noisy_factor(X, hp)
+    assert jitter == model.jitter_used
     # trtri's residual bound: n * eps * cond(L)
     n = X.shape[0]
-    tol = n * np.finfo(float).eps * np.linalg.cond(model.chol)
-    assert np.max(np.abs(model.chol_inv @ model.chol - np.eye(n))) <= tol
+    tol = n * np.finfo(float).eps * np.linalg.cond(L)
+    assert np.max(np.abs(model.chol_inv @ L - np.eye(n))) <= tol
+
+
+@pytest.mark.parametrize("n", [65, 140, 270])
+def test_blocked_inverse_keeps_the_trtri_bound_on_jittered_factors(n):
+    # joining the halves by products alone (-W22 L21 W11) exceeds this bound
+    # by up to 12x on seeds 6 and 9; the trsm join stays below 1% of it
+    for seed in range(10):
+        X, hp = _jittered_or_clean(True, np.random.default_rng(seed), n)
+        L, jitter = _noisy_factor(X, hp)
+        assert jitter > 0.0
+        L_inv = _triangular_inverse(L.copy(order="F"))
+        tol = n * np.finfo(float).eps * np.linalg.cond(L)
+        assert np.max(np.abs(L_inv @ L - np.eye(n))) <= tol
 
 
 @pytest.mark.parametrize("jittered", [False, True])
@@ -284,7 +318,7 @@ def test_predict_matches_triangular_solve_reference(jittered):
     Xstar = rng.uniform(-0.5, 1.5, size=(30, 1))
     means, variances = predict(model, Xstar)
     Kstar = kernel_matrix(X, Xstar, hp)
-    V = solve_triangular(model.chol, Kstar, lower=True)
+    V = solve_triangular(_noisy_factor(X, hp)[0], Kstar, lower=True)
     prior = hp.output_variance + hp.noise_variance
     ref = np.maximum(prior - np.sum(V * V, axis=0), hp.noise_variance * (1 - 1e-10))
     np.testing.assert_array_equal(means, Kstar.T @ model.weight_vector)
@@ -300,6 +334,8 @@ def test_predict_matches_triangular_solve_reference(jittered):
 def _block(kind, rng):
     if kind == "spread":
         return np.arange(0.0, 10.0)[:, None] + rng.uniform(0.0, 0.1, size=(10, 1))
+    if kind == "long":  # 70 correlated rows past the spread block, cond(C) ~ 800
+        return 10.0 + 0.3 * np.arange(70.0)[:, None] + rng.uniform(0.0, 0.03, size=(70, 1))
     dense = rng.uniform(size=(20, 1))
     return np.vstack([dense, dense[:5]])
 
@@ -308,6 +344,7 @@ def _block(kind, rng):
     ("spread", "spread"),   # no jitter
     ("dup", "spread"),      # the base block needs jitter
     ("spread", "dup"),      # only the Schur complement needs jitter
+    ("spread", "long"),     # a Schur block of more than 64 rows
 ])
 def test_block_extension_equals_dense_gp_with_block_jitter(base_kind, ext_kind):
     rng = np.random.default_rng(12)
@@ -321,7 +358,7 @@ def test_block_extension_equals_dense_gp_with_block_jitter(base_kind, ext_kind):
     assert (base.jitter_used > 0.0) == (base_kind == "dup")
     assert (ext.jitter_used > 0.0) == (ext_kind == "dup")
     assert ext.n == X.shape[0]
-    Xstar = np.linspace(-1.0, 11.0, 60)[:, None]
+    Xstar = np.linspace(-1.0, max(11.0, X.max() + 1.0), 60)[:, None]
     means, variances = predict_extended(base, [ext], Xstar)
 
     jitter = np.concatenate([np.full(nb, base.jitter_used), np.full(Xe.shape[0], ext.jitter_used)])
