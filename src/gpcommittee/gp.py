@@ -2,8 +2,10 @@
 
 Fitting factorizes the noisy kernel matrix once with an escalating jitter
 ladder (LAPACK ``potrf``) and inverts the factor once. Prediction then needs
-one matrix product, ``V = L^-1 K*``, so nothing is solved per test point or
-per right-hand side.
+one triangular matrix product, ``V = L^-1 K*``, so nothing is solved per test
+point or per right-hand side. Every product with a stored factor inverse goes
+through :func:`triangular_product`, BLAS ``trmm`` in place on the right-hand
+block, which does half the flops of a full ``gemm``.
 
 Every factor inverse in the module comes from :func:`_triangular_inverse`.
 Blocks of at most 64 rows go to LAPACK ``trtri``. A larger factor is split
@@ -44,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
-from .errors import NumericalBreakdown
+from .errors import DataError, NumericalBreakdown
 from .kernel import Hyperparams, kernel_matrix, kernel_matrix_grads
 
 # Jitter ladder: 0, then 1e-10 * mean(diag), escalating by 10x up to 1e-2 * mean(diag).
@@ -150,6 +152,20 @@ def _triangular_inverse(L: np.ndarray, expert_index: int | None = None) -> np.nd
     return L
 
 
+def triangular_product(W: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``W @ B``, or ``W' @ B``, for a lower-triangular ``W``, overwriting ``B``.
+
+    ``W`` is a stored factor inverse (Fortran-ordered, as
+    :func:`_triangular_inverse` leaves it) and ``B`` a C-ordered block that
+    the caller owns; BLAS ``trmm`` reads only ``W``'s lower triangle. The
+    product is taken as its transpose ``B' W'`` (or ``B' W``), whose
+    right-hand side ``B'`` is a Fortran-ordered view, so ``B`` is overwritten
+    in place and returned with nothing copied.
+    """
+    return dtrmm(1.0, W, B.T, side=1, lower=1, trans_a=0 if transpose else 1,
+                 overwrite_b=1).T
+
+
 def _noisy_variance(hp: Hyperparams, explained: np.ndarray) -> np.ndarray:
     """Prior variance minus the ``explained`` part, clamped at ``noise_variance * (1 - 1e-10)``."""
     variances = hp.output_variance - explained + hp.noise_variance
@@ -189,18 +205,19 @@ def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
     with that extra noise: at the training points the mean shrinks each
     eigen-component of ``y`` by ``s/(lambda + s)``, ``s = noise + jitter_used``,
     so components whose eigenvalue ``lambda`` of ``K`` lies below the jitter
-    are no longer interpolated, however small ``noise`` is.
+    are no longer interpolated, however small ``noise`` is. Empty data, a row
+    count mismatch or a non-finite entry raises :class:`DataError`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] < 1:
-        raise ValueError("need at least one training point")
+        raise DataError("need at least one training point")
     if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y row counts differ")
+        raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} targets")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("training data contains non-finite entries")
+        raise DataError("training data contains non-finite entries")
     C = kernel_matrix(X, X, hp)
     C.flat[:: X.shape[0] + 1] += hp.noise_variance
     L, jitter = chol_with_jitter(C, expert_index=expert_index)
@@ -274,7 +291,7 @@ def predict(model: GPModel, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Xstar = Xstar[:, None]
     Kstar = kernel_matrix(model.X, Xstar, hp)
     means = Kstar.T @ model.weight_vector
-    V = model.chol_inv @ Kstar
+    V = triangular_product(model.chol_inv, Kstar)
     return means, _noisy_variance(hp, np.sum(V * V, axis=0))
 
 
@@ -308,7 +325,8 @@ def extend(base: GPModel, X: np.ndarray, y: np.ndarray,
     ``C_xx - cross cross'`` only; ``X`` and ``y`` are taken as validated.
     """
     hp = base.hp
-    cross = kernel_matrix(X, base.X, hp) @ base.chol_inv.T
+    # K_xb L_b^-T, formed as the transpose of L_b^-1 K_bx
+    cross = triangular_product(base.chol_inv, kernel_matrix(base.X, X, hp)).T
     schur = kernel_matrix(X, X, hp)
     schur.flat[:: X.shape[0] + 1] += hp.noise_variance
     schur -= cross @ cross.T
@@ -331,7 +349,7 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     Xstar = np.asarray(Xstar, dtype=float)
     if Xstar.ndim == 1:
         Xstar = Xstar[:, None]
-    V_b = base.chol_inv @ kernel_matrix(base.X, Xstar, hp)
+    V_b = triangular_product(base.chol_inv, kernel_matrix(base.X, Xstar, hp))
     z_b = base.chol_inv @ base.y
     base_mean = V_b.T @ z_b
     base_explained = np.sum(V_b * V_b, axis=0)
@@ -340,7 +358,7 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     for k, ext in enumerate(extensions):
         Kstar = kernel_matrix(ext.X, Xstar, hp)
         Kstar -= ext.cross @ V_b
-        W = ext.schur_inv @ Kstar
+        W = triangular_product(ext.schur_inv, Kstar)
         z = ext.schur_inv @ (ext.y - ext.cross @ z_b)
         means[k] = base_mean + W.T @ z
         variances[k] = _noisy_variance(hp, base_explained + np.sum(W * W, axis=0))

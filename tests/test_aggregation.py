@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gpcommittee.aggregate as aggregate
 from gpcommittee import (AggregationMethod, Hyperparams, MissingCommunicationSubset,
-                         OptimizerConfig, PriorVariance, bcm, beta_entropy, fit, gpoe,
-                         grbcm, grbcm_fuse, grbcm_partition, npae, poe, predict,
-                         prepare_grbcm, random_partition, rbcm, toy_generate, train)
+                         NumericalBreakdown, OptimizerConfig, PriorVariance, bcm,
+                         beta_entropy, fit, gpoe, grbcm, grbcm_fuse, grbcm_partition, npae,
+                         poe, predict, prepare_grbcm, random_partition, rbcm, toy_generate,
+                         train)
 from gpcommittee.ensemble import experts_predict
+from gpcommittee.gp import predict_extended
+from gpcommittee.kernel import kernel_matrix
 
 
 def hp_1d(log_sf=0.0, log_l=0.0, log_noise=-1.0):
@@ -304,6 +310,112 @@ def test_npae_far_recovers_prior():
     prior = committee.hp.output_variance + committee.hp.noise_variance
     assert abs(agg.means[0]) < 1e-6
     assert agg.variances[0] == pytest.approx(prior, rel=1e-8)
+
+
+@pytest.mark.parametrize("M", [3, 4])
+def test_npae_matches_dense_reference(M):
+    ds, committee = _committee(n=200, M=M, seed=M)
+    Xs = ds.X_test[:40]
+    hp, experts = committee.hp, committee.experts
+    agg = npae(committee, Xs)
+
+    # NPAE from its definition, by dense solves: expert i predicts
+    # mu_i = K_i*' C_i^-1 y_i; cov[mu_i, y*] = K_i*' C_i^-1 K_i*; and
+    # cov[mu_i, mu_j] = U_i' K_ij U_j with U_i = C_i^-1 K_i*, the noisy C_i
+    # in place of K_ij when i == j
+    C, U, mu = [], [], []
+    for model in experts:
+        Ci = kernel_matrix(model.X, model.X, hp)
+        Ci.flat[:: model.n + 1] += hp.noise_variance + model.jitter_used
+        Ks = kernel_matrix(model.X, Xs, hp)
+        C.append(Ci)
+        U.append(np.linalg.solve(Ci, Ks))
+        mu.append(Ks.T @ np.linalg.solve(Ci, model.y))
+    blocks = [[C[i] if i == j else kernel_matrix(experts[i].X, experts[j].X, hp)
+               for j in range(M)] for i in range(M)]
+    expert_cond = max(np.linalg.cond(Ci) for Ci in C)
+    prior = hp.output_variance + hp.noise_variance
+    eps = np.finfo(float).eps
+    for t in range(Xs.shape[0]):
+        K_A = np.array([[U[i][:, t] @ blocks[i][j] @ U[j][:, t] for j in range(M)]
+                        for i in range(M)])
+        k = np.diag(K_A).copy()
+        m = np.array([mu_i[t] for mu_i in mu])
+        w = np.linalg.solve(K_A, k)
+        # to first order, K_A, k and mu each carry a relative error of
+        # cond(C_i) eps from the expert systems, and the point's system
+        # K_A w = k amplifies it by cond(K_A): |dw| <= cond(K_A) cond(C) eps |w|,
+        # so the mean w.m is off by at most that times |m| and the variance
+        # prior - k.w by that times |k|
+        scale = np.linalg.cond(K_A) * expert_cond * eps * np.linalg.norm(w)
+        assert abs(agg.means[t] - w @ m) <= scale * np.linalg.norm(m)
+        assert abs(agg.variances[t] - max(prior - k @ w, hp.noise_variance * (1 - 1e-10))) \
+            <= scale * np.linalg.norm(k)
+
+
+def test_npae_ladder_runs_only_when_the_batch_fails(monkeypatch):
+    ds, committee = _committee(n=150, M=3)
+    calls = []
+    ladder_step = aggregate.chol_with_jitter
+
+    def counted(A, test_index=None):
+        calls.append(test_index)
+        return ladder_step(A, test_index=test_index)
+
+    monkeypatch.setattr(aggregate, "chol_with_jitter", counted)
+    batch = npae(committee, ds.X_test)
+    assert calls == []
+    # the far point's system is all zeros: the stacked factorization fails
+    # and every point is factored by the jitter ladder instead
+    ladder = npae(committee, np.vstack([ds.X_test, [[80.0]]]))
+    assert calls == list(range(ds.n_test + 1))
+    np.testing.assert_allclose(ladder.means[:-1], batch.means,
+                               rtol=0, atol=1e-12 * np.max(np.abs(batch.means)))
+    np.testing.assert_allclose(ladder.variances[:-1], batch.variances, rtol=1e-12, atol=0)
+    prior = committee.hp.output_variance + committee.hp.noise_variance
+    assert ladder.means[-1] == 0.0
+    assert ladder.variances[-1] == pytest.approx(prior, rel=1e-14)
+
+
+def test_npae_non_finite_factor_names_the_first_test_point():
+    ds, committee = _committee(n=150, M=3)
+    experts = list(committee.experts)
+    experts[1] = replace(experts[1], chol_inv=np.full_like(experts[1].chol_inv, np.nan))
+    with pytest.raises(NumericalBreakdown) as info:
+        npae(replace(committee, experts=experts), ds.X_test)
+    assert info.value.test_index == 0
+
+
+def test_prediction_leaves_models_and_inputs_untouched():
+    # the triangular products overwrite their right-hand side in place;
+    # no stored array or input may be among those overwritten
+    ds, committee = _committee(n=240, M=3, kind="grbcm")
+    Xstar = ds.X_test.copy()
+    fields = ("X", "y", "chol_inv", "weight_vector")
+    stored = [[getattr(m, f).copy() for f in fields] for m in committee.experts]
+    prepared = prepare_grbcm(committee)
+    ext_fields = ("X", "y", "cross", "schur_inv")
+    stored_ext = [[getattr(e, f).copy() for f in ext_fields]
+                  for e in prepared.augmented_experts]
+    comm = prepared.experts[prepared.partition.communication_index]
+
+    def outputs():
+        out = [v for m in prepared.experts for v in predict(m, Xstar)]
+        out += predict_extended(comm, prepared.augmented_experts, Xstar)
+        agg = npae(prepared, Xstar)
+        return out + [agg.means, agg.variances]
+
+    first = outputs()
+    second = outputs()
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+    for model, saved in zip(prepared.experts, stored):
+        for f, value in zip(fields, saved):
+            np.testing.assert_array_equal(getattr(model, f), value)
+    for ext, saved in zip(prepared.augmented_experts, stored_ext):
+        for f, value in zip(ext_fields, saved):
+            np.testing.assert_array_equal(getattr(ext, f), value)
+    np.testing.assert_array_equal(Xstar, ds.X_test)
 
 
 # ---------------------------------------------------------------------------

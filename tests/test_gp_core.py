@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from gpcommittee import Hyperparams, NumericalBreakdown, fit, nlml, predict
+from gpcommittee import DataError, Hyperparams, NumericalBreakdown, fit, nlml, predict
 from gpcommittee.gp import (_triangular_inverse, chol_with_jitter, extend, predict_extended,
                             retain_freed_memory)
 from gpcommittee.kernel import kernel_matrix
@@ -47,7 +47,7 @@ def test_fit_duplicate_point_needs_jitter():
 
 
 def test_fit_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         fit(np.array([[np.nan]]), np.array([0.0]), hp_1d())
 
 
