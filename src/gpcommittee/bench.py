@@ -32,7 +32,7 @@ from .optimize import OptimizerConfig
 from .partition import (Partition, PartitionKind, disjoint_partition,
                         grbcm_partition, random_partition)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 METHOD_CHOICES = ("poe", "gpoe", "bcm", "rbcm", "npae", "grbcm")
 PARTITION_CHOICES = ("random", "disjoint", "grbcm")
 
@@ -58,7 +58,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("poe", "gpoe", "bcm", "rbcm", "grbcm")
     gpoe_mode: str = "uniform"
     max_evals: int = OptimizerConfig.max_evals
-    opt_method: str = OptimizerConfig.method
     seed: int = 0
     repetitions: int = 1
     rebalance: bool = True
@@ -88,7 +87,7 @@ class ExperimentConfig:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         # the optimizer settings are checked by their owner
-        OptimizerConfig(max_evals=self.max_evals, method=self.opt_method)
+        OptimizerConfig(max_evals=self.max_evals)
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,7 @@ def run_experiment(config: ExperimentConfig,
         part = _build_partition(config, dataset, M, rep_seed)
         partitions.append(part)
         opt = OptimizerConfig(max_evals=config.max_evals,
-                              initial_hp=Hyperparams.default(dataset.input_dim),
-                              method=config.opt_method)
+                              initial_hp=Hyperparams.default(dataset.input_dim))
         committee = train(dataset.X_train, dataset.y_train, part, opt)
         art = RepArtifacts(hp_vector=committee.hp.to_vector(),
                            y_std=dataset.norm_stats.y_std,

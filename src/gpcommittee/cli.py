@@ -69,8 +69,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reps", type=int, default=ExperimentConfig.repetitions)
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--max-evals", type=int, default=ExperimentConfig.max_evals)
-    p.add_argument("--opt-method", choices=("cg", "lbfgs"),
-                   default=ExperimentConfig.opt_method)
     p.add_argument("--no-rebalance", action="store_true",
                    help="keep raw k-means cluster sizes")
     p.add_argument("--out", default=None, help="output directory")
@@ -84,7 +82,6 @@ def _config_from_args(args) -> ExperimentConfig:
         methods=args.methods,
         gpoe_mode=args.gpoe_beta,
         max_evals=args.max_evals,
-        opt_method=args.opt_method,
         seed=args.seed,
         repetitions=args.reps,
         rebalance=not args.no_rebalance,

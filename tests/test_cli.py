@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gpcommittee import ExperimentConfig, RunRecord, read_results_csv
+from gpcommittee.bench import SCHEMA_VERSION
 from gpcommittee.cli import _config_from_args, _parser, main
 
 SMALL = ["--subset-size", "50", "--max-evals", "5", "--methods", "poe,grbcm"]
@@ -17,13 +18,16 @@ def test_run_writes_matching_csv_and_json(tmp_path, capsys):
     assert [r.method for r in from_json] == ["poe", "grbcm"]
     assert all(r.error is None for r in from_json)
     assert read_results_csv(str(tmp_path / "results.csv")) == from_json
+    assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["config"]["methods"] == ["poe", "grbcm"]
+    assert "opt_method" not in doc["config"]
 
 
 def test_workers_flag_is_rejected():
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--dataset", "toy200", *SMALL, "--workers", "2"])
-    assert exc.value.code == 2
+    for flag in (["--workers", "2"], ["--opt-method", "cg"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--dataset", "toy200", *SMALL, *flag])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("args, message", [
