@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_solve  # noqa: F401
 
 from .ensemble import ExpertEnsemble, experts_predict
-from .errors import MissingCommunicationSubset
+from .errors import MissingCommunicationSubset, NumericalBreakdown
 from .gp import chol_with_jitter, predict, triangular_product, _VARIANCE_GUARD
 from .kernel import Hyperparams, kernel_matrix
 
@@ -75,7 +75,7 @@ class AggregatedPrediction:
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.variances)) and np.all(self.variances > 0)):
-            raise ValueError("aggregated variances must be finite and strictly positive")
+            raise NumericalBreakdown("aggregated variances must be finite and strictly positive")
 
 
 def _as_expert_matrices(means, variances):
@@ -97,18 +97,14 @@ def _fuse(means, variances, betas, floor, base=None):
 
     Precision is ``sum_i beta_i / var_i``, plus ``(1 - sum_i beta_i) / var_b``
     when a base density ``(mean_b, var_b)`` is given; the precision-weighted
-    mean sum is formed the same way. ``betas=None`` means unit weights. The
-    precision is floored at ``floor``. Returns (mean, var, floored count).
+    mean sum is formed the same way. The precision is floored at ``floor``.
+    Returns (mean, var, floored count).
     """
-    if betas is None:
-        precision = np.sum(1.0 / variances, axis=0)
-        weighted = np.sum(means / variances, axis=0)
-    else:
-        precision = np.sum(betas / variances, axis=0)
-        weighted = np.sum(betas * means / variances, axis=0)
+    precision = np.sum(betas / variances, axis=0)
+    weighted = np.sum(betas * means / variances, axis=0)
     if base is not None:
         base_mean, base_var = base
-        leftover = 1.0 - (means.shape[0] if betas is None else np.sum(betas, axis=0))
+        leftover = 1.0 - np.sum(betas, axis=0)
         precision = precision + leftover / base_var
         weighted = weighted + leftover * base_mean / base_var
     floored = precision < floor
@@ -131,7 +127,7 @@ def poe(means, variances) -> AggregatedPrediction:
     """Product of experts with unit weights: precisions simply add."""
     means, variances = _as_expert_matrices(means, variances)
     # a sum of positive precisions never reaches a floor of 0
-    mean, var, _ = _fuse(means, variances, None, floor=0.0)
+    mean, var, _ = _fuse(means, variances, np.ones_like(means), floor=0.0)
     return AggregatedPrediction(mean, var, AggregationMethod.POE)
 
 
@@ -161,7 +157,7 @@ def bcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
     """Bayesian committee machine: unit weights plus a prior correction term."""
     means, variances = _as_expert_matrices(means, variances)
     pv = prior_var.value
-    mean, var, floored = _fuse(means, variances, None,
+    mean, var, floored = _fuse(means, variances, np.ones_like(means),
                                floor=_PRECISION_FLOOR_RATIO * (1.0 / pv), base=(0.0, pv))
     return AggregatedPrediction(mean, var, AggregationMethod.BCM,
                                 degeneracy_count=floored)
@@ -229,7 +225,11 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     if L is None:
         L = np.empty_like(K_agg)
         for t in range(n_test):
-            L[t] = chol_with_jitter(K_agg[t], test_index=t)[0]
+            try:
+                L[t] = chol_with_jitter(K_agg[t])[0]
+            except NumericalBreakdown as exc:
+                raise NumericalBreakdown(f"test point {t}: {exc}",
+                                         jitters_tried=exc.jitters_tried, test_index=t) from exc
     z = np.linalg.solve(L, rhs)
     z_k, z_mu = z[:, :, 0], z[:, :, 1]
     means = np.einsum("tm,tm->t", z_k, z_mu)

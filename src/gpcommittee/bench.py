@@ -192,10 +192,11 @@ def run_experiment(config: ExperimentConfig,
                    collect_predictions: bool = False) -> ExperimentResult:
     """Run all repetitions of one experiment; optionally keep raw predictions.
 
-    Failures of individual methods (numerical breakdown, or a fused
-    prediction with non-finite or non-positive variances) are recorded on
-    their RunRecord (NaN scores plus the error message); remaining methods
-    still run.
+    A method that raises a :class:`GPCommitteeError` (numerical breakdown,
+    including a fused prediction with non-finite or non-positive variances)
+    gets its failure recorded on its RunRecord (NaN scores plus the error
+    message) and the remaining methods still run; any other exception is a
+    programming error and stops the run.
     """
     config.validate()
     records: list[RunRecord] = []
@@ -232,9 +233,7 @@ def _score_method(method, committee, dataset, config, rep, rep_seed, art):
         t0 = time.perf_counter()
         agg = _predict_method(method, committee, dataset.X_test, config)
         predict_time = time.perf_counter() - t0
-    except (GPCommitteeError, ValueError) as exc:
-        # ValueError: the fused prediction failed AggregatedPrediction's
-        # finite, strictly positive variance check
+    except GPCommitteeError as exc:
         return RunRecord(method=label, repetition=rep, seed=rep_seed,
                          smse=math.nan, msll=math.nan,
                          train_time_seconds=committee.train_time_seconds,

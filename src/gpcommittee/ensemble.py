@@ -43,21 +43,11 @@ class ExpertEnsemble:
     def M(self) -> int:
         return len(self.experts)
 
-    def metadata_dict(self) -> dict:
-        """JSON-ready summary; Cholesky factors are never serialized."""
-        return {
-            "hyperparams": self.hp.to_vector().tolist(),
-            "partition": self.partition.to_json_dict(),
-            "train_time_seconds": self.train_time_seconds,
-            "opt_evals": self.opt_evals,
-            "has_augmented": self.augmented_experts is not None,
-        }
-
 
 def _for_expert(i: int, fn, *args):
-    """``fn(*args, expert_index=i)``, re-raising a breakdown that names expert ``i``."""
+    """``fn(*args)``, re-raising a breakdown that names expert ``i``."""
     try:
-        return fn(*args, expert_index=i)
+        return fn(*args)
     except NumericalBreakdown as exc:
         raise NumericalBreakdown(
             f"expert {i}: {exc}", jitters_tried=exc.jitters_tried, expert_index=i

@@ -8,14 +8,20 @@ class GPCommitteeError(Exception):
 
 
 class NumericalBreakdown(GPCommitteeError):
-    """Cholesky factorization failed even after the full jitter ladder.
+    """A numerical step failed: the Cholesky jitter ladder ran out, LAPACK
+    ``trtri`` could not invert a factor, or a fused prediction's variances
+    were not finite and strictly positive.
+
+    The GP core raises it with no index. Only ``ensemble._for_expert`` and
+    ``aggregate.npae``, which know the committee position, re-raise it with
+    ``expert_index`` or ``test_index`` set.
 
     Attributes
     ----------
     jitters_tried : list[float]
-        The jitter values attempted, in order.
+        The jitter values attempted, in order (empty when no ladder ran).
     expert_index : int or None
-        Index of the expert whose factorization failed, when applicable.
+        Index of the expert whose step failed, when applicable.
     test_index : int or None
         Index of the test point whose per-point system failed, when applicable.
     """

@@ -37,6 +37,9 @@ in place and contracts all kernel coordinates at once through
 formed (see :func:`nlml`). Its few ``m x m`` temporaries are freed and
 allocated again on every evaluation, so training first fixes glibc's heap
 thresholds (see :func:`retain_freed_memory`).
+
+Failures here carry no committee index; the caller that knows the expert or
+test point adds it.
 """
 
 from __future__ import annotations
@@ -89,8 +92,7 @@ def retain_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, 2 * _RETAINED_BLOCK_BYTES)
 
 
-def chol_with_jitter(A: np.ndarray, expert_index: int | None = None,
-                     test_index: int | None = None) -> tuple[np.ndarray, float]:
+def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``A + jitter*I``, escalating jitter on failure.
 
     The factorization reads only the lower triangle of ``A``. Returns
@@ -99,9 +101,7 @@ def chol_with_jitter(A: np.ndarray, expert_index: int | None = None,
     ladder if the largest jitter still fails.
     """
     if not np.all(np.isfinite(A)):
-        raise NumericalBreakdown("matrix contains non-finite entries",
-                                 jitters_tried=[], expert_index=expert_index,
-                                 test_index=test_index)
+        raise NumericalBreakdown("matrix contains non-finite entries")
     scale = float(np.mean(np.diag(A)))
     if not np.isfinite(scale) or scale <= 0.0:
         scale = 1.0
@@ -121,11 +121,10 @@ def chol_with_jitter(A: np.ndarray, expert_index: int | None = None,
             return L, jitter
     raise NumericalBreakdown(
         f"Cholesky factorization failed after jitter ladder up to {jitters[-1]:.3e}",
-        jitters_tried=jitters, expert_index=expert_index, test_index=test_index,
-    )
+        jitters_tried=jitters)
 
 
-def _triangular_inverse(L: np.ndarray, expert_index: int | None = None) -> np.ndarray:
+def _triangular_inverse(L: np.ndarray) -> np.ndarray:
     """``L^-1`` of a lower Cholesky factor, overwriting ``L`` and returning it.
 
     ``L`` must have exact zeros above the diagonal, as :func:`chol_with_jitter`
@@ -139,16 +138,15 @@ def _triangular_inverse(L: np.ndarray, expert_index: int | None = None) -> np.nd
     if n <= _INVERSE_BLOCK:
         L[...], info = dtrtri(L, lower=1, overwrite_c=1)
         if info != 0:
-            raise NumericalBreakdown(f"trtri failed to invert the Cholesky factor (info={info})",
-                                     expert_index=expert_index)
+            raise NumericalBreakdown(f"trtri failed to invert the Cholesky factor (info={info})")
         return L
     k = n // 2
-    _triangular_inverse(L[k:, k:], expert_index)
+    _triangular_inverse(L[k:, k:])
     product = L[k:, k:] @ L[k:, :k]
     # the right-side solve X L11 = -W22 L21, written as its transpose
     # L11' X' = -(W22 L21)', whose right-hand side is a Fortran-ordered view
     L[k:, :k] = dtrsm(-1.0, L[:k, :k], product.T, lower=1, trans_a=1, overwrite_b=1).T
-    _triangular_inverse(L[:k, :k], expert_index)
+    _triangular_inverse(L[:k, :k])
     return L
 
 
@@ -195,8 +193,7 @@ class GPModel:
         return self.X.shape[0]
 
 
-def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
-        expert_index: int | None = None) -> GPModel:
+def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> GPModel:
     """Fit an exact GP: factorize ``K + (noise + jitter_used)*I``, invert the
     factor and precompute the weight vector.
 
@@ -220,14 +217,13 @@ def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
         raise DataError("training data contains non-finite entries")
     C = kernel_matrix(X, X, hp)
     C.flat[:: X.shape[0] + 1] += hp.noise_variance
-    L, jitter = chol_with_jitter(C, expert_index=expert_index)
+    L, jitter = chol_with_jitter(C)
     alpha = cho_solve((L, True), y, check_finite=False)
-    return GPModel(X=X, y=y, hp=hp, chol_inv=_triangular_inverse(L, expert_index),
+    return GPModel(X=X, y=y, hp=hp, chol_inv=_triangular_inverse(L),
                    weight_vector=alpha, jitter_used=jitter)
 
 
-def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
-         expert_index: int | None = None) -> tuple[float, np.ndarray]:
+def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood and its gradient w.r.t. all log coordinates.
 
     Value is ``0.5 * y' C^-1 y + sum(log diag L) + (n/2) log 2pi`` with
@@ -254,7 +250,7 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
     K = kernel_matrix(X, X, hp)
     C = K.copy()
     C.flat[:: n + 1] += hp.noise_variance
-    L, _ = chol_with_jitter(C, expert_index=expert_index)
+    L, _ = chol_with_jitter(C)
     alpha = cho_solve((L, True), y, check_finite=False)
     value = (0.5 * float(y @ alpha)
              + float(np.sum(np.log(np.diag(L))))
@@ -262,7 +258,7 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams,
 
     # the inverse overwrites L, so it comes after every other use of L;
     # lauum's info reports only illegal arguments
-    Cinv, _ = dlauum(_triangular_inverse(L, expert_index), lower=1, overwrite_c=1)
+    Cinv, _ = dlauum(_triangular_inverse(L), lower=1, overwrite_c=1)
     # lauum fills the lower triangle of a Fortran-ordered array and leaves
     # L's zeros above it; the transpose is a C-ordered view like K.
     Cinv = Cinv.T
@@ -317,8 +313,7 @@ class BlockExtension:
         return self.cross.shape[1] + self.X.shape[0]
 
 
-def extend(base: GPModel, X: np.ndarray, y: np.ndarray,
-           expert_index: int | None = None) -> BlockExtension:
+def extend(base: GPModel, X: np.ndarray, y: np.ndarray) -> BlockExtension:
     """Extend ``base`` by the rows ``(X, y)`` without refactoring its block.
 
     The jitter ladder of :func:`chol_with_jitter` runs on the Schur complement
@@ -330,9 +325,9 @@ def extend(base: GPModel, X: np.ndarray, y: np.ndarray,
     schur = kernel_matrix(X, X, hp)
     schur.flat[:: X.shape[0] + 1] += hp.noise_variance
     schur -= cross @ cross.T
-    S, jitter = chol_with_jitter(schur, expert_index=expert_index)
-    return BlockExtension(X=X, y=y, cross=cross,
-                          schur_inv=_triangular_inverse(S, expert_index), jitter_used=jitter)
+    S, jitter = chol_with_jitter(schur)
+    return BlockExtension(X=X, y=y, cross=cross, schur_inv=_triangular_inverse(S),
+                          jitter_used=jitter)
 
 
 def predict_extended(base: GPModel, extensions: list[BlockExtension],

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+# starting log noise std: noise variance exp(-2), about 0.14 of unit-variance targets
+_DEFAULT_LOG_NOISE = -1.0
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -75,9 +78,9 @@ class Hyperparams:
         return cls(float(vec[0]), vec[1:-1].copy(), float(vec[-1]))
 
     @classmethod
-    def default(cls, input_dim: int, log_noise: float = -1.0) -> "Hyperparams":
+    def default(cls, input_dim: int) -> "Hyperparams":
         """Order-one start for data normalized to zero mean / unit variance."""
-        return cls(0.0, np.zeros(input_dim), log_noise)
+        return cls(0.0, np.zeros(input_dim), _DEFAULT_LOG_NOISE)
 
 
 def _check_dim(X: np.ndarray, hp: Hyperparams, name: str) -> np.ndarray:

@@ -185,7 +185,7 @@ def test_bcm_precision_floor_counts_degeneracy():
 
 def test_aggregated_prediction_rejects_bad_variances():
     from gpcommittee.aggregate import AggregatedPrediction
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalBreakdown, match="aggregated variances"):
         AggregatedPrediction(np.zeros(2), np.array([1.0, -1.0]), AggregationMethod.POE)
 
 
@@ -358,9 +358,9 @@ def test_npae_ladder_runs_only_when_the_batch_fails(monkeypatch):
     calls = []
     ladder_step = aggregate.chol_with_jitter
 
-    def counted(A, test_index=None):
-        calls.append(test_index)
-        return ladder_step(A, test_index=test_index)
+    def counted(A):
+        calls.append(A.shape)
+        return ladder_step(A)
 
     monkeypatch.setattr(aggregate, "chol_with_jitter", counted)
     batch = npae(committee, ds.X_test)
@@ -368,7 +368,7 @@ def test_npae_ladder_runs_only_when_the_batch_fails(monkeypatch):
     # the far point's system is all zeros: the stacked factorization fails
     # and every point is factored by the jitter ladder instead
     ladder = npae(committee, np.vstack([ds.X_test, [[80.0]]]))
-    assert calls == list(range(ds.n_test + 1))
+    assert calls == [(3, 3)] * (ds.n_test + 1)
     np.testing.assert_allclose(ladder.means[:-1], batch.means,
                                rtol=0, atol=1e-12 * np.max(np.abs(batch.means)))
     np.testing.assert_allclose(ladder.variances[:-1], batch.variances, rtol=1e-12, atol=0)
@@ -384,6 +384,7 @@ def test_npae_non_finite_factor_names_the_first_test_point():
     with pytest.raises(NumericalBreakdown) as info:
         npae(replace(committee, experts=experts), ds.X_test)
     assert info.value.test_index == 0
+    assert str(info.value).startswith("test point 0:")
 
 
 def test_prediction_leaves_models_and_inputs_untouched():

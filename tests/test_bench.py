@@ -9,7 +9,7 @@ from gpcommittee import (AggregatedPrediction, AggregationMethod, ExperimentConf
 
 def test_invalid_fused_prediction_recorded_per_method(monkeypatch):
     def rbcm_nan_variance(means, variances, prior):
-        # AggregatedPrediction's own validation raises ValueError here
+        # AggregatedPrediction's own validation raises NumericalBreakdown here
         return AggregatedPrediction(means[0], np.full(means.shape[1], np.nan),
                                     AggregationMethod.RBCM)
 
@@ -19,7 +19,7 @@ def test_invalid_fused_prediction_recorded_per_method(monkeypatch):
     records = {rec.method: rec for rec in run_experiment(config).records}
     assert list(records) == ["poe", "gpoe_uniform", "bcm", "rbcm", "npae", "grbcm"]
     failed = records.pop("rbcm")
-    assert failed.error.startswith("ValueError: aggregated variances")
+    assert failed.error.startswith("NumericalBreakdown: aggregated variances")
     assert math.isnan(failed.smse) and math.isnan(failed.msll)
     for rec in records.values():
         assert rec.error is None

@@ -7,7 +7,7 @@ from gpcommittee import (DataError, Hyperparams, InvalidPartition, MissingCommun
                          NumericalBreakdown, OptimizerConfig, experts_predict,
                          factorized_nlml, fit, grbcm_partition, minimize, nlml, predict,
                          prepare_grbcm, random_partition, toy_generate, train)
-from gpcommittee.partition import disjoint_partition
+from gpcommittee.partition import Partition, PartitionKind, disjoint_partition
 
 
 def hp_1d(log_sf=0.0, log_l=0.0, log_noise=-1.0):
@@ -131,16 +131,42 @@ def test_nlml_reports_a_failed_block_inverse(monkeypatch):
     calls = []
 
     def dtrtri_failing_on_last_block(L, **kwargs):
-        # 140 rows split into four base blocks of 35, the top-left one last
+        # four experts of 10 rows, one block each; then expert 4's 140 rows
+        # split into four base blocks of 35, the top-left one last
         calls.append(L.shape)
-        return L, (2 if len(calls) == 4 else 0)
+        return L, (2 if len(calls) == 8 else 0)
 
     monkeypatch.setattr(gp, "dtrtri", dtrtri_failing_on_last_block)
     rng = np.random.default_rng(6)
-    with pytest.raises(NumericalBreakdown, match="trtri failed") as err:
-        nlml(rng.uniform(size=(140, 1)), rng.normal(size=140), hp_1d(), expert_index=4)
-    assert calls == [(35, 35)] * 4
+    part = Partition(subsets=np.split(np.arange(180), [10, 20, 30, 40]),
+                     kind=PartitionKind.RANDOM, communication_index=None, seed=0)
+    with pytest.raises(NumericalBreakdown, match="expert 4: trtri failed") as err:
+        factorized_nlml(rng.uniform(size=(180, 1)), rng.normal(size=180), part, hp_1d())
+    assert calls == [(10, 10)] * 4 + [(35, 35)] * 4
     assert err.value.expert_index == 4
+
+
+def test_prepare_grbcm_names_the_expert_whose_schur_ladder_fails(monkeypatch):
+    from gpcommittee import gp
+    ds, committee = _small_committee(M=4)
+    assert committee.partition.communication_index == 0
+    calls = []
+    factor = gp.dpotrf
+
+    def dpotrf_failing_after_expert_1(A, **kwargs):
+        # expert 1's Schur complement factors at once; expert 2's never does
+        calls.append(A.shape)
+        L, info = factor(A, **kwargs)
+        return L, (info if len(calls) == 1 else 1)
+
+    monkeypatch.setattr(gp, "dpotrf", dpotrf_failing_after_expert_1)
+    with pytest.raises(NumericalBreakdown, match="expert 2: Cholesky factorization failed") as err:
+        prepare_grbcm(committee)
+    assert err.value.expert_index == 2
+    assert err.value.test_index is None
+    # the whole ladder ran on expert 2, and expert 3 was never reached
+    assert len(calls) == 1 + len(err.value.jitters_tried)
+    assert err.value.jitters_tried[0] == 0.0 and len(err.value.jitters_tried) == 10
 
 
 @pytest.mark.parametrize("bad_X, bad_y, row", [
@@ -276,11 +302,3 @@ def test_experts_predict_far_recovers_prior():
 def test_shared_hyperparameters_across_experts():
     ds, committee = _small_committee(M=3)
     assert all(m.hp is committee.hp for m in committee.experts)
-
-
-def test_ensemble_metadata_serializable():
-    import json
-    ds, committee = _small_committee(M=2)
-    doc = committee.metadata_dict()
-    text = json.dumps(doc)
-    assert "hyperparams" in json.loads(text)
