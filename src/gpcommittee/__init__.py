@@ -5,8 +5,8 @@ rules for fusing their predictions (PoE, GPoE, BCM, RBCM, NPAE, GRBCM), plus
 partitioning schemes, standardized metrics and a benchmark harness.
 """
 
-from .aggregate import (AggregatedPrediction, AggregationMethod, PriorVariance,
-                        bcm, beta_entropy, gpoe, grbcm, grbcm_fuse, npae, poe, rbcm)
+from .aggregate import (AggregatedPrediction, PriorVariance, bcm, beta_entropy,
+                        gpoe, grbcm, grbcm_fuse, npae, poe, rbcm)
 from .bench import (ExperimentConfig, ExperimentResult, RunRecord,
                     consistency_sweep, read_results_csv, run_experiment)
 from .data import (Dataset, NormStats, denormalize_inputs, denormalize_predictions,
@@ -25,7 +25,7 @@ from .partition import (Partition, PartitionKind, disjoint_partition,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedPrediction", "AggregationMethod", "PriorVariance",
+    "AggregatedPrediction", "PriorVariance",
     "bcm", "beta_entropy", "gpoe", "grbcm", "grbcm_fuse", "npae", "poe", "rbcm",
     "ExperimentConfig", "ExperimentResult", "RunRecord",
     "consistency_sweep", "read_results_csv", "run_experiment",

@@ -4,9 +4,11 @@ PoE, GPoE, BCM, RBCM and GRBCM are one closed-form formula in precision
 (inverse variance) space, the weighted form of Deisenroth & Ng (2015): the
 fused precision is ``sum_i beta_i / var_i + (1 - sum_i beta_i) / var_b``.
 PoE and GPoE take no base density ``b``; BCM and RBCM take the prior, so
-far-from-data predictions recover it; GRBCM takes the communication expert
-and fuses the augmented experts. The rules differ only in their weights and
-in their precision floor.
+far-from-data predictions recover it. GRBCM fuses one committee of M
+densities, stacked like every other rule's: row 0 is the communication
+expert, the base of its fusion, and rows 1 onward are the augmented experts
+built on it. The rules differ only in their weights and in their precision
+floor.
 
 NPAE instead regresses the target on the M expert means, one M x M system
 per test point. All points are solved as one batch: one stacked Cholesky
@@ -18,30 +20,21 @@ cannot be factored does each point get the escalating-jitter ladder of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 # unused here; the benchmark's traced run patches this name in this module
 from scipy.linalg import cho_solve  # noqa: F401
 
 from .ensemble import ExpertEnsemble, experts_predict
-from .errors import MissingCommunicationSubset, NumericalBreakdown
-from .gp import chol_with_jitter, predict, triangular_product, _VARIANCE_GUARD
+from .errors import NumericalBreakdown
+from .gp import _VARIANCE_GUARD, _mean_and_whitened, chol_with_jitter, triangular_product
+# unused here; the benchmark's traced run patches this name in this module
+from .gp import predict  # noqa: F401
 from .kernel import Hyperparams, kernel_matrix
 
 # precision floor for the BCM-family correction: degeneracy is signalled by
 # the counter, not by a crash
 _PRECISION_FLOOR_RATIO = 1e-12
-
-
-class AggregationMethod(str, Enum):
-    POE = "poe"
-    GPOE_UNIFORM = "gpoe_uniform"
-    GPOE_ENTROPY = "gpoe_entropy"
-    BCM = "bcm"
-    RBCM = "rbcm"
-    NPAE = "npae"
-    GRBCM = "grbcm"
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,6 @@ class AggregatedPrediction:
 
     means: np.ndarray
     variances: np.ndarray
-    method: AggregationMethod
     betas: np.ndarray | None = None
     degeneracy_count: int = 0
 
@@ -128,7 +120,7 @@ def poe(means, variances) -> AggregatedPrediction:
     means, variances = _as_expert_matrices(means, variances)
     # a sum of positive precisions never reaches a floor of 0
     mean, var, _ = _fuse(means, variances, np.ones_like(means), floor=0.0)
-    return AggregatedPrediction(mean, var, AggregationMethod.POE)
+    return AggregatedPrediction(mean, var)
 
 
 def gpoe(means, variances, prior_var: PriorVariance,
@@ -143,14 +135,12 @@ def gpoe(means, variances, prior_var: PriorVariance,
     means, variances = _as_expert_matrices(means, variances)
     if mode == "uniform":
         base = poe(means, variances)
-        return AggregatedPrediction(base.means, means.shape[0] * base.variances,
-                                    AggregationMethod.GPOE_UNIFORM)
+        return AggregatedPrediction(base.means, means.shape[0] * base.variances)
     if mode != "entropy":
         raise ValueError(f"unknown gpoe mode {mode!r}")
     betas = beta_entropy(prior_var, variances)
     mean, var, floored = _fuse(means, variances, betas, floor=1.0 / prior_var.value)
-    return AggregatedPrediction(mean, var, AggregationMethod.GPOE_ENTROPY,
-                                betas=betas, degeneracy_count=floored)
+    return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
 def bcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
@@ -159,8 +149,7 @@ def bcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
     pv = prior_var.value
     mean, var, floored = _fuse(means, variances, np.ones_like(means),
                                floor=_PRECISION_FLOOR_RATIO * (1.0 / pv), base=(0.0, pv))
-    return AggregatedPrediction(mean, var, AggregationMethod.BCM,
-                                degeneracy_count=floored)
+    return AggregatedPrediction(mean, var, degeneracy_count=floored)
 
 
 def rbcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
@@ -170,8 +159,7 @@ def rbcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
     betas = beta_entropy(prior_var, variances)
     mean, var, floored = _fuse(means, variances, betas,
                                floor=_PRECISION_FLOOR_RATIO * (1.0 / pv), base=(0.0, pv))
-    return AggregatedPrediction(mean, var, AggregationMethod.RBCM, betas=betas,
-                                degeneracy_count=floored)
+    return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
 def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
@@ -200,9 +188,7 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     rhs = np.empty((n_test, M, 2))    # [cov[mu_i, y*], mu_i] per test point
     U = []                            # C_i^-1 K_i* = L_i^-T V_i
     for i, model in enumerate(experts):
-        Ks = kernel_matrix(model.X, Xstar, hp)
-        rhs[:, i, 1] = Ks.T @ model.weight_vector
-        V = triangular_product(model.chol_inv, Ks)
+        rhs[:, i, 1], V = _mean_and_whitened(model, Xstar)
         rhs[:, i, 0] = np.sum(V * V, axis=0)
         U.append(triangular_product(model.chol_inv, V, transpose=True))
     K_agg = np.empty((n_test, M, M))  # cov[mu_i, mu_j] per test point
@@ -213,8 +199,8 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
             w = np.sum(U[i] * (K_ij @ U[j]), axis=0)
             K_agg[:, i, j] = w
             K_agg[:, j, i] = w
-    # every U_i goes before the factorization; the last one is also Ks and V
-    del U, Ks, V
+    # every U_i goes before the factorization; the last one is also V
+    del U, V
 
     L = None
     if np.all(np.isfinite(K_agg)):
@@ -235,47 +221,37 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     means = np.einsum("tm,tm->t", z_k, z_mu)
     variances = hp.output_variance + hp.noise_variance - np.einsum("tm,tm->t", z_k, z_k)
     floor = hp.noise_variance * _VARIANCE_GUARD
-    return AggregatedPrediction(means, np.maximum(variances, floor),
-                                AggregationMethod.NPAE)
+    return AggregatedPrediction(means, np.maximum(variances, floor))
 
 
-def grbcm_fuse(mu_c, var_c, mu_aug, var_aug, prior_precision: float):
-    """Pointwise GRBCM fusion on raw expert statistics.
+def grbcm_fuse(means, variances, prior_precision: float):
+    """Pointwise GRBCM fusion of one committee's stacked expert statistics.
 
-    Row 0 of the augmented statistics keeps weight 1; later rows get the
-    entropy gap between the communication and augmented densities, clamped at
-    0. The communication density is the base of the fusion, so its precision
-    is subtracted with the surplus weight mass; the fused precision is floored
-    (counted) on underflow.
+    Row 0 is the communication expert, the base of the fusion: its precision
+    is subtracted with the surplus weight mass. Row 1, the first augmented
+    expert, keeps weight 1; later rows get the entropy gap between the
+    communication density and theirs, clamped at 0. The fused precision is
+    floored (counted) on underflow. Returns (mean, var, betas, floored
+    count), with one row of ``betas`` per augmented expert.
     """
-    mu_c = np.asarray(mu_c, dtype=float).ravel()
-    var_c = np.asarray(var_c, dtype=float).ravel()
-    mu_aug, var_aug = _as_expert_matrices(mu_aug, var_aug)
-    if np.any(var_c <= 0):
-        raise ValueError("communication variances must be strictly positive")
-    betas = np.ones_like(mu_aug)
-    betas[1:] = _entropy_gap(var_c[None, :], var_aug[1:])
-    mean, var, floored = _fuse(mu_aug, var_aug, betas,
+    means, variances = _as_expert_matrices(means, variances)
+    betas = np.ones_like(means[1:])
+    betas[1:] = _entropy_gap(variances[:1], variances[2:])
+    mean, var, floored = _fuse(means[1:], variances[1:], betas,
                                floor=_PRECISION_FLOOR_RATIO * prior_precision,
-                               base=(mu_c, var_c))
+                               base=(means[0], variances[0]))
     return mean, var, betas, floored
 
 
 def grbcm(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     """Committee correction against a communication expert.
 
-    The first augmented expert keeps weight 1 (its density is exact given the
-    communication subset); the rest are weighted by the entropy gap between
-    the communication expert and their augmented predictions. The correction
-    term divides out the communication density rather than the prior.
+    One pass of :func:`experts_predict` over the augmented committee gives
+    the communication expert (row 0) and the augmented experts built on it;
+    see :func:`grbcm_fuse` for their weights. The correction term divides
+    out the communication density rather than the prior.
     """
-    part = ensemble.partition
-    if part.communication_index is None or ensemble.augmented_experts is None:
-        raise MissingCommunicationSubset(
-            "grbcm needs a communication subset and prepared augmented experts")
-    mu_c, var_c = predict(ensemble.experts[part.communication_index], Xstar)
-    mu_aug, var_aug = experts_predict(ensemble, Xstar, augmented=True)
+    means, variances = experts_predict(ensemble, Xstar, augmented=True)
     prior_precision = 1.0 / (ensemble.hp.output_variance + ensemble.hp.noise_variance)
-    mean, var, betas, floored = grbcm_fuse(mu_c, var_c, mu_aug, var_aug, prior_precision)
-    return AggregatedPrediction(mean, var, AggregationMethod.GRBCM, betas=betas,
-                                degeneracy_count=floored)
+    mean, var, betas, floored = grbcm_fuse(means, variances, prior_precision)
+    return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import aggregate
-from .aggregate import AggregationMethod, PriorVariance
+from .aggregate import PriorVariance
 from .data import (Dataset, TOY_NOISE_VAR, TOY_TRAIN_RANGE, denormalize_inputs,
                    denormalize_predictions, load_csv, toy_generate)
 from .ensemble import ExpertEnsemble, experts_predict, prepare_grbcm, train

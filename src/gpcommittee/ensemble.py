@@ -135,10 +135,12 @@ def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
                     augmented: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Per-expert predictive means and variances, stacked one row per expert.
 
-    With ``augmented=True`` the rows come from the augmented experts instead
-    (requires :func:`prepare_grbcm` first): the communication expert's terms
-    ``L_c^-1 K_c*`` and ``L_c^-1 y_c`` are formed once and each augmented
-    expert adds its own block (see :func:`gp.predict_extended`).
+    With ``augmented=True`` the rows are the GRBCM committee instead
+    (requires :func:`prepare_grbcm` first): row 0 is the communication
+    expert, exactly as :func:`gp.predict` gives it, and row ``i + 1`` the
+    i-th augmented expert. The communication expert's terms ``L_c^-1 K_c*``
+    and ``L_c^-1 y_c`` are formed once and each augmented expert adds its
+    own block (see :func:`gp.predict_extended`).
     """
     if augmented:
         if ensemble.augmented_experts is None:

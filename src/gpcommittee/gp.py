@@ -281,14 +281,23 @@ def predict(model: GPModel, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not isinstance(model, GPModel):
         raise ValueError("predict requires a fitted GPModel")
-    hp = model.hp
     Xstar = np.asarray(Xstar, dtype=float)
     if Xstar.ndim == 1:
         Xstar = Xstar[:, None]
-    Kstar = kernel_matrix(model.X, Xstar, hp)
+    means, V = _mean_and_whitened(model, Xstar)
+    return means, _noisy_variance(model.hp, np.sum(V * V, axis=0))
+
+
+def _mean_and_whitened(model: GPModel, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(K*' alpha, L^-1 K*)`` of ``model`` at the 2-D test inputs ``Xstar``.
+
+    The one place a fitted expert meets test inputs: :func:`predict`,
+    :func:`predict_extended` and NPAE read every expert term from it. The
+    mean is formed before ``trmm`` overwrites ``K*`` with ``L^-1 K*``.
+    """
+    Kstar = kernel_matrix(model.X, Xstar, model.hp)
     means = Kstar.T @ model.weight_vector
-    V = triangular_product(model.chol_inv, Kstar)
-    return means, _noisy_variance(hp, np.sum(V * V, axis=0))
+    return means, triangular_product(model.chol_inv, Kstar)
 
 
 @dataclass(frozen=True)
@@ -332,10 +341,12 @@ def extend(base: GPModel, X: np.ndarray, y: np.ndarray) -> BlockExtension:
 
 def predict_extended(base: GPModel, extensions: list[BlockExtension],
                      Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive means and noisy variances of each extension of ``base``, one row each.
+    """Predictive means and noisy variances of ``base`` and of each of its extensions.
 
-    The base terms ``V_b = L_b^-1 K_b*`` and ``z_b = L_b^-1 y_b`` are formed
-    once. Extension i adds ``W_i = S_i^-1 (K_i* - cross_i V_b)`` and
+    Row 0 is ``base`` itself, exactly what :func:`predict` returns; row
+    ``i + 1`` is ``extensions[i]``. The base terms ``V_b = L_b^-1 K_b*`` and
+    ``z_b = L_b^-1 y_b`` are formed once. Extension i adds
+    ``W_i = S_i^-1 (K_i* - cross_i V_b)`` and
     ``z_i = S_i^-1 (y_i - cross_i z_b)``: its mean is ``V_b' z_b + W_i' z_i``
     and its variance the prior minus ``|V_b|^2 + |W_i|^2``, floored as in
     :func:`predict`.
@@ -344,13 +355,14 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     Xstar = np.asarray(Xstar, dtype=float)
     if Xstar.ndim == 1:
         Xstar = Xstar[:, None]
-    V_b = triangular_product(base.chol_inv, kernel_matrix(base.X, Xstar, hp))
+    means = np.empty((len(extensions) + 1, Xstar.shape[0]))
+    variances = np.empty_like(means)
+    means[0], V_b = _mean_and_whitened(base, Xstar)
+    base_explained = np.sum(V_b * V_b, axis=0)
+    variances[0] = _noisy_variance(hp, base_explained)
     z_b = base.chol_inv @ base.y
     base_mean = V_b.T @ z_b
-    base_explained = np.sum(V_b * V_b, axis=0)
-    means = np.empty((len(extensions), Xstar.shape[0]))
-    variances = np.empty_like(means)
-    for k, ext in enumerate(extensions):
+    for k, ext in enumerate(extensions, start=1):
         Kstar = kernel_matrix(ext.X, Xstar, hp)
         Kstar -= ext.cross @ V_b
         W = triangular_product(ext.schur_inv, Kstar)

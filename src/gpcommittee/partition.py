@@ -144,29 +144,27 @@ def _near_equal_targets(n: int, k: int, sizes: np.ndarray) -> np.ndarray:
 
 def _rebalance(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
                targets: np.ndarray) -> None:
-    k = targets.size
-    for _ in range(2 * k + 10):
-        sizes = np.bincount(labels, minlength=k)
-        over = np.where(sizes > targets)[0]
-        under = np.where(sizes < targets)[0]
-        if over.size == 0:
-            break
-        surplus = dict(zip(over.tolist(), (sizes[over] - targets[over]).tolist()))
-        deficit = dict(zip(under.tolist(), (targets[under] - sizes[under]).tolist()))
-        cand = np.where(np.isin(labels, over))[0]
-        d2 = cdist(X[cand], centroids[under], metric="sqeuclidean")
-        moved = False
-        for flat in np.argsort(d2, axis=None, kind="stable"):
-            p_local, u_local = divmod(int(flat), under.size)
-            point, dest = int(cand[p_local]), int(under[u_local])
-            src = int(labels[point])
-            if surplus.get(src, 0) > 0 and deficit[dest] > 0:
-                labels[point] = dest
-                surplus[src] -= 1
-                deficit[dest] -= 1
-                moved = True
-        if not moved:
-            break
+    """Move points from over-full to under-full clusters, nearest pairs first.
+
+    One pass reaches every target: an over-full cluster always keeps an
+    unmoved point, so a surplus left beside a deficit would mean that pair
+    was visited with both counts positive, and a point would have moved.
+    """
+    sizes = np.bincount(labels, minlength=targets.size)
+    over = np.where(sizes > targets)[0]
+    under = np.where(sizes < targets)[0]
+    surplus = dict(zip(over.tolist(), (sizes[over] - targets[over]).tolist()))
+    deficit = dict(zip(under.tolist(), (targets[under] - sizes[under]).tolist()))
+    cand = np.where(np.isin(labels, over))[0]
+    d2 = cdist(X[cand], centroids[under], metric="sqeuclidean")
+    for flat in np.argsort(d2, axis=None, kind="stable"):
+        p_local, u_local = divmod(int(flat), under.size)
+        point, dest = int(cand[p_local]), int(under[u_local])
+        src = int(labels[point])
+        if surplus.get(src, 0) > 0 and deficit[dest] > 0:
+            labels[point] = dest
+            surplus[src] -= 1
+            deficit[dest] -= 1
 
 
 def disjoint_partition(X: np.ndarray, M: int, seed: int, rebalance: bool = True) -> Partition:

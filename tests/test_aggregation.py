@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gpcommittee.aggregate as aggregate
-from gpcommittee import (AggregationMethod, Hyperparams, MissingCommunicationSubset,
+from gpcommittee import (Hyperparams, MissingCommunicationSubset,
                          NumericalBreakdown, OptimizerConfig, PriorVariance, bcm,
                          beta_entropy, fit, gpoe, grbcm, grbcm_fuse, grbcm_partition, npae,
                          poe, predict, prepare_grbcm, random_partition, rbcm, toy_generate,
@@ -186,7 +186,7 @@ def test_bcm_precision_floor_counts_degeneracy():
 def test_aggregated_prediction_rejects_bad_variances():
     from gpcommittee.aggregate import AggregatedPrediction
     with pytest.raises(NumericalBreakdown, match="aggregated variances"):
-        AggregatedPrediction(np.zeros(2), np.array([1.0, -1.0]), AggregationMethod.POE)
+        AggregatedPrediction(np.zeros(2), np.array([1.0, -1.0]))
 
 
 def test_inputs_validated():
@@ -270,7 +270,8 @@ def test_fusion_matches_reference_formulas(var_range, prior_precision, floors):
         np.testing.assert_allclose(agg.variances, var, rtol=1e-14, atol=0)
         assert agg.degeneracy_count == count
 
-    mean, var, betas, count = grbcm_fuse(mu_c, var_c, means, variances, prior_precision)
+    mean, var, betas, count = grbcm_fuse(np.vstack([mu_c, means]), np.vstack([var_c, variances]),
+                                         prior_precision)
     ref_mean, ref_var, ref_betas, ref_count = ref["grbcm"]
     np.testing.assert_array_equal(mean, ref_mean)
     np.testing.assert_array_equal(var, ref_var)
@@ -427,7 +428,7 @@ def test_grbcm_fuse_first_row_weight_one():
     mu_c, var_c = rng.normal(size=5), rng.uniform(0.5, 1.0, size=5)
     mu_aug = rng.normal(size=(3, 5))
     var_aug = rng.uniform(0.1, 0.4, size=(3, 5))
-    _, _, betas, _ = grbcm_fuse(mu_c, var_c, mu_aug, var_aug, 1.0)
+    _, _, betas, _ = grbcm_fuse(np.vstack([mu_c, mu_aug]), np.vstack([var_c, var_aug]), 1.0)
     np.testing.assert_array_equal(betas[0], 1.0)
 
 
@@ -440,7 +441,8 @@ def test_grbcm_fuse_uninformative_subsets_collapse_to_first():
     var_first = rng.uniform(0.2, 0.4, size=n)
     mu_aug = np.vstack([mu_first, mu_c, mu_c])
     var_aug = np.vstack([var_first, var_c, var_c])
-    mean, var, betas, floored = grbcm_fuse(mu_c, var_c, mu_aug, var_aug, 1.0)
+    mean, var, betas, floored = grbcm_fuse(np.vstack([mu_c, mu_aug]),
+                                           np.vstack([var_c, var_aug]), 1.0)
     np.testing.assert_array_equal(betas[1:], 0.0)
     np.testing.assert_allclose(mean, mu_first, rtol=1e-12)
     np.testing.assert_allclose(var, var_first, rtol=1e-12)
@@ -454,8 +456,7 @@ def test_grbcm_fuse_three_expert_closed_form():
     var_3 = var_c / np.e
     mu_c, mu_2, mu_3 = 0.4, 1.2, -0.5
     mean, var, betas, _ = grbcm_fuse(
-        np.array([mu_c]), np.array([var_c]),
-        np.array([[mu_2], [mu_3]]), np.array([[var_2], [var_3]]), 1.0)
+        np.vstack([[mu_c], [mu_2], [mu_3]]), np.vstack([[var_c], [var_2], [var_3]]), 1.0)
     beta3 = 0.5
     precision = 1.0 / var_2 + beta3 / var_3 - beta3 / var_c
     expected_var = 1.0 / precision

@@ -1,17 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gpcommittee import (AggregatedPrediction, AggregationMethod, ExperimentConfig,
+from gpcommittee import (AggregatedPrediction, ExperimentConfig, PartitionKind,
                          aggregate, run_experiment)
+from gpcommittee.bench import METHOD_CHOICES
 
 
 def test_invalid_fused_prediction_recorded_per_method(monkeypatch):
     def rbcm_nan_variance(means, variances, prior):
         # AggregatedPrediction's own validation raises NumericalBreakdown here
-        return AggregatedPrediction(means[0], np.full(means.shape[1], np.nan),
-                                    AggregationMethod.RBCM)
+        return AggregatedPrediction(means[0], np.full(means.shape[1], np.nan))
 
     monkeypatch.setattr(aggregate, "rbcm", rbcm_nan_variance)
     config = ExperimentConfig(n=120, n_test=30, m0=40, max_evals=3,
@@ -38,3 +39,27 @@ def test_non_positive_committee_size_rejected(sizes, message):
         config.validate()
     with pytest.raises(ValueError, match=message):
         run_experiment(config)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("random", PartitionKind.RANDOM),
+    ("disjoint", PartitionKind.GRBCM_HYBRID),
+    ("grbcm", PartitionKind.GRBCM_HYBRID),
+])
+def test_every_partition_kind_runs_every_rule(kind, expected):
+    config = ExperimentConfig(n=120, n_test=30, m0=40, max_evals=3, partition_kind=kind,
+                              methods=METHOD_CHOICES)
+    result = run_experiment(config)
+    assert [rec.method for rec in result.records] == [
+        "poe", "gpoe_uniform", "bcm", "rbcm", "npae", "grbcm"]
+    for rec in result.records:
+        assert rec.error is None
+        assert math.isfinite(rec.smse) and math.isfinite(rec.msll)
+    (part,) = result.partitions
+    assert part.kind == expected
+    assert part.communication_index == 0
+    if kind == "disjoint":
+        # without grbcm the k-means partition has no communication subset
+        (plain,) = run_experiment(replace(config, methods=("poe",))).partitions
+        assert plain.kind == PartitionKind.DISJOINT
+        assert plain.communication_index is None

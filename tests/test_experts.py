@@ -270,10 +270,12 @@ def test_augmented_expert_never_less_informative():
     prepared = prepare_grbcm(committee)
     comm = committee.experts[committee.partition.communication_index]
     Xstar = np.random.default_rng(6).uniform(-1.5, 1.5, size=(30, 1))
-    _, var_comm = predict(comm, Xstar)
-    _, var_aug = experts_predict(prepared, Xstar, augmented=True)
-    assert var_aug.shape == (len(prepared.augmented_experts), Xstar.shape[0])
-    assert np.all(var_aug <= var_comm + 1e-8)
+    mean_comm, var_comm = predict(comm, Xstar)
+    means, variances = experts_predict(prepared, Xstar, augmented=True)
+    assert variances.shape == (committee.M, Xstar.shape[0])
+    np.testing.assert_array_equal(means[0], mean_comm)
+    np.testing.assert_array_equal(variances[0], var_comm)
+    assert np.all(variances[1:] <= var_comm + 1e-8)
 
 
 def test_experts_predict_single_expert_matches_full_gp():

@@ -360,6 +360,9 @@ def test_block_extension_equals_dense_gp_with_block_jitter(base_kind, ext_kind):
     assert ext.n == X.shape[0]
     Xstar = np.linspace(-1.0, max(11.0, X.max() + 1.0), 60)[:, None]
     means, variances = predict_extended(base, [ext], Xstar)
+    base_means, base_vars = predict(base, Xstar)
+    np.testing.assert_array_equal(means[0], base_means)
+    np.testing.assert_array_equal(variances[0], base_vars)
 
     jitter = np.concatenate([np.full(nb, base.jitter_used), np.full(Xe.shape[0], ext.jitter_used)])
     C = kernel_matrix(X, X, hp) + np.diag(hp.noise_variance + jitter)
@@ -369,8 +372,8 @@ def test_block_extension_equals_dense_gp_with_block_jitter(base_kind, ext_kind):
     ref_vars = np.maximum(prior - np.sum(Kstar * np.linalg.solve(C, Kstar), axis=0),
                           hp.noise_variance * (1 - 1e-10))
     tol = np.linalg.cond(C) * np.finfo(float).eps
-    assert np.max(np.abs(means[0] - ref_means)) <= tol * np.max(np.abs(ref_means))
-    assert np.max(np.abs(variances[0] - ref_vars)) <= tol * prior
+    assert np.max(np.abs(means[1] - ref_means)) <= tol * np.max(np.abs(ref_means))
+    assert np.max(np.abs(variances[1] - ref_vars)) <= tol * prior
 
 
 class _Mallinfo2(ctypes.Structure):

@@ -4,6 +4,7 @@ from scipy.stats import ks_2samp
 
 from gpcommittee import (InvalidPartition, Partition, PartitionKind,
                          disjoint_partition, grbcm_partition, random_partition)
+from gpcommittee.partition import _near_equal_targets
 
 
 def assert_covers(part, n):
@@ -63,8 +64,10 @@ def test_disjoint_rebalanced_sizes_near_equal():
     # lopsided density would give very uneven raw clusters
     X = np.concatenate([rng.normal(0, 0.2, size=180), rng.normal(6, 0.2, size=20)])[:, None]
     part = disjoint_partition(X, 5, seed=0)
-    sizes = sorted(s.size for s in part.subsets)
-    assert max(sizes) - min(sizes) <= 1
+    sizes = np.array([s.size for s in part.subsets])
+    raw = disjoint_partition(X, 5, seed=0, rebalance=False)
+    raw_sizes = np.array([s.size for s in raw.subsets])
+    np.testing.assert_array_equal(sizes, _near_equal_targets(200, 5, raw_sizes))
     assert_covers(part, 200)
 
 
