@@ -15,6 +15,7 @@ import json
 import math
 import os
 import time
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from .aggregate import PriorVariance
 from .data import (Dataset, TOY_NOISE_VAR, TOY_TRAIN_RANGE, denormalize_inputs,
                    denormalize_predictions, load_csv, toy_generate)
 from .ensemble import ExpertEnsemble, experts_predict, prepare_grbcm, train
-from .errors import GPCommitteeError
+from .errors import DataError, GPCommitteeError
 from .kernel import Hyperparams
 from .metrics import msll as msll_metric
 from .metrics import smse as smse_metric
@@ -32,13 +33,9 @@ from .optimize import OptimizerConfig
 from .partition import (Partition, PartitionKind, disjoint_partition,
                         grbcm_partition, random_partition)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 METHOD_CHOICES = ("poe", "gpoe", "bcm", "rbcm", "npae", "grbcm")
-PARTITION_CHOICES = ("random", "disjoint", "grbcm")
-
-_CSV_COLUMNS = ("method", "repetition", "seed", "smse", "msll",
-                "train_time_seconds", "predict_time_seconds",
-                "degeneracy_count", "beta_mean", "beta_min", "beta_max", "error")
+PARTITION_CHOICES = ("random", "disjoint")
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,6 @@ class ExperimentConfig:
     max_evals: int = OptimizerConfig.max_evals
     seed: int = 0
     repetitions: int = 1
-    rebalance: bool = True
     workers: int = 1                      # accepted and has no effect
     out_dir: str | None = None
 
@@ -77,6 +73,11 @@ class ExperimentConfig:
         for name, value in sizes:
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.dataset == "toy":
+            if self.n_test == 1:
+                raise ValueError("n_test must be >= 2 to score SMSE, got 1")
+            if self.M is not None and self.M > self.n:
+                raise ValueError(f"M={self.M} exceeds n={self.n}")
         if self.partition_kind not in PARTITION_CHOICES:
             raise ValueError(f"partition_kind must be one of {PARTITION_CHOICES}")
         unknown = [m for m in self.methods if m not in METHOD_CHOICES]
@@ -92,7 +93,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Scores and timings for one (method, repetition) cell."""
+    """Scores and timings for one (method, repetition) cell.
+
+    The fields, in order, are the columns of ``results.csv``.
+    """
 
     method: str
     repetition: int
@@ -112,7 +116,7 @@ class RunRecord:
 class RepArtifacts:
     """Raw per-repetition material kept for sweep-level diagnostics."""
 
-    hp_vector: np.ndarray
+    hp: Hyperparams
     y_std: float
     interior_mask: np.ndarray
     f_test: np.ndarray | None
@@ -130,29 +134,35 @@ class ExperimentResult:
 def _build_dataset(config: ExperimentConfig, rep_seed: int) -> Dataset:
     if config.dataset == "toy":
         n_test = config.n_test if config.n_test else max(200, config.n // 10)
-        return toy_generate(config.n, n_test, rep_seed)
-    return load_csv(config.csv_path, config.target_column,
-                    test_fraction=config.test_fraction,
-                    split_files=config.split_files, seed=rep_seed)
+        dataset = toy_generate(config.n, n_test, rep_seed)
+    else:
+        dataset = load_csv(config.csv_path, config.target_column,
+                           test_fraction=config.test_fraction,
+                           split_files=config.split_files, seed=rep_seed)
+    # SMSE divides by the test targets' variance: fail here, not after training
+    if dataset.n_test < 2:
+        raise DataError("the test split has fewer than 2 rows, so SMSE is undefined")
+    if np.ptp(dataset.y_test) == 0.0:
+        raise DataError("the test targets are constant, so SMSE is undefined")
+    return dataset
 
 
 def _resolve_M(config: ExperimentConfig, n: int) -> int:
     M = config.M if config.M is not None else max(1, round(n / config.m0))
     if M > n:
-        raise ValueError(f"M={M} exceeds n={n}")
+        raise DataError(f"M={M} exceeds the {n} training rows")
     return M
 
 
 def _build_partition(config: ExperimentConfig, dataset: Dataset, M: int,
                      rep_seed: int) -> Partition:
-    kind = config.partition_kind
     wants_grbcm = "grbcm" in config.methods and M >= 2
-    if kind == "grbcm" or (kind == "disjoint" and wants_grbcm):
-        # the hybrid scheme: every method shares the partition, whose first
-        # subset is the random communication subset
-        return grbcm_partition(dataset.X_train, M, rep_seed, rebalance=config.rebalance)
-    if kind == "disjoint":
-        return disjoint_partition(dataset.X_train, M, rep_seed, rebalance=config.rebalance)
+    if config.partition_kind == "disjoint":
+        if wants_grbcm:
+            # the hybrid scheme: every method shares the partition, whose
+            # first subset is the random communication subset
+            return grbcm_partition(dataset.X_train, M, rep_seed)
+        return disjoint_partition(dataset.X_train, M, rep_seed)
     part = random_partition(dataset.n_train, M, rep_seed)
     if wants_grbcm:
         # any block of a random partition is itself a uniform random subset
@@ -196,12 +206,14 @@ def run_experiment(config: ExperimentConfig,
     including a fused prediction with non-finite or non-positive variances)
     gets its failure recorded on its RunRecord (NaN scores plus the error
     message) and the remaining methods still run; any other exception is a
-    programming error and stops the run.
+    programming error and stops the run. A test split that cannot be scored,
+    or more experts than training rows, raises :class:`DataError` before
+    training.
     """
     config.validate()
     records: list[RunRecord] = []
     partitions: list[Partition] = []
-    artifacts: list[RepArtifacts] = []
+    artifacts: list[RepArtifacts] | None = [] if collect_predictions else None
     for rep in range(config.repetitions):
         rep_seed = config.seed + rep
         dataset = _build_dataset(config, rep_seed)
@@ -211,24 +223,29 @@ def run_experiment(config: ExperimentConfig,
         opt = OptimizerConfig(max_evals=config.max_evals,
                               initial_hp=Hyperparams.default(dataset.input_dim))
         committee = train(dataset.X_train, dataset.y_train, part, opt)
-        art = RepArtifacts(hp_vector=committee.hp.to_vector(),
-                           y_std=dataset.norm_stats.y_std,
-                           interior_mask=_interior_mask(config, dataset),
-                           f_test=dataset.f_test)
+        art = None
+        if artifacts is not None:
+            art = RepArtifacts(hp=committee.hp, y_std=dataset.norm_stats.y_std,
+                               interior_mask=_interior_mask(config, dataset),
+                               f_test=dataset.f_test)
+            artifacts.append(art)
         for method in config.methods:
             records.append(_score_method(method, committee, dataset, config, rep,
-                                         rep_seed, art if collect_predictions else None))
-        if collect_predictions:
-            artifacts.append(art)
+                                         rep_seed, art))
     result = ExperimentResult(config=config, records=records, partitions=partitions,
-                              artifacts=artifacts if collect_predictions else None)
+                              artifacts=artifacts)
     if config.out_dir:
         write_outputs(result, config.out_dir)
     return result
 
 
+def _label(config: ExperimentConfig, method: str) -> str:
+    """The name a method's records and sweep entries go by."""
+    return f"gpoe_{config.gpoe_mode}" if method == "gpoe" else method
+
+
 def _score_method(method, committee, dataset, config, rep, rep_seed, art):
-    label = f"gpoe_{config.gpoe_mode}" if method == "gpoe" else method
+    label = _label(config, method)
     try:
         t0 = time.perf_counter()
         agg = _predict_method(method, committee, dataset.X_test, config)
@@ -265,52 +282,41 @@ def _score_method(method, committee, dataset, config, rep, rep_seed, art):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _record_to_row(rec: RunRecord) -> list[str]:
-    row = []
-    for col in _CSV_COLUMNS:
-        val = getattr(rec, col)
-        if val is None:
-            row.append("")
-        elif isinstance(val, float):
-            row.append(repr(val))
-        else:
-            row.append(str(val))
-    return row
+def _cell(value) -> str:
+    # repr round-trips a float exactly; None is an empty cell
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _parse_cell(text: str, kind) -> object:
+    optional = typing.get_args(kind)
+    if optional:
+        if not text:
+            return None
+        kind = optional[0]
+    return kind(text)
 
 
 def write_results_csv(records: list[RunRecord], path: str) -> None:
+    names = [f.name for f in dataclasses.fields(RunRecord)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(names)
         for rec in records:
-            writer.writerow(_record_to_row(rec))
+            writer.writerow([_cell(getattr(rec, name)) for name in names])
 
 
 def read_results_csv(path: str) -> list[RunRecord]:
     """Parse a results CSV back into RunRecords (exact float round trip)."""
-    records = []
+    kinds = typing.get_type_hints(RunRecord)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if tuple(header) != _CSV_COLUMNS:
+        if header != list(kinds):
             raise ValueError(f"unexpected results header {header}")
-        for row in reader:
-            kv = dict(zip(_CSV_COLUMNS, row))
-            records.append(RunRecord(
-                method=kv["method"],
-                repetition=int(kv["repetition"]),
-                seed=int(kv["seed"]),
-                smse=float(kv["smse"]),
-                msll=float(kv["msll"]),
-                train_time_seconds=float(kv["train_time_seconds"]),
-                predict_time_seconds=float(kv["predict_time_seconds"]),
-                degeneracy_count=int(kv["degeneracy_count"]),
-                beta_mean=float(kv["beta_mean"]) if kv["beta_mean"] else None,
-                beta_min=float(kv["beta_min"]) if kv["beta_min"] else None,
-                beta_max=float(kv["beta_max"]) if kv["beta_max"] else None,
-                error=kv["error"] or None,
-            ))
-    return records
+        return [RunRecord(*(_parse_cell(text, kind) for text, kind in zip(row, kinds.values())))
+                for row in reader]
 
 
 def write_outputs(result: ExperimentResult, out_dir: str) -> None:
@@ -342,19 +348,24 @@ def _per_rep_series(per_n: dict, method: str, key: str, rep: int) -> list[float]
     return [per_n[n][method][key][rep] for n in sorted(per_n)]
 
 
+# (flag name, summary key) of each series that should fall as n grows
+_TRENDS = (("smse", "smse"), ("msll", "msll"), ("variance", "median_interior_variance"))
+
+
 def check_n_list(n_list: list[int]) -> None:
     """Raise ``ValueError`` unless the sweep sizes are increasing and at least two."""
     if list(n_list) != sorted(n_list) or len(n_list) < 2:
         raise ValueError("n_list must be increasing with at least two sizes")
 
 
-def consistency_sweep(base_config: ExperimentConfig, n_list: list[int],
-                      out_dir: str | None = None) -> dict:
+def consistency_sweep(base_config: ExperimentConfig, n_list: list[int]) -> dict:
     """Run the experiment at each n with m0 held fixed and report trends.
 
     The report carries per-method SMSE/MSLL and median interior predictive
     variance (original units) for every repetition and n, plus pass/fail
-    flags for the monotone consistency trends.
+    flags for the monotone consistency trends. Methods appear in config
+    order. When ``base_config.out_dir`` is set, the report is written there
+    as sweep.json; the per-n runs write nothing.
     """
     check_n_list(n_list)
     if base_config.m0 is None:
@@ -362,25 +373,26 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int],
     base_config.validate()
     reps = base_config.repetitions
     noise_var = TOY_NOISE_VAR if base_config.dataset == "toy" else None
+    labels = [_label(base_config, method) for method in base_config.methods]
 
     per_n: dict[int, dict] = {}
     inflation: dict[int, dict] = {}
     for n in n_list:
-        cfg = replace(base_config, n=n, out_dir=None)
-        res = run_experiment(cfg, collect_predictions=True)
+        res = run_experiment(replace(base_config, n=n, out_dir=None),
+                             collect_predictions=True)
         summary: dict[str, dict] = {}
-        for method in {r.method for r in res.records}:
-            recs = sorted((r for r in res.records if r.method == method),
-                          key=lambda r: r.repetition)
+        for label in labels:
+            # run_experiment appends records repetition by repetition
+            recs = [r for r in res.records if r.method == label]
             med_vars = []
             for art, rec in zip(res.artifacts, recs):
-                if rec.error or method not in art.predictions:
+                if rec.error:
                     med_vars.append(math.nan)
                     continue
-                _, variances = art.predictions[method]
+                _, variances = art.predictions[label]
                 denorm = variances * art.y_std ** 2
                 med_vars.append(float(np.median(denorm[art.interior_mask])))
-            summary[method] = {
+            summary[label] = {
                 "smse": [r.smse for r in recs],
                 "msll": [r.msll for r in recs],
                 "median_interior_variance": med_vars,
@@ -390,31 +402,21 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int],
         if "bcm" in summary and base_config.dataset == "toy":
             inflation[n] = _bcm_inflation(res)
 
-    methods = set()
-    for summary in per_n.values():
-        methods.update(summary.keys())
     flags: dict[str, bool] = {}
-    for method in sorted(methods):
-        if any(method not in per_n[n] for n in n_list):
-            continue
-        smse_ok, msll_ok, var_ok = [], [], []
-        for rep in range(reps):
-            smse_ok.append(_strictly_decreasing(_per_rep_series(per_n, method, "smse", rep)))
-            msll_ok.append(_strictly_decreasing(_per_rep_series(per_n, method, "msll", rep)))
-            var_ok.append(_strictly_decreasing(
-                _per_rep_series(per_n, method, "median_interior_variance", rep)))
-        flags[f"{method}_smse_strictly_decreasing"] = all(smse_ok)
-        flags[f"{method}_msll_strictly_decreasing"] = all(msll_ok)
-        flags[f"{method}_variance_strictly_decreasing"] = all(var_ok)
+    for label in labels:
+        for name, key in _TRENDS:
+            flags[f"{label}_{name}_strictly_decreasing"] = all(
+                _strictly_decreasing(_per_rep_series(per_n, label, key, rep))
+                for rep in range(reps))
         if noise_var is not None:
-            final = per_n[n_list[-1]][method]["median_interior_variance"]
-            flags[f"{method}_overconfident_at_max_n"] = all(
+            final = per_n[n_list[-1]][label]["median_interior_variance"]
+            flags[f"{label}_overconfident_at_max_n"] = all(
                 v < 0.8 * noise_var for v in final)
             conservative = all(
                 v >= noise_var
-                for n in n_list for v in per_n[n][method]["median_interior_variance"])
-            flags[f"{method}_conservative_all_n"] = conservative
-    if "poe" in methods:
+                for n in n_list for v in per_n[n][label]["median_interior_variance"])
+            flags[f"{label}_conservative_all_n"] = conservative
+    if "poe" in labels:
         flags["poe_msll_nondecreasing"] = all(
             all(b >= a for a, b in zip(s, s[1:]))
             for s in (_per_rep_series(per_n, "poe", "msll", rep) for rep in range(reps))
@@ -431,9 +433,9 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int],
         "bcm_inflation": {str(n): inflation[n] for n in inflation},
         "flags": flags,
     }
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
+    if base_config.out_dir:
+        os.makedirs(base_config.out_dir, exist_ok=True)
+        with open(os.path.join(base_config.out_dir, "sweep.json"), "w") as fh:
             json.dump(report, fh, indent=2)
     return report
 
@@ -443,14 +445,13 @@ def _bcm_inflation(res: ExperimentResult) -> dict:
     asymptotic inflation factor implied by the trained hyperparameters."""
     slopes, factors = [], []
     for art in res.artifacts:
-        if "bcm" not in art.predictions or art.f_test is None:
+        if "bcm" not in art.predictions:
             continue
         means, _ = art.predictions["bcm"]
         f = art.f_test[art.interior_mask]
         m = means[art.interior_mask]
         slopes.append(float(np.dot(m, f) / np.dot(f, f)))
-        hp = Hyperparams.from_vector(art.hp_vector)
-        noise_prec = 1.0 / hp.noise_variance
-        prior_prec = 1.0 / (hp.output_variance + hp.noise_variance)
+        noise_prec = 1.0 / art.hp.noise_variance
+        prior_prec = 1.0 / (art.hp.output_variance + art.hp.noise_variance)
         factors.append(float(noise_prec / (noise_prec - prior_prec)))
     return {"slope": slopes, "a_factor": factors}

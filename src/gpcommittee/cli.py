@@ -69,8 +69,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reps", type=int, default=ExperimentConfig.repetitions)
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--max-evals", type=int, default=ExperimentConfig.max_evals)
-    p.add_argument("--no-rebalance", action="store_true",
-                   help="keep raw k-means cluster sizes")
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -84,7 +82,6 @@ def _config_from_args(args) -> ExperimentConfig:
         max_evals=args.max_evals,
         seed=args.seed,
         repetitions=args.reps,
-        rebalance=not args.no_rebalance,
         out_dir=args.out,
         **_parse_dataset(args),
     )
@@ -117,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "sweep":
-            report = consistency_sweep(config, args.n_list, out_dir=args.out)
+            report = consistency_sweep(config, args.n_list)
         else:
             result = run_experiment(config)
     except (DataError, OSError) as exc:

@@ -3,7 +3,7 @@ scheme with one random communication subset plus clustered remainder.
 
 The k-means here is a small deterministic Lloyd's loop (k-means++ seeding,
 empty clusters repaired by stealing the farthest point from the largest
-cluster). Cluster sizes are optionally rebalanced to near-equality by moving
+cluster). Cluster sizes are then rebalanced to near-equality by moving
 boundary points toward the receiving centroid, since committee training
 assumes every expert holds about n/M points.
 """
@@ -167,8 +167,8 @@ def _rebalance(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
             deficit[dest] -= 1
 
 
-def disjoint_partition(X: np.ndarray, M: int, seed: int, rebalance: bool = True) -> Partition:
-    """Partition by k-means clusters on the inputs, optionally size-rebalanced."""
+def disjoint_partition(X: np.ndarray, M: int, seed: int) -> Partition:
+    """Partition by k-means clusters on the inputs, rebalanced to near-equal sizes."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -181,15 +181,14 @@ def disjoint_partition(X: np.ndarray, M: int, seed: int, rebalance: bool = True)
     else:
         rng = np.random.default_rng(seed)
         labels, centroids = _lloyd(X, M, rng)
-        if rebalance:
-            sizes = np.bincount(labels, minlength=M)
-            _rebalance(X, labels, centroids, _near_equal_targets(n, M, sizes))
+        sizes = np.bincount(labels, minlength=M)
+        _rebalance(X, labels, centroids, _near_equal_targets(n, M, sizes))
         subsets = [np.flatnonzero(labels == c) for c in range(M)]
     return Partition(subsets=subsets, kind=PartitionKind.DISJOINT,
                      communication_index=None, seed=seed)
 
 
-def grbcm_partition(X: np.ndarray, M: int, seed: int, rebalance: bool = True) -> Partition:
+def grbcm_partition(X: np.ndarray, M: int, seed: int) -> Partition:
     """One random communication subset of size n // M, k-means on the rest."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -200,7 +199,7 @@ def grbcm_partition(X: np.ndarray, M: int, seed: int, rebalance: bool = True) ->
     comm = np.sort(rng.choice(n, size=n // M, replace=False))
     rest = np.setdiff1d(np.arange(n), comm, assume_unique=True)
     child_seed = int(rng.integers(2 ** 31))
-    inner = disjoint_partition(X[rest], M - 1, child_seed, rebalance=rebalance)
+    inner = disjoint_partition(X[rest], M - 1, child_seed)
     subsets = [comm] + [rest[s] for s in inner.subsets]
     return Partition(subsets=subsets, kind=PartitionKind.GRBCM_HYBRID,
                      communication_index=0, seed=seed)

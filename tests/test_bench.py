@@ -1,12 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from gpcommittee import (AggregatedPrediction, ExperimentConfig, PartitionKind,
-                         aggregate, run_experiment)
-from gpcommittee.bench import METHOD_CHOICES
+from gpcommittee import (AggregatedPrediction, ExperimentConfig, PartitionKind, RunRecord,
+                         aggregate, read_results_csv, run_experiment)
+from gpcommittee.bench import METHOD_CHOICES, write_results_csv
 
 
 def test_invalid_fused_prediction_recorded_per_method(monkeypatch):
@@ -44,7 +44,6 @@ def test_non_positive_committee_size_rejected(sizes, message):
 @pytest.mark.parametrize("kind, expected", [
     ("random", PartitionKind.RANDOM),
     ("disjoint", PartitionKind.GRBCM_HYBRID),
-    ("grbcm", PartitionKind.GRBCM_HYBRID),
 ])
 def test_every_partition_kind_runs_every_rule(kind, expected):
     config = ExperimentConfig(n=120, n_test=30, m0=40, max_evals=3, partition_kind=kind,
@@ -63,3 +62,29 @@ def test_every_partition_kind_runs_every_rule(kind, expected):
         (plain,) = run_experiment(replace(config, methods=("poe",))).partitions
         assert plain.kind == PartitionKind.DISJOINT
         assert plain.communication_index is None
+
+
+def test_results_csv_round_trips_failed_records(tmp_path):
+    records = [
+        RunRecord(method="rbcm", repetition=0, seed=3, smse=math.nan, msll=math.nan,
+                  train_time_seconds=0.25, predict_time_seconds=math.nan,
+                  degeneracy_count=0, error='NumericalBreakdown: bad, "quoted" value'),
+        RunRecord(method="poe", repetition=1, seed=4, smse=0.1, msll=-1.5,
+                  train_time_seconds=0.5, predict_time_seconds=0.01, degeneracy_count=2),
+        RunRecord(method="grbcm", repetition=1, seed=4, smse=1 / 3, msll=-2.0,
+                  train_time_seconds=0.5, predict_time_seconds=0.02, degeneracy_count=0,
+                  beta_mean=0.7, beta_min=0.1, beta_max=2 / 3),
+    ]
+    path = str(tmp_path / "results.csv")
+    write_results_csv(records, path)
+    with open(path) as fh:
+        assert fh.readline().rstrip() == (
+            "method,repetition,seed,smse,msll,train_time_seconds,predict_time_seconds,"
+            "degeneracy_count,beta_mean,beta_min,beta_max,error")
+    back = read_results_csv(path)
+    assert len(back) == len(records)
+    for got, want in zip(back, records):
+        for f in fields(RunRecord):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b), f.name
+            assert a == b or (math.isnan(a) and math.isnan(b)), f.name

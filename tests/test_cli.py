@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gpcommittee import ExperimentConfig, RunRecord, read_results_csv
@@ -24,7 +25,8 @@ def test_run_writes_matching_csv_and_json(tmp_path, capsys):
 
 
 def test_workers_flag_is_rejected():
-    for flag in (["--workers", "2"], ["--opt-method", "cg"]):
+    for flag in (["--workers", "2"], ["--opt-method", "cg"], ["--partition", "grbcm"],
+                 ["--no-rebalance"]):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--dataset", "toy200", *SMALL, *flag])
         assert exc.value.code == 2
@@ -39,6 +41,8 @@ def test_workers_flag_is_rejected():
     (["--subset-size", "50", "--max-evals", "0"], "max_evals must be >= 1"),
     (["--dataset", "toy0", "--subset-size", "5"], "n must be >= 1, got 0"),
     (["--subset-size", "50", "--n-test", "0"], "n_test must be >= 1, got 0"),
+    (["--subset-size", "50", "--n-test", "1"], "n_test must be >= 2 to score SMSE, got 1"),
+    (["--dataset", "toy10", "--experts", "20"], "M=20 exceeds n=10"),
 ])
 def test_invalid_config_is_a_usage_error(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
@@ -89,6 +93,28 @@ def test_bad_csv_is_one_error_line(tmp_path, capsys, table, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("rows, constant_test_targets, args, message", [
+    (3, False, ["--subset-size", "1"], "the test split has fewer than 2 rows"),
+    (10, True, ["--subset-size", "1"], "the test targets are constant"),
+    (10, False, ["--experts", "9"], "M=9 exceeds the 8 training rows"),
+])
+def test_unusable_csv_fails_before_training(tmp_path, capsys, rows, constant_test_targets,
+                                            args, message):
+    x = np.arange(rows, dtype=float)
+    y = np.sin(x)
+    if constant_test_targets:
+        # the seeded split of the default --seed 0 and --test-fraction 0.2
+        y[np.random.default_rng(0).permutation(rows)[:2]] = 1.0
+    path = tmp_path / "table.csv"
+    np.savetxt(path, np.column_stack([x, y]), delimiter=",")
+    assert main(["run", "--csv", str(path), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"gpcommittee-bench: error: {message}")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_adds_no_defaults_of_its_own():
     args = _parser().parse_args(["run", "--dataset", "toy200", "--subset-size", "50"])
     assert _config_from_args(args) == ExperimentConfig(dataset="toy", n=200, m0=50)
@@ -100,5 +126,7 @@ def test_sweep_writes_flags(tmp_path, capsys):
     with open(tmp_path / "sweep.json") as fh:
         report = json.load(fh)
     assert report["n_list"] == [100, 200]
+    # methods keep config order at every size
+    assert [list(report["methods"][n]) for n in ("100", "200")] == [["poe", "grbcm"]] * 2
     assert report["flags"]
     assert json.loads(capsys.readouterr().out) == report["flags"]

@@ -4,7 +4,7 @@ from scipy.stats import ks_2samp
 
 from gpcommittee import (InvalidPartition, Partition, PartitionKind,
                          disjoint_partition, grbcm_partition, random_partition)
-from gpcommittee.partition import _near_equal_targets
+from gpcommittee.partition import _lloyd, _near_equal_targets
 
 
 def assert_covers(part, n):
@@ -65,19 +65,11 @@ def test_disjoint_rebalanced_sizes_near_equal():
     X = np.concatenate([rng.normal(0, 0.2, size=180), rng.normal(6, 0.2, size=20)])[:, None]
     part = disjoint_partition(X, 5, seed=0)
     sizes = np.array([s.size for s in part.subsets])
-    raw = disjoint_partition(X, 5, seed=0, rebalance=False)
-    raw_sizes = np.array([s.size for s in raw.subsets])
+    raw_labels, _ = _lloyd(X, 5, np.random.default_rng(0))
+    raw_sizes = np.bincount(raw_labels, minlength=5)
+    assert np.ptp(raw_sizes) > 1  # the raw k-means clusters are uneven here
     np.testing.assert_array_equal(sizes, _near_equal_targets(200, 5, raw_sizes))
     assert_covers(part, 200)
-
-
-def test_disjoint_no_rebalance_keeps_raw_clusters():
-    rng = np.random.default_rng(6)
-    X = np.concatenate([rng.normal(0, 0.2, size=180), rng.normal(6, 0.2, size=20)])[:, None]
-    part = disjoint_partition(X, 5, seed=0, rebalance=False)
-    assert_covers(part, 200)
-    sizes = sorted(s.size for s in part.subsets)
-    assert max(sizes) - min(sizes) > 1  # raw k-means clusters stay uneven here
 
 
 def test_grbcm_sizes_and_cover():
