@@ -11,14 +11,19 @@ built on it. The rules differ only in their weights and in their precision
 floor.
 
 NPAE instead regresses the target on the M expert means, one M x M system
-per test point. All points are solved as one batch: one stacked Cholesky
-factorization and one stacked solve against the factors. Only if the batch
-cannot be factored does each point get the escalating-jitter ladder of
+per test point. Its main cost, the M (M - 1) / 2 expert-pair products that
+fill those systems, is split round-robin over the committee's ``workers``
+threads; each product is a BLAS ``gemm`` that releases the interpreter lock,
+and the split assumes BLAS itself runs on one thread. The result does not
+depend on the thread count. All points are solved as one batch: one stacked
+Cholesky factorization and one stacked solve against the factors. Only if the
+batch cannot be factored does each point get the escalating-jitter ladder of
 :func:`gp.chol_with_jitter`, and the solve stays the batched one.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +167,19 @@ def rbcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
     return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
-def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
+def _pair_covariances(K_agg, U, experts, hp, pairs, buf) -> None:
+    """Fill ``K_agg[:, i, j]`` and ``K_agg[:, j, i]`` with ``U_i' K_ij U_j`` for
+    each ``(i, j)`` in ``pairs``, forming every product in the rows of ``buf``."""
+    for i, j in pairs:
+        K_ij = kernel_matrix(experts[i].X, experts[j].X, hp)
+        prod = np.matmul(K_ij, U[j], out=buf[:experts[i].n])
+        prod *= U[i]
+        w = prod.sum(axis=0)
+        K_agg[:, i, j] = w
+        K_agg[:, j, i] = w
+
+
+def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray, workers: int = 1) -> AggregatedPrediction:
     """Nested pointwise aggregation: treat expert means as correlated random
     variables and regress the target on them.
 
@@ -177,7 +194,18 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     :class:`NumericalBreakdown` naming the first failing test point, is that
     of a per-point solve. Building ``K_A`` costs one product per expert pair,
     so time grows with the square of the total training size.
+
+    The pair products are dealt round-robin to ``workers`` threads while the
+    calling thread waits; each thread forms its products in one buffer of
+    its own and writes only its pairs' entries, so every ``workers`` gives
+    the same bits. Each product is a ``gemm`` that releases the interpreter
+    lock; the threads assume BLAS runs on one thread, and with a
+    multi-threaded BLAS they compete for the same cores. ``workers=1`` runs
+    the pairs on the calling thread. An exception in any thread is raised
+    here once every thread has stopped.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     hp = ensemble.hp
     Xstar = np.asarray(Xstar, dtype=float)
     if Xstar.ndim == 1:
@@ -194,13 +222,22 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     K_agg = np.empty((n_test, M, M))  # cov[mu_i, mu_j] per test point
     for i in range(M):
         K_agg[:, i, i] = rhs[:, i, 0]
-        for j in range(i + 1, M):
-            K_ij = kernel_matrix(experts[i].X, experts[j].X, hp)
-            w = np.sum(U[i] * (K_ij @ U[j]), axis=0)
-            K_agg[:, i, j] = w
-            K_agg[:, j, i] = w
-    # every U_i goes before the factorization; the last one is also V
-    del U, V
+    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
+    chunks = [pairs[w::workers] for w in range(min(workers, len(pairs)))]
+    # allocated on this thread, not the pool's, so they do not grow a
+    # per-thread heap
+    bufs = [np.empty((max(model.n for model in experts), n_test)) for _ in chunks]
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [pool.submit(_pair_covariances, K_agg, U, experts, hp, chunk, buf)
+                       for chunk, buf in zip(chunks, bufs)]
+            for future in futures:
+                future.result()
+    else:
+        for chunk, buf in zip(chunks, bufs):
+            _pair_covariances(K_agg, U, experts, hp, chunk, buf)
+    # every U_i and buffer goes before the factorization; the last U_i is also V
+    del U, V, bufs
 
     L = None
     if np.all(np.isfinite(K_agg)):

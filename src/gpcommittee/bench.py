@@ -57,7 +57,7 @@ class ExperimentConfig:
     max_evals: int = OptimizerConfig.max_evals
     seed: int = 0
     repetitions: int = 1
-    workers: int = 1                      # accepted and has no effect
+    workers: int = 1                      # threads for NPAE's expert-pair products
     out_dir: str | None = None
 
     def validate(self) -> None:
@@ -65,9 +65,12 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be 'toy' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ValueError("csv dataset requires csv_path")
+        if self.dataset == "csv" and self.split_files is None and not (
+                self.test_fraction is not None and 0.0 < self.test_fraction < 1.0):
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if (self.M is None) == (self.m0 is None):
             raise ValueError("give exactly one of M (experts) or m0 (subset size)")
-        sizes = [("M", self.M), ("m0", self.m0)]
+        sizes = [("M", self.M), ("m0", self.m0), ("workers", self.workers)]
         if self.dataset == "toy":
             sizes += [("n", self.n), ("n_test", self.n_test)]
         for name, value in sizes:
@@ -83,6 +86,9 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHOD_CHOICES]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHOD_CHOICES}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"methods listed more than once: {repeated}")
         if self.gpoe_mode not in ("uniform", "entropy"):
             raise ValueError("gpoe_mode must be 'uniform' or 'entropy'")
         if self.repetitions < 1:
@@ -183,7 +189,7 @@ def _predict_method(method: str, ensemble: ExpertEnsemble, Xstar: np.ndarray,
             return aggregate.bcm(means, variances, prior)
         return aggregate.rbcm(means, variances, prior)
     if method == "npae":
-        return aggregate.npae(ensemble, Xstar)
+        return aggregate.npae(ensemble, Xstar, workers=config.workers)
     # augmented experts are part of the prediction phase by the committee's
     # complexity accounting, so they are fitted inside the timed region
     prepared = prepare_grbcm(ensemble)
@@ -353,8 +359,8 @@ _TRENDS = (("smse", "smse"), ("msll", "msll"), ("variance", "median_interior_var
 
 
 def check_n_list(n_list: list[int]) -> None:
-    """Raise ``ValueError`` unless the sweep sizes are increasing and at least two."""
-    if list(n_list) != sorted(n_list) or len(n_list) < 2:
+    """Raise ``ValueError`` unless the sweep sizes are strictly increasing and at least two."""
+    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing with at least two sizes")
 
 

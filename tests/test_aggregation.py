@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -386,6 +388,66 @@ def test_npae_non_finite_factor_names_the_first_test_point():
         npae(replace(committee, experts=experts), ds.X_test)
     assert info.value.test_index == 0
     assert str(info.value).startswith("test point 0:")
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+@pytest.mark.parametrize("M", [1, 3, 8])
+def test_npae_workers_give_the_same_bits(M, workers):
+    # 604 rows do not split evenly into 3 or 8 subsets, so some pair products
+    # fill only a leading slice of a worker's buffer; 5 workers is more
+    # threads than cores, and more than the 3 pairs of M=3. The products are
+    # large enough that the threads run them at the same time: with one
+    # buffer shared by every thread, this test fails
+    _, committee = _committee(n=604, M=M, seed=M, max_evals=10)
+    sizes = {model.n for model in committee.experts}
+    assert len(sizes) == (1 if M == 1 else 2)
+    Xstar = np.linspace(-0.5, 1.5, 2000)[:, None]
+    serial = npae(committee, Xstar)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fanned = npae(committee, Xstar, workers=workers)
+    finally:
+        sys.setswitchinterval(switch)
+    np.testing.assert_array_equal(fanned.means, serial.means)
+    np.testing.assert_array_equal(fanned.variances, serial.variances)
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        npae(committee, Xstar, workers=0)
+
+
+def test_npae_worker_exception_propagates(monkeypatch):
+    ds, committee = _committee(n=150, M=4)
+    failing_input = committee.experts[2].X
+    pair_block = aggregate.kernel_matrix
+    raised_on = []
+
+    class PairFailure(Exception):
+        pass
+
+    def failing(X, X_prime, hp):
+        if X_prime is failing_input:
+            raised_on.append(threading.get_ident())
+            raise PairFailure("pair product failed")
+        return pair_block(X, X_prime, hp)
+
+    monkeypatch.setattr(aggregate, "kernel_matrix", failing)
+    outcome = []
+
+    def call():
+        try:
+            npae(committee, ds.X_test, workers=2)
+        except PairFailure as exc:
+            outcome.append(exc)
+
+    threads_before = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in outcome] == ["pair product failed"]
+    # raised on a pool thread, and every pool thread has stopped
+    assert raised_on and caller.ident not in raised_on
+    assert threading.active_count() == threads_before
 
 
 def test_prediction_leaves_models_and_inputs_untouched():

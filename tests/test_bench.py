@@ -31,6 +31,7 @@ def test_invalid_fused_prediction_recorded_per_method(monkeypatch):
     (dict(M=0), "M must be >= 1, got 0"),
     (dict(m0=0), "m0 must be >= 1, got 0"),
     (dict(m0=-5), "m0 must be >= 1, got -5"),
+    (dict(m0=40, workers=0), "workers must be >= 1, got 0"),
 ])
 def test_non_positive_committee_size_rejected(sizes, message):
     # m0=0 divided by zero and m0=-5 ran a one-expert committee
@@ -62,6 +63,18 @@ def test_every_partition_kind_runs_every_rule(kind, expected):
         (plain,) = run_experiment(replace(config, methods=("poe",))).partitions
         assert plain.kind == PartitionKind.DISJOINT
         assert plain.communication_index is None
+
+
+def test_workers_do_not_change_the_records():
+    config = ExperimentConfig(n=200, n_test=40, m0=30, max_evals=3, methods=METHOD_CHOICES)
+
+    def untimed(workers):
+        return [replace(rec, train_time_seconds=0.0, predict_time_seconds=0.0)
+                for rec in run_experiment(replace(config, workers=workers)).records]
+
+    serial = untimed(1)
+    assert all(rec.error is None for rec in serial)
+    assert untimed(2) == serial
 
 
 def test_results_csv_round_trips_failed_records(tmp_path):

@@ -43,6 +43,12 @@ def test_workers_flag_is_rejected():
     (["--subset-size", "50", "--n-test", "0"], "n_test must be >= 1, got 0"),
     (["--subset-size", "50", "--n-test", "1"], "n_test must be >= 2 to score SMSE, got 1"),
     (["--dataset", "toy10", "--experts", "20"], "M=20 exceeds n=10"),
+    (["--subset-size", "50", "--methods", "poe,npae,poe"],
+     "methods listed more than once: ['poe']"),
+    (["--csv", "table.csv", "--subset-size", "1", "--test-fraction", "1.5"],
+     "test_fraction must be in (0, 1), got 1.5"),
+    (["--csv", "table.csv", "--subset-size", "1", "--test-fraction", "0"],
+     "test_fraction must be in (0, 1), got 0.0"),
 ])
 def test_invalid_config_is_a_usage_error(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
@@ -51,6 +57,7 @@ def test_invalid_config_is_a_usage_error(capsys, args, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith(f"gpcommittee-bench: error: {message}")
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
 
 
@@ -64,7 +71,7 @@ def test_sweep_size_list_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("sizes", ["200,100", "200"])
+@pytest.mark.parametrize("sizes", ["200,100", "200", "100,100", "100,200,200"])
 def test_sweep_sizes_out_of_order_are_a_usage_error(capsys, sizes):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--dataset", "toy100", *SMALL, "--n-list", sizes])
@@ -74,6 +81,7 @@ def test_sweep_sizes_out_of_order_are_a_usage_error(capsys, sizes):
     assert captured.err.splitlines()[-1] == (
         "gpcommittee-bench sweep: error: argument --n-list: "
         f"n_list must be increasing with at least two sizes, got '{sizes}'")
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
 
 
