@@ -11,19 +11,21 @@ built on it. The rules differ only in their weights and in their precision
 floor.
 
 NPAE instead regresses the target on the M expert means, one M x M system
-per test point. Its main cost, the M (M - 1) / 2 expert-pair products that
-fill those systems, is split round-robin over the committee's ``workers``
-threads; each product is a BLAS ``gemm`` that releases the interpreter lock,
-and the split assumes BLAS itself runs on one thread. The result does not
-depend on the thread count. All points are solved as one batch: one stacked
-Cholesky factorization and one stacked solve against the factors. Only if the
-batch cannot be factored does each point get the escalating-jitter ladder of
-:func:`gp.chol_with_jitter`, and the solve stays the batched one.
+per test point. Both of its per-expert loops, the M expert terms and the
+M (M - 1) / 2 expert-pair products that fill those systems, are dealt
+round-robin to the committee's ``workers`` threads (:func:`gp.fan_out`);
+every call in them releases the interpreter lock, and they assume BLAS
+itself runs on one thread. The result does not depend on the thread count.
+All points are solved as one batch on the calling thread: one stacked
+Cholesky factorization and one stacked solve against the factors. Only if
+the batch cannot be factored does each point get the escalating-jitter
+ladder of :func:`gp.chol_with_jitter`, and the solve stays the batched one.
+The other rules read their expert rows from :func:`experts_predict`, which
+deals the experts to the same threads.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,8 @@ from scipy.linalg import cho_solve  # noqa: F401
 
 from .ensemble import ExpertEnsemble, experts_predict
 from .errors import NumericalBreakdown
-from .gp import _VARIANCE_GUARD, _mean_and_whitened, chol_with_jitter, triangular_product
+from .gp import (_VARIANCE_GUARD, _mean_and_whitened, chol_with_jitter, fan_out,
+                 triangular_product)
 # unused here; the benchmark's traced run patches this name in this module
 from .gp import predict  # noqa: F401
 from .kernel import Hyperparams, kernel_matrix
@@ -167,19 +170,7 @@ def rbcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
     return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
-def _pair_covariances(K_agg, U, experts, hp, pairs, buf) -> None:
-    """Fill ``K_agg[:, i, j]`` and ``K_agg[:, j, i]`` with ``U_i' K_ij U_j`` for
-    each ``(i, j)`` in ``pairs``, forming every product in the rows of ``buf``."""
-    for i, j in pairs:
-        K_ij = kernel_matrix(experts[i].X, experts[j].X, hp)
-        prod = np.matmul(K_ij, U[j], out=buf[:experts[i].n])
-        prod *= U[i]
-        w = prod.sum(axis=0)
-        K_agg[:, i, j] = w
-        K_agg[:, j, i] = w
-
-
-def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray, workers: int = 1) -> AggregatedPrediction:
+def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     """Nested pointwise aggregation: treat expert means as correlated random
     variables and regress the target on them.
 
@@ -195,49 +186,53 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray, workers: int = 1) -> Aggre
     of a per-point solve. Building ``K_A`` costs one product per expert pair,
     so time grows with the square of the total training size.
 
-    The pair products are dealt round-robin to ``workers`` threads while the
-    calling thread waits; each thread forms its products in one buffer of
-    its own and writes only its pairs' entries, so every ``workers`` gives
-    the same bits. Each product is a ``gemm`` that releases the interpreter
-    lock; the threads assume BLAS runs on one thread, and with a
-    multi-threaded BLAS they compete for the same cores. ``workers=1`` runs
-    the pairs on the calling thread. An exception in any thread is raised
-    here once every thread has stopped.
+    The expert terms and then the pair products are dealt round-robin to
+    ``ensemble.workers`` threads by :func:`gp.fan_out` while the calling
+    thread waits; each thread forms its pair products in one buffer of its
+    own, and each term or pair writes only its own entries, so every thread
+    count gives the same bits. The threads assume BLAS runs on one thread;
+    with a multi-threaded BLAS they compete for the same cores. An exception
+    in any thread is raised here once every thread has stopped.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     hp = ensemble.hp
     Xstar = np.asarray(Xstar, dtype=float)
     if Xstar.ndim == 1:
         Xstar = Xstar[:, None]
     experts = ensemble.experts
+    workers = ensemble.workers
     M = len(experts)
     n_test = Xstar.shape[0]
     rhs = np.empty((n_test, M, 2))    # [cov[mu_i, y*], mu_i] per test point
-    U = []                            # C_i^-1 K_i* = L_i^-T V_i
-    for i, model in enumerate(experts):
-        rhs[:, i, 1], V = _mean_and_whitened(model, Xstar)
+    U = [None] * M                    # C_i^-1 K_i* = L_i^-T V_i
+
+    def expert_terms(slot, i):
+        rhs[:, i, 1], V = _mean_and_whitened(experts[i], Xstar)
         rhs[:, i, 0] = np.sum(V * V, axis=0)
-        U.append(triangular_product(model.chol_inv, V, transpose=True))
+        U[i] = triangular_product(experts[i].chol_inv, V, transpose=True)
+
+    fan_out(expert_terms, M, workers)
     K_agg = np.empty((n_test, M, M))  # cov[mu_i, mu_j] per test point
     for i in range(M):
         K_agg[:, i, i] = rhs[:, i, 0]
     pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    chunks = [pairs[w::workers] for w in range(min(workers, len(pairs)))]
-    # allocated on this thread, not the pool's, so they do not grow a
-    # per-thread heap
-    bufs = [np.empty((max(model.n for model in experts), n_test)) for _ in chunks]
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_pair_covariances, K_agg, U, experts, hp, chunk, buf)
-                       for chunk, buf in zip(chunks, bufs)]
-            for future in futures:
-                future.result()
-    else:
-        for chunk, buf in zip(chunks, bufs):
-            _pair_covariances(K_agg, U, experts, hp, chunk, buf)
-    # every U_i and buffer goes before the factorization; the last U_i is also V
-    del U, V, bufs
+    # one product buffer per thread, reused for each of its pairs (a pair
+    # fills the leading n_i rows); with the single malloc arena of
+    # gp.retain_freed_memory, the allocating thread does not matter
+    bufs = [np.empty((max(model.n for model in experts), n_test))
+            for _ in range(min(workers, len(pairs)))]
+
+    def pair_covariance(slot, p):
+        i, j = pairs[p]
+        K_ij = kernel_matrix(experts[i].X, experts[j].X, hp)
+        prod = np.matmul(K_ij, U[j], out=bufs[slot][:experts[i].n])
+        # the column sums of prod * U_i, row by row as prod.sum(axis=0) adds
+        w = np.einsum("ij,ij->j", prod, U[i])
+        K_agg[:, i, j] = w
+        K_agg[:, j, i] = w
+
+    fan_out(pair_covariance, len(pairs), workers)
+    # every U_i and buffer goes before the factorization
+    del U, bufs
 
     L = None
     if np.all(np.isfinite(K_agg)):

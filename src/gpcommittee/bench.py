@@ -26,6 +26,7 @@ from .data import (Dataset, TOY_NOISE_VAR, TOY_TRAIN_RANGE, denormalize_inputs,
                    denormalize_predictions, load_csv, toy_generate)
 from .ensemble import ExpertEnsemble, experts_predict, prepare_grbcm, train
 from .errors import DataError, GPCommitteeError
+from .gp import blas_threads
 from .kernel import Hyperparams
 from .metrics import msll as msll_metric
 from .metrics import smse as smse_metric
@@ -47,8 +48,8 @@ class ExperimentConfig:
     n_test: int | None = None             # toy test size (default max(200, n // 10))
     csv_path: str | None = None
     target_column: int | str = -1
-    test_fraction: float | None = 0.2
-    split_files: tuple[str, str] | None = None
+    test_fraction: float | None = 0.2     # csv random split; unread when split_files is given
+    split_files: tuple[str, str] | None = None  # csv (train, test) row-index files
     partition_kind: str = "disjoint"
     M: int | None = None
     m0: int | None = None
@@ -57,7 +58,7 @@ class ExperimentConfig:
     max_evals: int = OptimizerConfig.max_evals
     seed: int = 0
     repetitions: int = 1
-    workers: int = 1                      # threads for NPAE's expert-pair products
+    workers: int = 1                      # prediction threads (ExpertEnsemble.workers)
     out_dir: str | None = None
 
     def validate(self) -> None:
@@ -142,8 +143,9 @@ def _build_dataset(config: ExperimentConfig, rep_seed: int) -> Dataset:
         n_test = config.n_test if config.n_test else max(200, config.n // 10)
         dataset = toy_generate(config.n, n_test, rep_seed)
     else:
-        dataset = load_csv(config.csv_path, config.target_column,
-                           test_fraction=config.test_fraction,
+        # split files take precedence over the (default) test fraction
+        fraction = None if config.split_files is not None else config.test_fraction
+        dataset = load_csv(config.csv_path, config.target_column, test_fraction=fraction,
                            split_files=config.split_files, seed=rep_seed)
     # SMSE divides by the test targets' variance: fail here, not after training
     if dataset.n_test < 2:
@@ -189,7 +191,7 @@ def _predict_method(method: str, ensemble: ExpertEnsemble, Xstar: np.ndarray,
             return aggregate.bcm(means, variances, prior)
         return aggregate.rbcm(means, variances, prior)
     if method == "npae":
-        return aggregate.npae(ensemble, Xstar, workers=config.workers)
+        return aggregate.npae(ensemble, Xstar)
     # augmented experts are part of the prediction phase by the committee's
     # complexity accounting, so they are fitted inside the timed region
     prepared = prepare_grbcm(ensemble)
@@ -228,16 +230,18 @@ def run_experiment(config: ExperimentConfig,
         partitions.append(part)
         opt = OptimizerConfig(max_evals=config.max_evals,
                               initial_hp=Hyperparams.default(dataset.input_dim))
-        committee = train(dataset.X_train, dataset.y_train, part, opt)
+        committee = train(dataset.X_train, dataset.y_train, part, opt, workers=config.workers)
         art = None
         if artifacts is not None:
             art = RepArtifacts(hp=committee.hp, y_std=dataset.norm_stats.y_std,
                                interior_mask=_interior_mask(config, dataset),
                                f_test=dataset.f_test)
             artifacts.append(art)
-        for method in config.methods:
-            records.append(_score_method(method, committee, dataset, config, rep,
-                                         rep_seed, art))
+        # the prediction threads assume BLAS on one thread, as training does
+        with blas_threads(1):
+            for method in config.methods:
+                records.append(_score_method(method, committee, dataset, config, rep,
+                                             rep_seed, art))
     result = ExperimentResult(config=config, records=records, partitions=partitions,
                               artifacts=artifacts)
     if config.out_dir:

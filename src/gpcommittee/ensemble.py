@@ -1,10 +1,16 @@
 """Factorized committee training: M experts with shared hyperparameters.
 
 The training objective is the sum of per-expert negative log marginal
-likelihoods. Every per-expert step (objective terms, final fits, GRBCM's
-augmented experts and predictions) is one loop over the experts in
-subset-index order. GRBCM's augmented experts are block extensions of the
-communication expert (:func:`gp.extend`), so its factor is never recomputed.
+likelihoods. Training steps (objective terms, final fits and GRBCM's
+augmented experts) are loops over the experts in subset-index order on the
+calling thread: their LAPACK calls go through scipy's f2py wrappers, which
+hold the interpreter lock. Prediction deals the experts to the committee's
+``workers`` threads (:func:`gp.fan_out`); every call in it releases the
+lock, and every thread count gives the same bits. Both assume BLAS on one
+thread: :func:`train` pins it there (:func:`gp.blas_threads`), and so does
+the experiment harness around its predictions. GRBCM's augmented experts
+are block extensions of the communication expert (:func:`gp.extend`), so
+its factor is never recomputed.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ class ExpertEnsemble:
     ``augmented_experts`` holds the models on (communication subset +
     ordinary subset i), one per non-communication subset in ascending subset
     order, each stored as a block extension of the communication expert; it
-    stays None until :func:`prepare_grbcm` runs.
+    stays None until :func:`prepare_grbcm` runs. ``workers`` is the number of
+    threads every per-expert prediction loop is dealt to (:func:`gp.fan_out`),
+    here and in NPAE.
     """
 
     hp: Hyperparams
@@ -38,6 +46,7 @@ class ExpertEnsemble:
     train_time_seconds: float
     opt_evals: int = 0
     opt_trace: tuple[float, ...] = ()
+    workers: int = 1
 
     @property
     def M(self) -> int:
@@ -81,14 +90,18 @@ def _fit_experts(X, y, partition, hp):
 
 
 def train(X: np.ndarray, y: np.ndarray, partition: Partition,
-          opt_config: OptimizerConfig) -> ExpertEnsemble:
+          opt_config: OptimizerConfig, workers: int = 1) -> ExpertEnsemble:
     """Optimize shared hyperparameters on the factorized objective, then refit
     every expert (factor inverse + weight vector) at the optimum.
 
     ``X`` and ``y`` are checked once, before the first objective evaluation:
     a row count mismatch or a non-finite entry raises :class:`DataError`
     naming the first bad row, and the partition is validated against ``X``.
+    ``workers`` (at least 1) is kept on the ensemble for its predictions.
+    BLAS runs on one thread while training.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -102,12 +115,14 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition,
     partition.validate(X.shape[0])
     t0 = time.perf_counter()
     gp.retain_freed_memory()
-    result = minimize(lambda hp: factorized_nlml(X, y, partition, hp), opt_config)
-    experts = _fit_experts(X, y, partition, result.best_hp)
+    with gp.blas_threads(1):
+        result = minimize(lambda hp: factorized_nlml(X, y, partition, hp), opt_config)
+        experts = _fit_experts(X, y, partition, result.best_hp)
     elapsed = time.perf_counter() - t0
     return ExpertEnsemble(hp=result.best_hp, partition=partition, experts=experts,
                           augmented_experts=None, train_time_seconds=elapsed,
-                          opt_evals=result.evals_used, opt_trace=tuple(result.trace))
+                          opt_evals=result.evals_used, opt_trace=tuple(result.trace),
+                          workers=workers)
 
 
 def prepare_grbcm(ensemble: ExpertEnsemble) -> ExpertEnsemble:
@@ -140,14 +155,24 @@ def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
     expert, exactly as :func:`gp.predict` gives it, and row ``i + 1`` the
     i-th augmented expert. The communication expert's terms ``L_c^-1 K_c*``
     and ``L_c^-1 y_c`` are formed once and each augmented expert adds its
-    own block (see :func:`gp.predict_extended`).
+    own block (see :func:`gp.predict_extended`). Either way the rows are
+    dealt to ``ensemble.workers`` threads, and every thread count gives the
+    same bits.
     """
     if augmented:
         if ensemble.augmented_experts is None:
             raise MissingCommunicationSubset("augmented experts not prepared")
         comm = ensemble.experts[ensemble.partition.communication_index]
-        return gp.predict_extended(comm, ensemble.augmented_experts, Xstar)
-    outputs = [gp.predict(m, Xstar) for m in ensemble.experts]
-    means = np.vstack([m for m, _ in outputs])
-    variances = np.vstack([v for _, v in outputs])
+        return gp.predict_extended(comm, ensemble.augmented_experts, Xstar,
+                                   ensemble.workers)
+    Xstar = np.asarray(Xstar, dtype=float)
+    if Xstar.ndim == 1:
+        Xstar = Xstar[:, None]
+    means = np.empty((ensemble.M, Xstar.shape[0]))
+    variances = np.empty_like(means)
+
+    def predict_row(slot, i):
+        means[i], variances[i] = gp.predict(ensemble.experts[i], Xstar)
+
+    gp.fan_out(predict_row, ensemble.M, ensemble.workers)
     return means, variances

@@ -7,6 +7,15 @@ point or per right-hand side. Every product with a stored factor inverse goes
 through :func:`triangular_product`, BLAS ``trmm`` in place on the right-hand
 block, which does half the flops of a full ``gemm``.
 
+Per-expert prediction loops run on the committee's ``workers`` threads
+(:func:`fan_out`), so every call inside them must release the interpreter
+lock. numpy's products, ``cdist`` and ``exp`` do. scipy's f2py wrapper of
+``dtrmm`` does not, so :func:`triangular_product` calls the same BLAS
+routine through the function pointer that ``scipy.linalg.cython_blas``
+exports, as a ``ctypes`` foreign function, and ctypes releases the lock for
+the call. The threads assume BLAS runs on one thread; :func:`blas_threads`
+pins it there for training and prediction.
+
 Every factor inverse in the module comes from :func:`_triangular_inverse`.
 Blocks of at most 64 rows go to LAPACK ``trtri``. A larger factor is split
 in half, both diagonal blocks are inverted recursively, and the off-diagonal
@@ -36,7 +45,7 @@ in place and contracts all kernel coordinates at once through
 ``(K * C^-1) [1, Z]``, so no derivative matrix and no ``C^-1 - a a'`` is
 formed (see :func:`nlml`). Its few ``m x m`` temporaries are freed and
 allocated again on every evaluation, so training first fixes glibc's heap
-thresholds (see :func:`retain_freed_memory`).
+thresholds and keeps every thread on one heap (see :func:`retain_freed_memory`).
 
 Failures here carry no committee index; the caller that knows the expert or
 test point adds it.
@@ -44,12 +53,17 @@ test point adds it.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.blas import dtrmm, dtrsm
+import scipy
+from scipy.linalg import cho_solve, cython_blas
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from .errors import DataError, NumericalBreakdown
@@ -64,11 +78,13 @@ _INVERSE_BLOCK = 64
 # glibc mallopt parameters (malloc.h) and the largest block the heap keeps
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _RETAINED_BLOCK_BYTES = 32 << 20
 
 
 def retain_freed_memory() -> None:
-    """Let the C heap keep freed blocks of up to 32 MiB for reuse (glibc only).
+    """Let the C heap keep freed blocks of up to 32 MiB for reuse, on one
+    heap for every thread (glibc only).
 
     By default glibc serves blocks above a dynamic threshold by fresh
     ``mmap`` and returns a heap top above twice that threshold to the system
@@ -77,8 +93,14 @@ def retain_freed_memory() -> None:
     arrays, more than twice the largest block freed before unless an earlier
     stage happened to free a bigger one, so every evaluation faults its pages
     in again. Fixing both thresholds, for the whole process, makes the reuse
-    independent of what ran before. Nothing happens where the C library has
-    no ``mallopt``.
+    independent of what ran before.
+
+    A retained block is reused only by the heap (arena) that freed it, and
+    glibc gives each new thread an arena of its own. The prediction threads
+    of :func:`fan_out` are new on every call, so each would keep up to
+    32 MiB of freed blocks in a fresh arena that no later thread reuses; one
+    arena for the whole process makes every thread reuse the same freed
+    blocks. Nothing happens where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -86,10 +108,104 @@ def retain_freed_memory() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
     # setting either value freezes both, so the trim threshold follows only
     # a mmap threshold that was accepted
     if mallopt(_M_MMAP_THRESHOLD, _RETAINED_BLOCK_BYTES):
         mallopt(_M_TRIM_THRESHOLD, 2 * _RETAINED_BLOCK_BYTES)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """``(path, get, set)`` for each scipy-openblas build that numpy and scipy load.
+
+    The wheels of both packages bundle their own OpenBLAS under
+    ``<package>.libs``; opening the file again returns the loaded library.
+    A build without the ``scipy_openblas`` thread functions (another BLAS,
+    or an older wheel) is left out.
+    """
+    controls = []
+    for package in (np, scipy):
+        site = os.path.dirname(os.path.dirname(os.path.abspath(package.__file__)))
+        libs = os.path.join(site, package.__name__ + ".libs")
+        names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+        for name in names:
+            if not name.startswith("libscipy_openblas"):
+                continue
+            path = os.path.join(libs, name)
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    set_.argtypes, set_.restype = (ctypes.c_int,), None
+                    controls.append((path, get, set_))
+                    break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """Run the block with numpy's and scipy's OpenBLAS on ``count`` threads,
+    and restore each library's previous count on exit.
+
+    Yields the paths of the libraries it set. Where none is found (another
+    BLAS, or a build without the ``scipy_openblas`` thread functions) it
+    yields an empty tuple and changes nothing. The setting is process-wide,
+    so blocks entered from several threads at once must not overlap.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for _, get, _ in controls]
+    for _, _, set_ in controls:
+        set_(count)
+    try:
+        yield tuple(path for path, _, _ in controls)
+    finally:
+        for (_, _, set_), n in zip(controls, previous):
+            set_(n)
+
+
+def fan_out(task, count: int, workers: int) -> None:
+    """Run ``task(slot, k)`` for every ``k`` in ``range(count)``, dealt
+    round-robin to ``slots = min(workers, count)`` threads.
+
+    Slot ``s`` runs ``k = s, s + slots, ...`` in that order, so a task may
+    keep per-slot scratch space indexed by ``slot``; each ``k`` must write
+    only its own outputs. With one slot the tasks run on the calling thread
+    and no thread starts; otherwise the calling thread waits for all slots.
+    A slot stops at its first exception. Once every thread has stopped, the
+    exception of the smallest failing ``k`` is raised, the one a serial loop
+    would have raised.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    slots = min(workers, count)
+    if slots <= 1:
+        for k in range(count):
+            task(0, k)
+        return
+    failures = [None] * slots
+
+    def run(slot):
+        for k in range(slot, count, slots):
+            try:
+                task(slot, k)
+            except BaseException as exc:
+                failures[slot] = (k, exc)
+                return
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(slots)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    raised = [failure for failure in failures if failure is not None]
+    if raised:
+        raise min(raised, key=lambda failure: failure[0])[1]
 
 
 def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -150,6 +266,39 @@ def _triangular_inverse(L: np.ndarray) -> np.ndarray:
     return L
 
 
+def _cython_blas(name: str, *argtypes):
+    """scipy's BLAS routine ``name`` as a ctypes foreign function.
+
+    ``scipy.linalg.cython_blas`` exports each routine's address in a capsule
+    named by its C signature; ctypes releases the interpreter lock for every
+    call of a ``CFUNCTYPE`` function.
+    """
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = cython_blas.__pyx_capi__[name]
+    address = capsule_pointer(capsule, capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_FLAG = ctypes.c_char_p
+_INT = ctypes.POINTER(ctypes.c_int)
+_dtrmm = _cython_blas("dtrmm", _FLAG, _FLAG, _FLAG, _FLAG, _INT, _INT,
+                      ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, _INT,
+                      ctypes.c_void_p, _INT)
+_ONE = ctypes.c_double(1.0)
+
+
+def _operand(a, order: str) -> np.ndarray:
+    """``a`` itself if it is a writable float64 array laid out in ``order``
+    (``"C"`` or ``"F"``), else such a copy of it."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
+            and a.flags["C_CONTIGUOUS" if order == "C" else "F_CONTIGUOUS"]):
+        return a
+    return np.array(a, dtype=np.float64, order=order)
+
+
 def triangular_product(W: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
     """``W @ B``, or ``W' @ B``, for a lower-triangular ``W``, overwriting ``B``.
 
@@ -158,10 +307,21 @@ def triangular_product(W: np.ndarray, B: np.ndarray, transpose: bool = False) ->
     the caller owns; BLAS ``trmm`` reads only ``W``'s lower triangle. The
     product is taken as its transpose ``B' W'`` (or ``B' W``), whose
     right-hand side ``B'`` is a Fortran-ordered view, so ``B`` is overwritten
-    in place and returned with nothing copied.
+    in place and returned with nothing copied. An operand of another layout
+    or type is copied first, and then the copy of ``B`` is returned. The call
+    releases the interpreter lock (see the module docstring).
     """
-    return dtrmm(1.0, W, B.T, side=1, lower=1, trans_a=0 if transpose else 1,
-                 overwrite_b=1).T
+    W = _operand(W, "F")
+    B = _operand(B, "C")
+    n, k = B.shape
+    if W.shape != (n, n):
+        raise ValueError(f"a {W.shape} factor cannot multiply {n} rows")
+    if B.size:
+        # from_buffer hands BLAS each array's own memory; W' is a C-ordered view
+        _dtrmm(b"R", b"L", b"N" if transpose else b"T", b"N", ctypes.c_int(k),
+               ctypes.c_int(n), _ONE, ctypes.byref(ctypes.c_char.from_buffer(W.T)),
+               ctypes.c_int(n), ctypes.byref(ctypes.c_char.from_buffer(B)), ctypes.c_int(k))
+    return B
 
 
 def _noisy_variance(hp: Hyperparams, explained: np.ndarray) -> np.ndarray:
@@ -340,16 +500,17 @@ def extend(base: GPModel, X: np.ndarray, y: np.ndarray) -> BlockExtension:
 
 
 def predict_extended(base: GPModel, extensions: list[BlockExtension],
-                     Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     Xstar: np.ndarray, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Predictive means and noisy variances of ``base`` and of each of its extensions.
 
     Row 0 is ``base`` itself, exactly what :func:`predict` returns; row
     ``i + 1`` is ``extensions[i]``. The base terms ``V_b = L_b^-1 K_b*`` and
-    ``z_b = L_b^-1 y_b`` are formed once. Extension i adds
-    ``W_i = S_i^-1 (K_i* - cross_i V_b)`` and
+    ``z_b = L_b^-1 y_b`` are formed once, on the calling thread. Extension i
+    adds ``W_i = S_i^-1 (K_i* - cross_i V_b)`` and
     ``z_i = S_i^-1 (y_i - cross_i z_b)``: its mean is ``V_b' z_b + W_i' z_i``
     and its variance the prior minus ``|V_b|^2 + |W_i|^2``, floored as in
-    :func:`predict`.
+    :func:`predict`. The extensions are dealt to ``workers`` threads by
+    :func:`fan_out`; every thread count gives the same bits.
     """
     hp = base.hp
     Xstar = np.asarray(Xstar, dtype=float)
@@ -362,11 +523,15 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     variances[0] = _noisy_variance(hp, base_explained)
     z_b = base.chol_inv @ base.y
     base_mean = V_b.T @ z_b
-    for k, ext in enumerate(extensions, start=1):
+
+    def extension_row(slot, k):
+        ext = extensions[k]
         Kstar = kernel_matrix(ext.X, Xstar, hp)
         Kstar -= ext.cross @ V_b
         W = triangular_product(ext.schur_inv, Kstar)
         z = ext.schur_inv @ (ext.y - ext.cross @ z_b)
-        means[k] = base_mean + W.T @ z
-        variances[k] = _noisy_variance(hp, base_explained + np.sum(W * W, axis=0))
+        means[k + 1] = base_mean + W.T @ z
+        variances[k + 1] = _noisy_variance(hp, base_explained + np.sum(W * W, axis=0))
+
+    fan_out(extension_row, len(extensions), workers)
     return means, variances

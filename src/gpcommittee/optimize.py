@@ -47,10 +47,14 @@ class _Evaluator:
     """Budgeted objective wrapper.
 
     Caches every evaluated point so that a repeated request at the same
-    coordinates costs no objective call, substitutes +inf for non-finite
-    values, and tracks the best finite iterate seen. On +inf L-BFGS-B returns
-    to its last finite iterate and stops; NaN would send it on to ever larger
-    steps until the budget ran out.
+    coordinates costs no objective call, and tracks the best finite iterate
+    seen. A non-finite value, or a :class:`NumericalBreakdown`, reaches
+    L-BFGS-B as a finite stand-in with a zero gradient: the largest finite
+    value seen so far plus its magnitude plus one. That lies above every
+    value seen, so the line search shortens its step past the point as it
+    would past any rise. Given +inf itself, L-BFGS-B returns to its last
+    finite iterate and stops; NaN would send it on to ever larger steps
+    until the budget ran out. Before any finite value the stand-in is +inf.
     """
 
     def __init__(self, objective: Objective, max_evals: int):
@@ -60,6 +64,7 @@ class _Evaluator:
         self._cache: dict[bytes, tuple[float, np.ndarray]] = {}
         self.best_x: np.ndarray | None = None
         self.best_value = np.inf
+        self.worst_value = -np.inf
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -79,10 +84,14 @@ class _Evaluator:
             grad = np.asarray(grad, dtype=float)
         except NumericalBreakdown:
             value, grad = np.inf, np.zeros_like(x)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            value, grad = np.inf, np.zeros_like(x)
-        if value < self.best_value:
-            self.best_value, self.best_x = value, x.copy()
+        if np.isfinite(value) and np.all(np.isfinite(grad)):
+            if value < self.best_value:
+                self.best_value, self.best_x = value, x.copy()
+            self.worst_value = max(self.worst_value, value)
+        else:
+            worst = self.worst_value
+            value = worst + abs(worst) + 1.0 if np.isfinite(worst) else np.inf
+            grad = np.zeros_like(x)
         self._cache[key] = (value, grad)
         return value, grad
 
@@ -102,8 +111,9 @@ def minimize(objective: Objective, config: OptimizerConfig) -> OptimizeResult:
     trace = [f0]
 
     def callback(xk):
+        # an accepted iterate lowered the value, so it is never a stand-in
         cached = ev._cache.get(np.asarray(xk, dtype=float).tobytes())
-        if cached is not None and np.isfinite(cached[0]):
+        if cached is not None:
             trace.append(cached[0])
 
     if np.linalg.norm(g0, np.inf) >= GRAD_TOLERANCE and ev.evals < ev.max_evals:

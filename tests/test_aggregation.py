@@ -1,11 +1,13 @@
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gpcommittee.aggregate as aggregate
+import gpcommittee.gp as gp
 from gpcommittee import (Hyperparams, MissingCommunicationSubset,
                          NumericalBreakdown, OptimizerConfig, PriorVariance, bcm,
                          beta_entropy, fit, gpoe, grbcm, grbcm_fuse, grbcm_partition, npae,
@@ -390,29 +392,114 @@ def test_npae_non_finite_factor_names_the_first_test_point():
     assert str(info.value).startswith("test point 0:")
 
 
-@pytest.mark.parametrize("workers", [2, 5])
-@pytest.mark.parametrize("M", [1, 3, 8])
-def test_npae_workers_give_the_same_bits(M, workers):
-    # 604 rows do not split evenly into 3 or 8 subsets, so some pair products
-    # fill only a leading slice of a worker's buffer; 5 workers is more
-    # threads than cores, and more than the 3 pairs of M=3. The products are
-    # large enough that the threads run them at the same time: with one
-    # buffer shared by every thread, this test fails
-    _, committee = _committee(n=604, M=M, seed=M, max_evals=10)
-    sizes = {model.n for model in committee.experts}
-    assert len(sizes) == (1 if M == 1 else 2)
-    Xstar = np.linspace(-0.5, 1.5, 2000)[:, None]
-    serial = npae(committee, Xstar)
+def _switching_often(fn):
+    """``fn()`` with the interpreter switching threads as often as it can."""
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        fanned = npae(committee, Xstar, workers=workers)
+        return fn()
     finally:
         sys.setswitchinterval(switch)
+
+
+def _uneven_committee(M):
+    # 604 rows do not split evenly into 3 or 8 subsets, so the experts differ
+    # in size (and some NPAE pair products fill only a leading slice of a
+    # thread's buffer)
+    _, committee = _committee(n=604, M=M, seed=M, max_evals=10)
+    sizes = {model.n for model in committee.experts}
+    assert len(sizes) == (1 if M == 1 else 2)
+    return committee
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+@pytest.mark.parametrize("M", [1, 3, 8])
+def test_npae_workers_give_the_same_bits(M, workers):
+    # 5 workers is more threads than cores, and more than the 3 pairs of
+    # M=3. The products are large enough that the threads run them at the
+    # same time: with one buffer shared by every thread, this test fails
+    committee = _uneven_committee(M)
+    assert committee.workers == 1
+    Xstar = np.linspace(-0.5, 1.5, 2000)[:, None]
+    serial = npae(committee, Xstar)
+    fanned = _switching_often(lambda: npae(replace(committee, workers=workers), Xstar))
     np.testing.assert_array_equal(fanned.means, serial.means)
     np.testing.assert_array_equal(fanned.variances, serial.variances)
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        npae(committee, Xstar, workers=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("M", [1, 3, 8])
+@pytest.mark.parametrize("rows", ["plain", "augmented", "grbcm"])
+def test_expert_rows_give_the_same_bits_for_every_workers(rows, M, workers):
+    # the reference takes one expert per call, so nothing in it is fanned out
+    committee = _uneven_committee(M)
+    committee = prepare_grbcm(replace(committee,
+                                      partition=committee.partition.with_communication(0)))
+    Xstar = np.linspace(-0.5, 1.5, 2000)[:, None]
+    if rows == "plain":
+        reference = [np.vstack(r) for r in zip(*(predict(m, Xstar) for m in committee.experts))]
+    else:
+        comm = committee.experts[0]
+        reference = [np.vstack([predict(comm, Xstar)[k]]
+                               + [predict_extended(comm, [ext], Xstar)[k][1]
+                                  for ext in committee.augmented_experts])
+                     for k in (0, 1)]
+        if rows == "grbcm":
+            prior_precision = 1.0 / (committee.hp.output_variance + committee.hp.noise_variance)
+            reference = grbcm_fuse(*reference, prior_precision)[:2]
+    fanned = replace(committee, workers=workers)
+    if rows == "grbcm":
+        agg = _switching_often(lambda: grbcm(fanned, Xstar))
+        got = [agg.means, agg.variances]
+    else:
+        got = _switching_often(lambda: experts_predict(fanned, Xstar,
+                                                       augmented=rows == "augmented"))
+    assert len(got) == len(reference) == 2
+    for a, b in zip(got, reference):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_experts_predict_raises_the_first_failing_expert_from_a_pool_thread(monkeypatch):
+    ds, committee = _committee(n=150, M=4)
+    # with 2 workers, expert 1 runs on the second thread and expert 2 on the
+    # first. Expert 2 fails at once and expert 1 only after a pause, so the
+    # error raised first is expert 2's, but a serial loop meets expert 1's
+    # first, and the second thread is still running when expert 2 fails
+    delays = {id(committee.experts[1].X): (1, 0.2), id(committee.experts[2].X): (2, 0.0)}
+    block = gp.kernel_matrix
+    raised_on = []
+
+    class ExpertFailure(Exception):
+        pass
+
+    def failing(X, X_prime, hp):
+        if id(X) in delays:
+            k, delay = delays[id(X)]
+            time.sleep(delay)
+            raised_on.append(threading.current_thread())
+            raise ExpertFailure(f"expert {k} failed")
+        return block(X, X_prime, hp)
+
+    monkeypatch.setattr(gp, "kernel_matrix", failing)
+    outcome = []
+
+    def call():
+        try:
+            experts_predict(replace(committee, workers=2), ds.X_test)
+        except ExpertFailure as exc:
+            # counted as the exception arrives: the pool threads must be gone
+            outcome.append((str(exc), threading.active_count()))
+
+    threads_before = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    # only the caller itself runs beside the threads that ran before
+    assert outcome == [("expert 1 failed", threads_before + 1)]
+    # raised on two pool threads, not on the caller
+    assert len(set(raised_on)) == 2 and caller not in raised_on
+    assert threading.active_count() == threads_before
 
 
 def test_npae_worker_exception_propagates(monkeypatch):
@@ -435,7 +522,7 @@ def test_npae_worker_exception_propagates(monkeypatch):
 
     def call():
         try:
-            npae(committee, ds.X_test, workers=2)
+            npae(replace(committee, workers=2), ds.X_test)
         except PairFailure as exc:
             outcome.append(exc)
 

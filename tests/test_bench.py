@@ -77,6 +77,25 @@ def test_workers_do_not_change_the_records():
     assert untimed(2) == serial
 
 
+def test_split_files_take_precedence_over_the_default_test_fraction(tmp_path):
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-2.0, 2.0, 20)
+    rows = np.column_stack([x, np.sin(x) + 0.1 * rng.normal(size=20)])
+    path = tmp_path / "data.csv"
+    np.savetxt(path, rows, delimiter=",")
+    (tmp_path / "train.idx").write_text("\n".join(map(str, range(14))) + "\n")
+    (tmp_path / "test.idx").write_text("\n".join(map(str, range(14, 20))) + "\n")
+    config = ExperimentConfig(dataset="csv", csv_path=str(path), m0=7, max_evals=3,
+                              split_files=(str(tmp_path / "train.idx"),
+                                           str(tmp_path / "test.idx")),
+                              methods=("poe", "grbcm"))
+    assert config.test_fraction == 0.2
+    result = run_experiment(config)
+    assert [rec.error for rec in result.records] == [None, None]
+    (part,) = result.partitions
+    assert sorted(np.concatenate(part.subsets)) == list(range(14))
+
+
 def test_results_csv_round_trips_failed_records(tmp_path):
     records = [
         RunRecord(method="rbcm", repetition=0, seed=3, smse=math.nan, msll=math.nan,

@@ -199,6 +199,27 @@ def test_train_rejects_a_target_count_mismatch():
               OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)))
 
 
+def test_train_rejects_non_positive_workers(monkeypatch):
+    from gpcommittee import gp
+    calls = []
+    monkeypatch.setattr(gp, "nlml", lambda *args, **kwargs: calls.append(1))
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        train(rng.uniform(size=(30, 1)), rng.normal(size=30), random_partition(30, 3, seed=0),
+              OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)), workers=0)
+    assert calls == []
+
+
+def test_train_keeps_workers_on_the_ensemble():
+    rng = np.random.default_rng(5)
+    committee = train(rng.uniform(size=(30, 1)), rng.normal(size=30),
+                      random_partition(30, 3, seed=0),
+                      OptimizerConfig(max_evals=2, initial_hp=Hyperparams.default(1)), workers=3)
+    assert committee.workers == 3
+    assert prepare_grbcm(replace(committee, partition=committee.partition.with_communication(0))
+                         ).workers == 3
+
+
 def test_train_rejects_overlapping_partition_before_any_evaluation(monkeypatch):
     from gpcommittee import gp
     calls = []

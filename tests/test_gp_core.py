@@ -1,12 +1,18 @@
 import ctypes
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
 
 from gpcommittee import DataError, Hyperparams, NumericalBreakdown, fit, nlml, predict
-from gpcommittee.gp import (_triangular_inverse, chol_with_jitter, extend, predict_extended,
-                            retain_freed_memory)
+from gpcommittee import gp
+from gpcommittee.gp import (_triangular_inverse, blas_threads, chol_with_jitter, extend,
+                            predict_extended, retain_freed_memory, triangular_product)
 from gpcommittee.kernel import kernel_matrix
 
 
@@ -331,6 +337,62 @@ def test_predict_matches_triangular_solve_reference(jittered):
     assert np.max(np.abs(variances - ref)) <= np.linalg.cond(C) * np.finfo(float).eps * prior
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (65, 3), (100, 2000)])
+def test_triangular_product_equals_scipy_dtrmm(rows, cols, transpose):
+    # the same BLAS routine as scipy's f2py wrapper, reached through its
+    # cython_blas pointer: the same bits
+    rng = np.random.default_rng(rows + cols)
+    W = np.asfortranarray(np.tril(rng.normal(size=(rows, rows))))
+    W[np.triu_indices(rows, 1)] = np.nan  # only the lower triangle may be read
+    B = rng.normal(size=(rows, cols))
+    want = dtrmm(1.0, W, B.copy().T, side=1, lower=1, trans_a=0 if transpose else 1).T
+    got = B.copy()
+    assert triangular_product(W, got, transpose=transpose) is got
+    np.testing.assert_array_equal(got, want)
+    # operands of another layout or type are copied, with the same result
+    np.testing.assert_array_equal(
+        triangular_product(np.ascontiguousarray(W), np.asfortranarray(B), transpose), want)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        triangular_product(W, np.ones((rows + 1, cols)))
+
+
+_BLAS_THREADS_PROBE = """
+import json
+from gpcommittee.gp import _openblas_thread_controls, blas_threads
+def counts():
+    return [get() for _, get, _ in _openblas_thread_controls()]
+before = counts()
+with blas_threads(1) as paths:
+    inside = counts()
+print(json.dumps({"paths": list(paths), "before": before, "inside": inside,
+                  "after": counts()}))
+"""
+
+
+def test_blas_threads_pins_and_restores_the_openblas_thread_counts():
+    # a fresh interpreter with no thread count in the environment, so
+    # OpenBLAS starts at its own default
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(gp.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    counts = json.loads(out.stdout)
+    if not counts["paths"]:
+        pytest.skip("no scipy-openblas build with thread functions is loaded")
+    assert counts["inside"] == [1] * len(counts["paths"])
+    assert counts["after"] == counts["before"]
+    assert all(n >= 1 for n in counts["before"])
+
+
+def test_blas_threads_without_openblas_changes_nothing(monkeypatch):
+    monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: ())
+    with blas_threads(1) as paths:
+        assert paths == ()
+
+
 def _block(kind, rng):
     if kind == "spread":
         return np.arange(0.0, 10.0)[:, None] + rng.uniform(0.0, 0.1, size=(10, 1))
@@ -392,3 +454,32 @@ def test_retain_freed_memory_serves_large_arrays_from_the_heap():
     block = np.ones((1000, 1000))  # 8 MB: above glibc's default mmap threshold
     assert libc.mallinfo2().hblkhd == mapped
     del block
+
+
+_ARENA_PROBE = """
+import ctypes, threading
+import numpy as np
+from gpcommittee.gp import retain_freed_memory
+
+retain_freed_memory()
+# a new thread's first allocation takes an arena; with the cap it is the main one
+thread = threading.Thread(target=lambda: np.ones((500, 500)).sum())
+thread.start()
+thread.join()
+# one "Arena <k>:" block per arena, on standard error
+ctypes.CDLL(None).malloc_stats()
+"""
+
+
+def test_retain_freed_memory_keeps_new_threads_on_the_main_heap():
+    # a fresh interpreter, where no thread but the main one has allocated
+    libc = ctypes.CDLL(None)
+    if not (hasattr(libc, "mallopt") and hasattr(libc, "malloc_stats")):
+        pytest.skip("needs glibc's mallopt and malloc_stats")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (os.path.dirname(os.path.dirname(gp.__file__)) + os.pathsep
+                         + env.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", _ARENA_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    arenas = [line for line in out.stderr.splitlines() if line.startswith("Arena ")]
+    assert arenas == ["Arena 0:"]

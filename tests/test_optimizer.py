@@ -113,6 +113,29 @@ def test_non_finite_midrun_backs_off():
     np.testing.assert_array_equal(result.best_hp.to_vector(), best_x)
 
 
+def test_wall_past_the_minimum_is_backed_off_from():
+    # The objective is +inf past v0 > 0.5 and smooth below, with its minimum
+    # at 0.45 just inside the wall. L-BFGS-B's first step from v0 = 0 lands
+    # at 1.0, behind the wall; given +inf there it stopped at the start after
+    # two evaluations. Given a finite stand-in it shortens the step and
+    # converges.
+    evaluated = []
+
+    def objective(hp):
+        v = hp.to_vector()
+        value = np.inf if v[0] > 0.5 else (v[0] - 0.45) ** 2 + float(v[1:] @ v[1:])
+        evaluated.append(value)
+        return value, np.concatenate(([2 * (v[0] - 0.45)], 2 * v[1:]))
+
+    start = Hyperparams.from_vector(np.zeros(3))
+    result = minimize(objective, OptimizerConfig(max_evals=80, initial_hp=start))
+    assert sum(not np.isfinite(value) for value in evaluated) >= 1
+    np.testing.assert_allclose(result.best_hp.to_vector(), [0.45, 0.0, 0.0], atol=1e-6)
+    assert result.best_value == min(v for v in evaluated if np.isfinite(v)) < 1e-12
+    assert all(np.isfinite(result.trace))
+    assert all(b <= a for a, b in zip(result.trace, result.trace[1:]))
+
+
 def test_budget_binds_mid_run():
     # Rosenbrock in the first two coordinates needs far more than 7 evaluations;
     # from this start the 7th is a line-search probe worse than the best point
