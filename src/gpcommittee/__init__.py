@@ -11,7 +11,7 @@ from .bench import (ExperimentConfig, ExperimentResult, RunRecord,
                     consistency_sweep, read_results_csv, run_experiment)
 from .data import (Dataset, NormStats, denormalize_inputs, denormalize_predictions,
                    load_csv, toy_function, toy_generate)
-from .ensemble import (ExpertEnsemble, experts_predict, factorized_nlml,
+from .ensemble import (ExpertBlocks, ExpertEnsemble, experts_predict, factorized_nlml,
                        prepare_grbcm, train)
 from .errors import (DataError, DegenerateTargets, GPCommitteeError, InvalidPartition,
                      InvalidStart, MissingCommunicationSubset, NumericalBreakdown)
@@ -31,7 +31,8 @@ __all__ = [
     "consistency_sweep", "read_results_csv", "run_experiment",
     "Dataset", "NormStats", "denormalize_inputs", "denormalize_predictions",
     "load_csv", "toy_function", "toy_generate",
-    "ExpertEnsemble", "experts_predict", "factorized_nlml", "prepare_grbcm", "train",
+    "ExpertBlocks", "ExpertEnsemble", "experts_predict", "factorized_nlml", "prepare_grbcm",
+    "train",
     "DataError", "DegenerateTargets", "GPCommitteeError", "InvalidPartition",
     "InvalidStart", "MissingCommunicationSubset", "NumericalBreakdown",
     "GPModel", "fit", "nlml", "predict",

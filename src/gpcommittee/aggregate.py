@@ -207,7 +207,7 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
 
     def expert_terms(slot, i):
         rhs[:, i, 1], V = _mean_and_whitened(experts[i], Xstar)
-        rhs[:, i, 0] = np.sum(V * V, axis=0)
+        rhs[:, i, 0] = np.einsum("ij,ij->j", V, V)
         U[i] = triangular_product(experts[i].chol_inv, V, transpose=True)
 
     fan_out(expert_terms, M, workers)

@@ -58,7 +58,8 @@ class ExperimentConfig:
     max_evals: int = OptimizerConfig.max_evals
     seed: int = 0
     repetitions: int = 1
-    workers: int = 1                      # prediction threads (ExpertEnsemble.workers)
+    # parallel slots (ExpertEnsemble.workers): training processes, prediction threads
+    workers: int = 1
     out_dir: str | None = None
 
     def validate(self) -> None:

@@ -1,22 +1,31 @@
 """Factorized committee training: M experts with shared hyperparameters.
 
 The training objective is the sum of per-expert negative log marginal
-likelihoods. Training steps (objective terms, final fits and GRBCM's
-augmented experts) are loops over the experts in subset-index order on the
-calling thread: their LAPACK calls go through scipy's f2py wrappers, which
-hold the interpreter lock. Prediction deals the experts to the committee's
-``workers`` threads (:func:`gp.fan_out`); every call in it releases the
-lock, and every thread count gives the same bits. Both assume BLAS on one
-thread: :func:`train` pins it there (:func:`gp.blas_threads`), and so does
-the experiment harness around its predictions. GRBCM's augmented experts
-are block extensions of the communication expert (:func:`gp.extend`), so
-its factor is never recomputed.
+likelihoods. Its terms are dealt to the committee's ``workers`` slots as
+processes (:class:`ExpertBlocks`): on Linux the calling process forks one
+worker per extra slot for each :func:`train` call, sends every worker the
+hyperparameters of each evaluation and adds all M terms in expert order,
+so every worker count gives the same bits. Processes, not threads, because
+neither the f2py LAPACK wrappers (which hold the interpreter lock) nor
+``cdist`` and ``exp`` on expert-sized blocks scale across threads. The
+final fits and GRBCM's augmented experts are loops over the experts in
+subset-index order on the calling thread. Prediction deals the experts to
+the same number of threads (:func:`gp.fan_out`); every call in it releases
+the lock, and every thread count gives the same bits. Both assume BLAS on
+one thread: :func:`train` pins it there (:func:`gp.blas_threads`) before it
+forks, and so does the experiment harness around its predictions. GRBCM's
+augmented experts are block extensions of the communication expert
+(:func:`gp.extend`), so its factor is never recomputed.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import signal
+import sys
 import time
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -25,6 +34,9 @@ from .errors import DataError, MissingCommunicationSubset, NumericalBreakdown
 from .kernel import Hyperparams
 from .optimize import OptimizerConfig, minimize
 from .partition import Partition
+
+# seconds a stopped training worker gets to exit before it is killed
+_JOIN_SECONDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -35,8 +47,10 @@ class ExpertEnsemble:
     ordinary subset i), one per non-communication subset in ascending subset
     order, each stored as a block extension of the communication expert; it
     stays None until :func:`prepare_grbcm` runs. ``workers`` is the number of
-    threads every per-expert prediction loop is dealt to (:func:`gp.fan_out`),
-    here and in NPAE.
+    parallel slots of the committee: :func:`train` ran its objective terms on
+    that many processes (:class:`ExpertBlocks`), and every per-expert
+    prediction loop, here and in NPAE, is dealt to that many threads
+    (:func:`gp.fan_out`).
     """
 
     hp: Hyperparams
@@ -63,30 +77,155 @@ def _for_expert(i: int, fn, *args):
         ) from exc
 
 
-def factorized_nlml(X: np.ndarray, y: np.ndarray, partition: Partition,
-                    hp: Hyperparams) -> tuple[float, np.ndarray]:
-    """Sum of per-expert NLML values and gradients over the partition.
+class ExpertBlocks:
+    """Each expert's training rows, sliced once, and the worker processes
+    that evaluate their objective terms.
 
-    Identical to the single-GP objective when M = 1. The partition is taken
-    as validated (:func:`train` checks it once, not on every evaluation). A
-    factorization failure is re-raised naming the offending expert index.
+    The experts are dealt round-robin to ``slots = min(workers, M)`` slots as
+    in :func:`gp.fan_out`: slot ``s`` owns experts ``s, s + slots, ...``.
+    The calling process is slot 0. On Linux every other slot is a process
+    forked here, which waits on its pipe for a hyperparameter vector and
+    sends back its experts' terms; elsewhere, or with one slot, every term
+    is evaluated in-process. Either way :meth:`terms` returns the same bits.
+    Close the blocks (or use them as a context manager) to stop and join the
+    workers.
+
+    A forked worker shares the sliced blocks without pickling them and
+    starts in milliseconds, where a spawned one would import numpy and scipy
+    again. A fork copies the calling process with one thread only, so create
+    the blocks with no other thread running and BLAS already pinned
+    (:func:`gp.blas_threads`); Python 3.12 and later warn at the fork if
+    BLAS threads, or any other threads, are alive.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=float).ravel()
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, partition: Partition,
+                 workers: int = 1):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.blocks = [(X[idx], y[idx]) for idx in partition.subsets]
+        forks = sys.platform.startswith("linux") and "fork" in mp.get_all_start_methods()
+        self.slots = min(workers, len(self.blocks)) if forks else 1
+        self._workers: list[tuple] = []    # (process, pipe end) per forked slot
+        context = mp.get_context("fork") if forks else None
+        try:
+            for slot in range(1, self.slots):
+                ours, theirs = context.Pipe()
+                proc = context.Process(target=self._serve, args=(slot, theirs, ours),
+                                       name=f"gpcommittee-train-{slot}", daemon=True)
+                proc.start()
+                theirs.close()
+                self._workers.append((proc, ours))
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "ExpertBlocks":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop and join every worker; closing its pipe ends its loop."""
+        workers, self._workers = self._workers, []
+        for _, conn in workers:
+            conn.close()
+        for proc, _ in workers:
+            proc.join(_JOIN_SECONDS)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+            proc.close()
+
+    def _slot_terms(self, slot: int, hp: Hyperparams) -> tuple[np.ndarray, tuple | None]:
+        """One row ``[value, *grad]`` per expert of ``slot``, in order, up to
+        the first that raises, and ``(expert, exception)`` for that one.
+
+        One array pickles in a fraction of the time of a list of pairs.
+        """
+        experts = range(slot, len(self.blocks), self.slots)
+        rows = np.empty((len(experts), 1 + hp.n_params))
+        for r, k in enumerate(experts):
+            try:
+                rows[r, 0], rows[r, 1:] = _for_expert(k, gp.nlml, *self.blocks[k], hp)
+            except Exception as exc:
+                return rows[:r], (k, exc)
+        return rows, None
+
+    def _serve(self, slot: int, conn, parent_end) -> None:
+        """A worker's loop: one reply per hyperparameter vector, until the
+        calling process closes its end of the pipe."""
+        # Ctrl-C reaches the calling process, which stops the workers
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # the calling process's ends, copied by the fork, would keep the pipes
+        # of this worker and of earlier ones open after the calling process exits
+        parent_end.close()
+        for _, end in self._workers:
+            end.close()
+        while True:
+            try:
+                vector, errstate = conn.recv()
+            except EOFError:
+                return
+            with np.errstate(**errstate):
+                reply = self._slot_terms(slot, Hyperparams.from_vector(vector))
+            try:
+                conn.send(reply)
+            except BrokenPipeError:
+                return
+
+    def _stopped(self, slot: int) -> RuntimeError:
+        proc = self._workers[slot - 1][0]
+        proc.join(_JOIN_SECONDS)
+        return RuntimeError(f"training worker {slot} stopped (exit code {proc.exitcode})")
+
+    def terms(self, hp: Hyperparams) -> list[np.ndarray]:
+        """Every expert's row ``[value, *grad]`` of :func:`gp.nlml` at ``hp``,
+        in expert order.
+
+        If any expert raises, the exception of the smallest failing expert
+        index is raised once every slot has replied: the one a serial loop
+        would have met first. A worker that has died raises
+        :class:`RuntimeError`.
+        """
+        message = (hp.to_vector(), np.geterr())
+        for slot, (_, conn) in enumerate(self._workers, start=1):
+            try:
+                conn.send(message)
+            except BrokenPipeError:
+                raise self._stopped(slot) from None
+        replies = [self._slot_terms(0, hp)]
+        for slot, (proc, conn) in enumerate(self._workers, start=1):
+            # a worker that dies closes its pipe, and its sentinel turns ready
+            if conn not in wait([conn, proc.sentinel]):
+                raise self._stopped(slot)
+            try:
+                replies.append(conn.recv())
+            except EOFError:
+                raise self._stopped(slot) from None
+        failures = [failure for _, failure in replies if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return [replies[k % self.slots][0][k // self.slots] for k in range(len(self.blocks))]
+
+
+def factorized_nlml(blocks: ExpertBlocks, hp: Hyperparams) -> tuple[float, np.ndarray]:
+    """Sum of per-expert NLML values and gradients over the expert blocks.
+
+    Identical to the single-GP objective when M = 1. The terms are added in
+    expert order, so every worker count gives the same bits. A factorization
+    failure is re-raised naming the offending expert index.
+    """
     value = 0.0
     grad = np.zeros(hp.n_params)
-    for i, idx in enumerate(partition.subsets):
-        v, g = _for_expert(i, gp.nlml, X[idx], y[idx], hp)
-        value += v
-        grad += g
+    for row in blocks.terms(hp):
+        value += row[0]
+        grad += row[1:]
     return value, grad
 
 
-def _fit_experts(X, y, partition, hp):
-    return [_for_expert(i, gp.fit, X[idx], y[idx], hp)
-            for i, idx in enumerate(partition.subsets)]
+def _fit_experts(blocks: ExpertBlocks, hp: Hyperparams) -> list[gp.GPModel]:
+    return [_for_expert(i, gp.fit, Xi, yi, hp) for i, (Xi, yi) in enumerate(blocks.blocks)]
 
 
 def train(X: np.ndarray, y: np.ndarray, partition: Partition,
@@ -97,11 +236,12 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition,
     ``X`` and ``y`` are checked once, before the first objective evaluation:
     a row count mismatch or a non-finite entry raises :class:`DataError`
     naming the first bad row, and the partition is validated against ``X``.
-    ``workers`` (at least 1) is kept on the ensemble for its predictions.
-    BLAS runs on one thread while training.
+    Each expert's rows are then sliced once, and the objective's terms run
+    on ``workers`` (at least 1) slots, one the calling process and the others
+    forked processes (:class:`ExpertBlocks`), which are stopped and joined
+    before this returns or raises. ``workers`` is kept on the ensemble for
+    its prediction threads. BLAS runs on one thread while training.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -116,8 +256,9 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition,
     t0 = time.perf_counter()
     gp.retain_freed_memory()
     with gp.blas_threads(1):
-        result = minimize(lambda hp: factorized_nlml(X, y, partition, hp), opt_config)
-        experts = _fit_experts(X, y, partition, result.best_hp)
+        with ExpertBlocks(X, y, partition, workers) as blocks:
+            result = minimize(lambda hp: factorized_nlml(blocks, hp), opt_config)
+        experts = _fit_experts(blocks, result.best_hp)
     elapsed = time.perf_counter() - t0
     return ExpertEnsemble(hp=result.best_hp, partition=partition, experts=experts,
                           augmented_experts=None, train_time_seconds=elapsed,

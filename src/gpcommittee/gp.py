@@ -13,8 +13,11 @@ lock. numpy's products, ``cdist`` and ``exp`` do. scipy's f2py wrapper of
 ``dtrmm`` does not, so :func:`triangular_product` calls the same BLAS
 routine through the function pointer that ``scipy.linalg.cython_blas``
 exports, as a ``ctypes`` foreign function, and ctypes releases the lock for
-the call. The threads assume BLAS runs on one thread; :func:`blas_threads`
-pins it there for training and prediction.
+the call. Training's :func:`nlml` terms run on the same number of slots as
+forked processes instead (``ensemble.ExpertBlocks``): its LAPACK wrappers
+hold the lock, and its ``cdist`` and ``exp`` on expert-sized blocks do not
+scale across threads. Threads and processes alike assume BLAS runs on one
+thread; :func:`blas_threads` pins it there for training and prediction.
 
 Every factor inverse in the module comes from :func:`_triangular_inverse`.
 Blocks of at most 64 rows go to LAPACK ``trtri``. A larger factor is split
@@ -445,7 +448,9 @@ def predict(model: GPModel, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if Xstar.ndim == 1:
         Xstar = Xstar[:, None]
     means, V = _mean_and_whitened(model, Xstar)
-    return means, _noisy_variance(model.hp, np.sum(V * V, axis=0))
+    # the column sums of V * V without forming it; for two or more test
+    # points the same bits as np.sum(V * V, axis=0), which adds row by row
+    return means, _noisy_variance(model.hp, np.einsum("ij,ij->j", V, V))
 
 
 def _mean_and_whitened(model: GPModel, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -519,7 +524,7 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     means = np.empty((len(extensions) + 1, Xstar.shape[0]))
     variances = np.empty_like(means)
     means[0], V_b = _mean_and_whitened(base, Xstar)
-    base_explained = np.sum(V_b * V_b, axis=0)
+    base_explained = np.einsum("ij,ij->j", V_b, V_b)
     variances[0] = _noisy_variance(hp, base_explained)
     z_b = base.chol_inv @ base.y
     base_mean = V_b.T @ z_b
@@ -531,7 +536,7 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
         W = triangular_product(ext.schur_inv, Kstar)
         z = ext.schur_inv @ (ext.y - ext.cross @ z_b)
         means[k + 1] = base_mean + W.T @ z
-        variances[k + 1] = _noisy_variance(hp, base_explained + np.sum(W * W, axis=0))
+        variances[k + 1] = _noisy_variance(hp, base_explained + np.einsum("ij,ij->j", W, W))
 
     fan_out(extension_row, len(extensions), workers)
     return means, variances

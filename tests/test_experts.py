@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpcommittee import (DataError, Hyperparams, InvalidPartition, MissingCommunicationSubset,
-                         NumericalBreakdown, OptimizerConfig, experts_predict,
-                         factorized_nlml, fit, grbcm_partition, minimize, nlml, predict,
-                         prepare_grbcm, random_partition, toy_generate, train)
+from gpcommittee import (DataError, ExpertBlocks, Hyperparams, InvalidPartition,
+                         MissingCommunicationSubset, NumericalBreakdown, OptimizerConfig,
+                         experts_predict, factorized_nlml, fit, grbcm_partition, minimize,
+                         nlml, predict, prepare_grbcm, random_partition, toy_generate, train)
 from gpcommittee.partition import Partition, PartitionKind, disjoint_partition
 
 
@@ -20,7 +20,7 @@ def test_single_expert_matches_exact_nlml():
     y = np.sin(5 * X[:, 0]) + 0.2 * rng.normal(size=50)
     part = random_partition(50, 1, seed=0)
     hp = hp_1d()
-    v_fact, g_fact = factorized_nlml(X, y, part, hp)
+    v_fact, g_fact = factorized_nlml(ExpertBlocks(X, y, part), hp)
     v_full, g_full = nlml(X, y, hp)
     assert v_fact == pytest.approx(v_full, rel=1e-12)
     np.testing.assert_allclose(g_fact, g_full, rtol=1e-12)
@@ -33,7 +33,7 @@ def test_two_far_clusters_approximate_full_nlml():
     y = np.sin(3 * X[:, 0]) + 0.3 * rng.normal(size=100)
     part = disjoint_partition(X, 2, seed=0)
     hp = hp_1d(log_noise=-0.5)
-    v_fact, _ = factorized_nlml(X, y, part, hp)
+    v_fact, _ = factorized_nlml(ExpertBlocks(X, y, part), hp)
     v_full, _ = nlml(X, y, hp)
     assert abs(v_fact - v_full) / abs(v_full) < 1e-3
 
@@ -43,16 +43,16 @@ def test_factorized_gradient_matches_finite_differences():
     step = 1e-6
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
-    part = random_partition(30, 3, seed=1)
+    blocks = ExpertBlocks(X, y, random_partition(30, 3, seed=1))
     vec = np.array([0.1, -0.2, 0.3, -0.6])
-    _, grad = factorized_nlml(X, y, part, Hyperparams.from_vector(vec))
+    _, grad = factorized_nlml(blocks, Hyperparams.from_vector(vec))
     fd = np.empty_like(grad)
     for j in range(vec.size):
         plus, minus = vec.copy(), vec.copy()
         plus[j] += step
         minus[j] -= step
-        fd[j] = (factorized_nlml(X, y, part, Hyperparams.from_vector(plus))[0]
-                 - factorized_nlml(X, y, part, Hyperparams.from_vector(minus))[0]) / (2 * step)
+        fd[j] = (factorized_nlml(blocks, Hyperparams.from_vector(plus))[0]
+                 - factorized_nlml(blocks, Hyperparams.from_vector(minus))[0]) / (2 * step)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
 
@@ -62,7 +62,7 @@ def test_sum_decomposition():
     y = rng.normal(size=60)
     part = random_partition(60, 4, seed=2)
     hp = hp_1d()
-    v, _ = factorized_nlml(X, y, part, hp)
+    v, _ = factorized_nlml(ExpertBlocks(X, y, part), hp)
     per_expert = sum(nlml(X[idx], y[idx], hp)[0] for idx in part.subsets)
     assert v == pytest.approx(per_expert, rel=1e-12)
 
@@ -141,7 +141,8 @@ def test_nlml_reports_a_failed_block_inverse(monkeypatch):
     part = Partition(subsets=np.split(np.arange(180), [10, 20, 30, 40]),
                      kind=PartitionKind.RANDOM, communication_index=None, seed=0)
     with pytest.raises(NumericalBreakdown, match="expert 4: trtri failed") as err:
-        factorized_nlml(rng.uniform(size=(180, 1)), rng.normal(size=180), part, hp_1d())
+        factorized_nlml(ExpertBlocks(rng.uniform(size=(180, 1)), rng.normal(size=180), part),
+                        hp_1d())
     assert calls == [(10, 10)] * 4 + [(35, 35)] * 4
     assert err.value.expert_index == 4
 

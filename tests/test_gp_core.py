@@ -350,6 +350,9 @@ def test_triangular_product_equals_scipy_dtrmm(rows, cols, transpose):
     got = B.copy()
     assert triangular_product(W, got, transpose=transpose) is got
     np.testing.assert_array_equal(got, want)
+    # predict's column sums of squares, formed without the squares: the same
+    # bits as adding the squares row by row
+    np.testing.assert_array_equal(np.einsum("ij,ij->j", got, got), np.sum(got * got, axis=0))
     # operands of another layout or type are copied, with the same result
     np.testing.assert_array_equal(
         triangular_product(np.ascontiguousarray(W), np.asfortranarray(B), transpose), want)
