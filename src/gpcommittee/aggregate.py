@@ -11,15 +11,22 @@ built on it. The rules differ only in their weights and in their precision
 floor.
 
 NPAE instead regresses the target on the M expert means, one M x M system
-per test point. Both of its per-expert loops, the M expert terms and the
+per test point. It streams the test points in blocks: the fewest near-equal
+blocks (``np.array_split``) whose working set, ``8 B (N + M^2)`` bytes for
+``B`` points, N training rows and M experts, fits 32 MiB, the largest freed
+block :func:`gp.retain_freed_memory` keeps on the heap. Its memory is then
+O(B (N + M^2)) however many points are asked for, at the cost of
+(blocks - 1) M (M - 1) / 2 pair kernels computed again; a test set that fits
+is one block. Both of its per-expert loops, the M expert terms and the
 M (M - 1) / 2 expert-pair products that fill those systems, are dealt
 round-robin to the committee's ``workers`` threads (:func:`gp.fan_out`);
 every call in them releases the interpreter lock, and they assume BLAS
 itself runs on one thread. The result does not depend on the thread count.
-All points are solved as one batch on the calling thread: one stacked
-Cholesky factorization and one stacked solve against the factors. Only if
-the batch cannot be factored does each point get the escalating-jitter
-ladder of :func:`gp.chol_with_jitter`, and the solve stays the batched one.
+Each block's points are solved as one batch on the calling thread: one
+stacked Cholesky factorization and one stacked solve against the factors.
+Only if a block cannot be factored does each of its points get the
+escalating-jitter ladder of :func:`gp.chol_with_jitter`, and the solve
+stays the batched one.
 The other rules read their expert rows from :func:`experts_predict`, which
 deals the experts to the same threads.
 """
@@ -34,8 +41,8 @@ from scipy.linalg import cho_solve  # noqa: F401
 
 from .ensemble import ExpertEnsemble, experts_predict
 from .errors import NumericalBreakdown
-from .gp import (_VARIANCE_GUARD, _mean_and_whitened, chol_with_jitter, fan_out,
-                 triangular_product)
+from .gp import (_RETAINED_BLOCK_BYTES, _VARIANCE_GUARD, _mean_and_whitened,
+                 chol_with_jitter, fan_out, triangular_product)
 # unused here; the benchmark's traced run patches this name in this module
 from .gp import predict  # noqa: F401
 from .kernel import Hyperparams, kernel_matrix
@@ -43,6 +50,10 @@ from .kernel import Hyperparams, kernel_matrix
 # precision floor for the BCM-family correction: degeneracy is signalled by
 # the counter, not by a crash
 _PRECISION_FLOOR_RATIO = 1e-12
+# the largest working set, in bytes, of one block of NPAE's test points: the
+# largest freed block the heap keeps after gp.retain_freed_memory, so each
+# block reuses the memory the block before it freed
+_NPAE_BLOCK_BYTES = _RETAINED_BLOCK_BYTES
 
 
 @dataclass(frozen=True)
@@ -170,34 +181,26 @@ def rbcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
     return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
-def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
-    """Nested pointwise aggregation: treat expert means as correlated random
-    variables and regress the target on them.
+def _npae_block_count(n_test: int, n_train: int, M: int) -> int:
+    """The fewest near-equal blocks of ``n_test`` test points for which the
+    largest block's working set, ``8 B (n_train + M^2)`` bytes for ``B``
+    points, fits ``_NPAE_BLOCK_BYTES``.
 
-    Per test point, the M x M covariance ``K_A`` of the expert means (its
-    diagonal equals the cross-covariance ``k`` with the target) is factored
-    as ``K_A = L L'``; with ``z_k = L^-1 k`` and ``z_mu = L^-1 mu`` the mean is
-    ``z_k . z_mu`` and the variance the prior minus ``|z_k|^2``, floored as in
-    :func:`gp.predict`. Every point is factored in one stacked Cholesky call
-    and solved in one stacked call. If the stack holds a non-finite entry or
-    any point fails to factor, each point's factor comes from
-    :func:`gp.chol_with_jitter` instead, so the jitter it needs, or the
-    :class:`NumericalBreakdown` naming the first failing test point, is that
-    of a per-point solve. Building ``K_A`` costs one product per expert pair,
-    so time grows with the square of the total training size.
+    No block holds a single point while ``n_test >= 2``: a lone column's
+    variance sum takes another summation order than a batch's, so its last
+    bits would depend on the split. Only a budget that fits fewer than two
+    points lets a block, of two or three points, exceed it.
+    """
+    fits = max(1, _NPAE_BLOCK_BYTES // (8 * (n_train + M * M)))
+    return max(1, min(-(-n_test // fits), n_test // 2))
 
-    The expert terms and then the pair products are dealt round-robin to
-    ``ensemble.workers`` threads by :func:`gp.fan_out` while the calling
-    thread waits; each thread forms its pair products in one buffer of its
-    own, and each term or pair writes only its own entries, so every thread
-    count gives the same bits. The threads assume BLAS runs on one thread;
-    with a multi-threaded BLAS they compete for the same cores. An exception
-    in any thread is raised here once every thread has stopped.
+
+def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, bufs, offset: int,
+                means: np.ndarray, variances: np.ndarray) -> None:
+    """NPAE at one block of test points, written into ``means`` and
+    ``variances``; ``offset`` is the global index of the block's first point.
     """
     hp = ensemble.hp
-    Xstar = np.asarray(Xstar, dtype=float)
-    if Xstar.ndim == 1:
-        Xstar = Xstar[:, None]
     experts = ensemble.experts
     workers = ensemble.workers
     M = len(experts)
@@ -214,25 +217,20 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     K_agg = np.empty((n_test, M, M))  # cov[mu_i, mu_j] per test point
     for i in range(M):
         K_agg[:, i, i] = rhs[:, i, 0]
-    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    # one product buffer per thread, reused for each of its pairs (a pair
-    # fills the leading n_i rows); with the single malloc arena of
-    # gp.retain_freed_memory, the allocating thread does not matter
-    bufs = [np.empty((max(model.n for model in experts), n_test))
-            for _ in range(min(workers, len(pairs)))]
 
     def pair_covariance(slot, p):
         i, j = pairs[p]
         K_ij = kernel_matrix(experts[i].X, experts[j].X, hp)
-        prod = np.matmul(K_ij, U[j], out=bufs[slot][:experts[i].n])
+        n_i = experts[i].n
+        prod = np.matmul(K_ij, U[j], out=bufs[slot][:n_i * n_test].reshape(n_i, n_test))
         # the column sums of prod * U_i, row by row as prod.sum(axis=0) adds
         w = np.einsum("ij,ij->j", prod, U[i])
         K_agg[:, i, j] = w
         K_agg[:, j, i] = w
 
     fan_out(pair_covariance, len(pairs), workers)
-    # every U_i and buffer goes before the factorization
-    del U, bufs
+    # every U_i goes before the factorization
+    del U
 
     L = None
     if np.all(np.isfinite(K_agg)):
@@ -246,14 +244,76 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
             try:
                 L[t] = chol_with_jitter(K_agg[t])[0]
             except NumericalBreakdown as exc:
-                raise NumericalBreakdown(f"test point {t}: {exc}",
-                                         jitters_tried=exc.jitters_tried, test_index=t) from exc
+                raise NumericalBreakdown(f"test point {offset + t}: {exc}",
+                                         jitters_tried=exc.jitters_tried,
+                                         test_index=offset + t) from exc
     z = np.linalg.solve(L, rhs)
     z_k, z_mu = z[:, :, 0], z[:, :, 1]
-    means = np.einsum("tm,tm->t", z_k, z_mu)
-    variances = hp.output_variance + hp.noise_variance - np.einsum("tm,tm->t", z_k, z_k)
-    floor = hp.noise_variance * _VARIANCE_GUARD
-    return AggregatedPrediction(means, np.maximum(variances, floor))
+    means[:] = np.einsum("tm,tm->t", z_k, z_mu)
+    variances[:] = np.maximum(
+        hp.output_variance + hp.noise_variance - np.einsum("tm,tm->t", z_k, z_k),
+        hp.noise_variance * _VARIANCE_GUARD)
+
+
+def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
+    """Nested pointwise aggregation: treat expert means as correlated random
+    variables and regress the target on them.
+
+    Per test point, the M x M covariance ``K_A`` of the expert means (its
+    diagonal equals the cross-covariance ``k`` with the target) is factored
+    as ``K_A = L L'``; with ``z_k = L^-1 k`` and ``z_mu = L^-1 mu`` the mean is
+    ``z_k . z_mu`` and the variance the prior minus ``|z_k|^2``, floored as in
+    :func:`gp.predict`. Building ``K_A`` costs one product per expert pair,
+    so time grows with the square of the total training size N.
+
+    The test points are split by ``np.array_split`` into the fewest
+    near-equal blocks whose working set, ``8 B (N + M^2)`` bytes for ``B``
+    points (every expert's ``C_i^-1 K_i*`` and the block's ``K_A`` stack),
+    fits 32 MiB, the largest block :func:`gp.retain_freed_memory` keeps on
+    the heap; no block holds a single point. So memory is
+    O(B (N + M^2)) whatever the number of test points, and each block reuses
+    what the block before it freed. A test set that fits is one block. Each
+    further block computes the M (M - 1) / 2 pair kernels ``K_ij`` again.
+
+    Within a block, every point is factored in one stacked Cholesky call
+    and solved in one stacked call. If the block's stack holds a non-finite
+    entry or any of its points fails to factor, each of that block's points
+    gets its factor from :func:`gp.chol_with_jitter` instead, so the jitter
+    it needs, or the :class:`NumericalBreakdown` naming the first failing
+    test point by its index in ``Xstar``, is that of a per-point solve.
+
+    The expert terms and then the pair products are dealt round-robin to
+    ``ensemble.workers`` threads by :func:`gp.fan_out` while the calling
+    thread waits; each thread forms its pair products in one buffer of its
+    own, allocated once per call, and each term or pair writes only its own
+    entries. The blocks depend only on the number of test points, N and M,
+    so every thread count gives the same bits. The threads assume BLAS runs
+    on one thread; with a multi-threaded BLAS they compete for the same
+    cores. An exception in any thread is raised here once every thread has
+    stopped.
+    """
+    Xstar = np.asarray(Xstar, dtype=float)
+    if Xstar.ndim == 1:
+        Xstar = Xstar[:, None]
+    experts = ensemble.experts
+    M = len(experts)
+    n_test = Xstar.shape[0]
+    blocks = np.array_split(Xstar, _npae_block_count(n_test, sum(model.n for model in experts), M))
+    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
+    # one product buffer per thread, reused for each of its pairs in every
+    # block (a pair fills the leading n_i x B entries, and the first block
+    # is the largest); with the single malloc arena of
+    # gp.retain_freed_memory, the allocating thread does not matter
+    bufs = [np.empty(max(model.n for model in experts) * blocks[0].shape[0])
+            for _ in range(min(ensemble.workers, len(pairs)))]
+    means = np.empty(n_test)
+    variances = np.empty(n_test)
+    start = 0
+    for block in blocks:
+        stop = start + block.shape[0]
+        _npae_block(ensemble, block, pairs, bufs, start, means[start:stop], variances[start:stop])
+        start = stop
+    return AggregatedPrediction(means, variances)
 
 
 def grbcm_fuse(means, variances, prior_precision: float):

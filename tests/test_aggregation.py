@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -358,8 +359,8 @@ def test_npae_matches_dense_reference(M):
             <= scale * np.linalg.norm(k)
 
 
-def test_npae_ladder_runs_only_when_the_batch_fails(monkeypatch):
-    ds, committee = _committee(n=150, M=3)
+def _count_ladder_calls(monkeypatch):
+    """The shapes NPAE passes to the jitter ladder, appended as it runs."""
     calls = []
     ladder_step = aggregate.chol_with_jitter
 
@@ -368,6 +369,12 @@ def test_npae_ladder_runs_only_when_the_batch_fails(monkeypatch):
         return ladder_step(A)
 
     monkeypatch.setattr(aggregate, "chol_with_jitter", counted)
+    return calls
+
+
+def test_npae_ladder_runs_only_when_the_batch_fails(monkeypatch):
+    ds, committee = _committee(n=150, M=3)
+    calls = _count_ladder_calls(monkeypatch)
     batch = npae(committee, ds.X_test)
     assert calls == []
     # the far point's system is all zeros: the stacked factorization fails
@@ -381,15 +388,67 @@ def test_npae_ladder_runs_only_when_the_batch_fails(monkeypatch):
     assert ladder.means[-1] == 0.0
     assert ladder.variances[-1] == pytest.approx(prior, rel=1e-14)
 
+    # in the last of 3 blocks, the far point sends only that block's points
+    # to the ladder; the first two blocks are factored as batches
+    calls.clear()
+    n_test = ds.n_test + 1
+    _force_npae_blocks(monkeypatch, committee, n_test, 3)
+    last_block = np.array_split(np.arange(n_test), 3)[-1]
+    blocked = npae(committee, np.vstack([ds.X_test, [[80.0]]]))
+    assert calls == [(3, 3)] * len(last_block)
+    np.testing.assert_allclose(blocked.means, ladder.means,
+                               rtol=0, atol=1e-12 * np.max(np.abs(batch.means)))
+    np.testing.assert_allclose(blocked.variances, ladder.variances, rtol=1e-12, atol=0)
 
-def test_npae_non_finite_factor_names_the_first_test_point():
+
+def test_npae_non_finite_factor_names_the_first_test_point(monkeypatch):
     ds, committee = _committee(n=150, M=3)
+    calls = _count_ladder_calls(monkeypatch)
     experts = list(committee.experts)
     experts[1] = replace(experts[1], chol_inv=np.full_like(experts[1].chol_inv, np.nan))
+    for blocks in (1, 3):
+        _force_npae_blocks(monkeypatch, committee, ds.n_test, blocks)
+        calls.clear()
+        with pytest.raises(NumericalBreakdown) as info:
+            npae(replace(committee, experts=experts), ds.X_test)
+        assert info.value.test_index == 0
+        assert str(info.value).startswith("test point 0:")
+        assert calls == [(3, 3)]
+
+    # non-finite from the second point of block 2 on: the error names the
+    # point by its index in Xstar, once the ladder has run on that block's
+    # points up to it
+    start = len(np.array_split(np.arange(ds.n_test), 3)[0])
+    Xstar = ds.X_test.copy()
+    Xstar[start + 1:] = np.nan
+    calls.clear()
     with pytest.raises(NumericalBreakdown) as info:
-        npae(replace(committee, experts=experts), ds.X_test)
-    assert info.value.test_index == 0
-    assert str(info.value).startswith("test point 0:")
+        npae(committee, Xstar)
+    assert info.value.test_index == start + 1
+    assert str(info.value).startswith(f"test point {start + 1}:")
+    assert calls == [(3, 3)] * 2
+
+
+def test_npae_block_count_is_the_fewest_that_fit_with_no_lone_point(monkeypatch):
+    # one point of 2 experts over 10 training rows takes 8 (10 + 2^2) bytes
+    per_point = 8 * (10 + 4)
+    for fits in range(1, 9):
+        monkeypatch.setattr(aggregate, "_NPAE_BLOCK_BYTES", fits * per_point + per_point // 2)
+        for n_test in range(40):
+            fitting = [k for k in range(1, n_test + 1)
+                       if -(-n_test // k) <= fits and n_test // k >= min(n_test, 2)]
+            # when no split fits, blocks of two or three points
+            expected = min(fitting) if fitting else max(1, n_test // 2)
+            assert aggregate._npae_block_count(n_test, 10, 2) == expected
+
+
+def _force_npae_blocks(monkeypatch, committee, n_test, blocks):
+    """Set NPAE's block budget so that ``n_test`` points take ``blocks`` blocks."""
+    n_train = sum(model.n for model in committee.experts)
+    M = len(committee.experts)
+    per_point = 8 * (n_train + M * M)
+    monkeypatch.setattr(aggregate, "_NPAE_BLOCK_BYTES", -(-n_test // blocks) * per_point)
+    assert aggregate._npae_block_count(n_test, n_train, M) == blocks
 
 
 def _switching_often(fn):
@@ -425,6 +484,51 @@ def test_npae_workers_give_the_same_bits(M, workers):
     fanned = _switching_often(lambda: npae(replace(committee, workers=workers), Xstar))
     np.testing.assert_array_equal(fanned.means, serial.means)
     np.testing.assert_array_equal(fanned.variances, serial.variances)
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 7])
+@pytest.mark.parametrize("M", [1, 3, 8])
+def test_npae_blocks_match_one_block_with_the_same_bits_for_every_workers(
+        monkeypatch, M, blocks):
+    committee = _uneven_committee(M)
+    # 1999 points split into blocks of two sizes: 1000 + 999, 667 + 2 x 666
+    # and 4 x 286 + 3 x 285
+    Xstar = np.linspace(-0.5, 1.5, 1999)[:, None]
+    n_train = sum(model.n for model in committee.experts)
+    assert aggregate._npae_block_count(1999, n_train, M) == 1
+    whole = npae(committee, Xstar)
+    _force_npae_blocks(monkeypatch, committee, 1999, blocks)
+    assert len({len(b) for b in np.array_split(Xstar, blocks)}) == 2
+    serial = npae(committee, Xstar)
+    # BLAS may sum a column in another order when the column count changes,
+    # so the blocks agree with one block to rounding, not in every bit
+    np.testing.assert_allclose(serial.means, whole.means,
+                               rtol=0, atol=1e-12 * np.max(np.abs(whole.means)))
+    np.testing.assert_allclose(serial.variances, whole.variances, rtol=1e-12, atol=0)
+    for workers in (1, 2, 5):
+        fanned = _switching_often(lambda: npae(replace(committee, workers=workers), Xstar))
+        np.testing.assert_array_equal(fanned.means, serial.means)
+        np.testing.assert_array_equal(fanned.variances, serial.variances)
+
+
+def test_npae_peak_memory_stays_flat_as_the_test_set_grows(monkeypatch):
+    # with a block budget of 256 KiB (about 150 points of this committee),
+    # four times the test points keep the peak near one block's working set,
+    # plus the outputs; held in one block, they take about four times the
+    # memory (2.2 MB and 8.8 MB)
+    _, committee = _committee(n=200, M=4)
+    monkeypatch.setattr(aggregate, "_NPAE_BLOCK_BYTES", 256 << 10)
+    peaks = []
+    for n_test in (1000, 4000):
+        Xstar = np.linspace(-0.5, 1.5, n_test)[:, None]
+        tracemalloc.start()
+        try:
+            npae(committee, Xstar)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 2 * aggregate._NPAE_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
