@@ -42,7 +42,7 @@ from scipy.linalg import cho_solve  # noqa: F401
 from .ensemble import ExpertEnsemble, experts_predict
 from .errors import NumericalBreakdown
 from .gp import (_RETAINED_BLOCK_BYTES, _VARIANCE_GUARD, _mean_and_whitened,
-                 chol_with_jitter, fan_out, triangular_product)
+                 as_test_inputs, chol_with_jitter, fan_out, triangular_product)
 # unused here; the benchmark's traced run patches this name in this module
 from .gp import predict  # noqa: F401
 from .kernel import Hyperparams, kernel_matrix
@@ -274,6 +274,8 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     O(B (N + M^2)) whatever the number of test points, and each block reuses
     what the block before it freed. A test set that fits is one block. Each
     further block computes the M (M - 1) / 2 pair kernels ``K_ij`` again.
+    A non-finite test input raises :class:`DataError` before any block
+    (:func:`gp.as_test_inputs`).
 
     Within a block, every point is factored in one stacked Cholesky call
     and solved in one stacked call. If the block's stack holds a non-finite
@@ -292,9 +294,7 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     cores. An exception in any thread is raised here once every thread has
     stopped.
     """
-    Xstar = np.asarray(Xstar, dtype=float)
-    if Xstar.ndim == 1:
-        Xstar = Xstar[:, None]
+    Xstar = as_test_inputs(Xstar)
     experts = ensemble.experts
     M = len(experts)
     n_test = Xstar.shape[0]

@@ -4,7 +4,9 @@ One repetition builds a dataset and partition from the repetition seed,
 trains the committee once (training is shared by every aggregation method),
 then times each method's prediction separately and scores SMSE/MSLL.
 Results are written as CSV (one row per method and repetition), JSON (full
-records plus config echo) and the partition documents.
+records plus config echo) and the partition documents. The consistency
+sweep repeats a toy experiment over increasing training sizes, with the
+expert count M or the subset size m0 held fixed, and tabulates the records.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .optimize import OptimizerConfig
 from .partition import (Partition, PartitionKind, disjoint_partition,
                         grbcm_partition, random_partition)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 METHOD_CHOICES = ("poe", "gpoe", "bcm", "rbcm", "npae", "grbcm")
 PARTITION_CHOICES = ("random", "disjoint")
 
@@ -122,12 +124,9 @@ class RunRecord:
 
 @dataclass
 class RepArtifacts:
-    """Raw per-repetition material kept for sweep-level diagnostics."""
+    """One repetition's fused predictions (original units), by method label."""
 
-    hp: Hyperparams
-    y_std: float
     interior_mask: np.ndarray
-    f_test: np.ndarray | None
     predictions: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
@@ -136,7 +135,7 @@ class ExperimentResult:
     config: ExperimentConfig
     records: list[RunRecord]
     partitions: list[Partition]
-    artifacts: list[RepArtifacts] | None = None
+    artifacts: list[RepArtifacts]
 
 
 def _build_dataset(config: ExperimentConfig, rep_seed: int) -> Dataset:
@@ -207,9 +206,8 @@ def _interior_mask(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
     return (x >= lo) & (x <= hi)
 
 
-def run_experiment(config: ExperimentConfig,
-                   collect_predictions: bool = False) -> ExperimentResult:
-    """Run all repetitions of one experiment; optionally keep raw predictions.
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run all repetitions of one experiment, keeping each one's predictions.
 
     A method that raises a :class:`GPCommitteeError` (numerical breakdown,
     including a fused prediction with non-finite or non-positive variances)
@@ -222,7 +220,7 @@ def run_experiment(config: ExperimentConfig,
     config.validate()
     records: list[RunRecord] = []
     partitions: list[Partition] = []
-    artifacts: list[RepArtifacts] | None = [] if collect_predictions else None
+    artifacts: list[RepArtifacts] = []
     for rep in range(config.repetitions):
         rep_seed = config.seed + rep
         dataset = _build_dataset(config, rep_seed)
@@ -232,12 +230,8 @@ def run_experiment(config: ExperimentConfig,
         opt = OptimizerConfig(max_evals=config.max_evals,
                               initial_hp=Hyperparams.default(dataset.input_dim))
         committee = train(dataset.X_train, dataset.y_train, part, opt, workers=config.workers)
-        art = None
-        if artifacts is not None:
-            art = RepArtifacts(hp=committee.hp, y_std=dataset.norm_stats.y_std,
-                               interior_mask=_interior_mask(config, dataset),
-                               f_test=dataset.f_test)
-            artifacts.append(art)
+        art = RepArtifacts(interior_mask=_interior_mask(config, dataset))
+        artifacts.append(art)
         # the prediction threads assume BLAS on one thread, as training does
         with blas_threads(1):
             for method in config.methods:
@@ -267,12 +261,11 @@ def _score_method(method, committee, dataset, config, rep, rep_seed, art):
                          train_time_seconds=committee.train_time_seconds,
                          predict_time_seconds=math.nan, degeneracy_count=0,
                          error=f"{type(exc).__name__}: {exc}")
-    if art is not None:
-        art.predictions[label] = (agg.means, agg.variances)
     # original units only: SMSE and MSLL do not change under the affine map
     # from normalized units, so a normalized-scale score would repeat them
     stats = dataset.norm_stats
     means_eval, vars_eval = denormalize_predictions(agg.means, agg.variances, stats)
+    art.predictions[label] = (means_eval, vars_eval)
     y_eval = dataset.y_test * stats.y_std + stats.y_mean
     train_mean, train_var = stats.y_mean, stats.y_std ** 2
     betas = agg.betas
@@ -351,46 +344,39 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
 # ---------------------------------------------------------------------------
 # consistency sweep
 
-def _strictly_decreasing(series: list[float]) -> bool:
-    return all(b < a for a, b in zip(series, series[1:]))
-
-
-def _per_rep_series(per_n: dict, method: str, key: str, rep: int) -> list[float]:
-    return [per_n[n][method][key][rep] for n in sorted(per_n)]
-
-
-# (flag name, summary key) of each series that should fall as n grows
-_TRENDS = (("smse", "smse"), ("msll", "msll"), ("variance", "median_interior_variance"))
-
-
 def check_n_list(n_list: list[int]) -> None:
     """Raise ``ValueError`` unless the sweep sizes are strictly increasing and at least two."""
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing with at least two sizes")
 
 
-def consistency_sweep(base_config: ExperimentConfig, n_list: list[int]) -> dict:
-    """Run the experiment at each n with m0 held fixed and report trends.
-
-    The report carries per-method SMSE/MSLL and median interior predictive
-    variance (original units) for every repetition and n, plus pass/fail
-    flags for the monotone consistency trends. Methods appear in config
-    order. When ``base_config.out_dir`` is set, the report is written there
-    as sweep.json; the per-n runs write nothing.
-    """
+def check_sweep_config(config: ExperimentConfig, n_list: list[int]) -> None:
+    """Raise ``ValueError`` unless ``config`` is a valid experiment at every
+    size in ``n_list`` and is toy data, whose training size a sweep can vary."""
     check_n_list(n_list)
-    if base_config.m0 is None:
-        raise ValueError("sweep requires m0 (fixed subset size)")
-    base_config.validate()
-    reps = base_config.repetitions
-    noise_var = TOY_NOISE_VAR if base_config.dataset == "toy" else None
+    for n in n_list:
+        replace(config, n=n).validate()
+    if config.dataset != "toy":
+        raise ValueError("sweep varies the toy training size; csv data has a fixed size")
+
+
+def consistency_sweep(base_config: ExperimentConfig, n_list: list[int]) -> dict:
+    """Run the toy experiment at each training size n, with the base
+    config's M or m0 held fixed, and tabulate its records.
+
+    Per n and method (config order), the report lists each repetition's
+    SMSE, MSLL, degeneracy count and median interior predictive variance,
+    plus two flags per method that compare that variance with the true
+    noise variance. :func:`check_sweep_config` runs before the first run.
+    When ``base_config.out_dir`` is set, the report is written there as
+    sweep.json; the per-n runs write nothing.
+    """
+    check_sweep_config(base_config, n_list)
     labels = [_label(base_config, method) for method in base_config.methods]
 
     per_n: dict[int, dict] = {}
-    inflation: dict[int, dict] = {}
     for n in n_list:
-        res = run_experiment(replace(base_config, n=n, out_dir=None),
-                             collect_predictions=True)
+        res = run_experiment(replace(base_config, n=n, out_dir=None))
         summary: dict[str, dict] = {}
         for label in labels:
             # run_experiment appends records repetition by repetition
@@ -401,8 +387,7 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int]) -> dict:
                     med_vars.append(math.nan)
                     continue
                 _, variances = art.predictions[label]
-                denorm = variances * art.y_std ** 2
-                med_vars.append(float(np.median(denorm[art.interior_mask])))
+                med_vars.append(float(np.median(variances[art.interior_mask])))
             summary[label] = {
                 "smse": [r.smse for r in recs],
                 "msll": [r.msll for r in recs],
@@ -410,38 +395,25 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int]) -> dict:
                 "degeneracy_count": [r.degeneracy_count for r in recs],
             }
         per_n[n] = summary
-        if "bcm" in summary and base_config.dataset == "toy":
-            inflation[n] = _bcm_inflation(res)
 
     flags: dict[str, bool] = {}
     for label in labels:
-        for name, key in _TRENDS:
-            flags[f"{label}_{name}_strictly_decreasing"] = all(
-                _strictly_decreasing(_per_rep_series(per_n, label, key, rep))
-                for rep in range(reps))
-        if noise_var is not None:
-            final = per_n[n_list[-1]][label]["median_interior_variance"]
-            flags[f"{label}_overconfident_at_max_n"] = all(
-                v < 0.8 * noise_var for v in final)
-            conservative = all(
-                v >= noise_var
-                for n in n_list for v in per_n[n][label]["median_interior_variance"])
-            flags[f"{label}_conservative_all_n"] = conservative
-    if "poe" in labels:
-        flags["poe_msll_nondecreasing"] = all(
-            all(b >= a for a, b in zip(s, s[1:]))
-            for s in (_per_rep_series(per_n, "poe", "msll", rep) for rep in range(reps))
-        )
+        final = per_n[n_list[-1]][label]["median_interior_variance"]
+        flags[f"{label}_overconfident_at_max_n"] = all(
+            v < 0.8 * TOY_NOISE_VAR for v in final)
+        flags[f"{label}_conservative_all_n"] = all(
+            v >= TOY_NOISE_VAR
+            for n in n_list for v in per_n[n][label]["median_interior_variance"])
 
     report = {
         "schema_version": SCHEMA_VERSION,
+        "M": base_config.M,
         "m0": base_config.m0,
         "n_list": list(n_list),
-        "repetitions": reps,
-        "true_noise_variance": noise_var,
+        "repetitions": base_config.repetitions,
+        "true_noise_variance": TOY_NOISE_VAR,
         "partition_kind": base_config.partition_kind,
         "methods": {str(n): per_n[n] for n in n_list},
-        "bcm_inflation": {str(n): inflation[n] for n in inflation},
         "flags": flags,
     }
     if base_config.out_dir:
@@ -449,20 +421,3 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int]) -> dict:
         with open(os.path.join(base_config.out_dir, "sweep.json"), "w") as fh:
             json.dump(report, fh, indent=2)
     return report
-
-
-def _bcm_inflation(res: ExperimentResult) -> dict:
-    """Least-squares slope of BCM means against the noiseless target, and the
-    asymptotic inflation factor implied by the trained hyperparameters."""
-    slopes, factors = [], []
-    for art in res.artifacts:
-        if "bcm" not in art.predictions:
-            continue
-        means, _ = art.predictions["bcm"]
-        f = art.f_test[art.interior_mask]
-        m = means[art.interior_mask]
-        slopes.append(float(np.dot(m, f) / np.dot(f, f)))
-        noise_prec = 1.0 / art.hp.noise_variance
-        prior_prec = 1.0 / (art.hp.output_variance + art.hp.noise_variance)
-        factors.append(float(noise_prec / (noise_prec - prior_prec)))
-    return {"slope": slopes, "a_factor": factors}

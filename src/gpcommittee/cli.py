@@ -1,9 +1,10 @@
 """Command-line benchmark driver.
 
 ``gpcommittee-bench run`` executes one experiment; ``gpcommittee-bench sweep``
-repeats it over increasing training sizes with a fixed per-expert subset size
-and reports consistency trends. Results land in the output directory as
-results.csv, results.json and partition.json (plus sweep.json for sweeps).
+repeats a toy experiment over increasing training sizes with a fixed subset
+size or expert count and tabulates each size's scores and variances. A run
+writes results.csv, results.json and partition.json to the output
+directory; a sweep writes sweep.json.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import sys
 
 from .bench import (ExperimentConfig, PARTITION_CHOICES, check_n_list,
-                    consistency_sweep, run_experiment)
+                    check_sweep_config, consistency_sweep, run_experiment)
 from .errors import DataError
 
 
@@ -106,11 +107,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        config.validate()
+        # a sweep runs at the sizes of --n-list, not at the size of --dataset
+        if args.command == "sweep":
+            check_sweep_config(config, args.n_list)
+        else:
+            config.validate()
     except ValueError as exc:
         parser.error(str(exc))
-    if args.command == "sweep" and config.m0 is None:
-        parser.error("sweep requires --subset-size")
 
     try:
         if args.command == "sweep":

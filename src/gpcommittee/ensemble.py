@@ -298,7 +298,8 @@ def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
     and ``L_c^-1 y_c`` are formed once and each augmented expert adds its
     own block (see :func:`gp.predict_extended`). Either way the rows are
     dealt to ``ensemble.workers`` threads, and every thread count gives the
-    same bits.
+    same bits. A non-finite test input raises :class:`DataError`
+    (:func:`gp.as_test_inputs`).
     """
     if augmented:
         if ensemble.augmented_experts is None:
@@ -306,9 +307,7 @@ def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
         comm = ensemble.experts[ensemble.partition.communication_index]
         return gp.predict_extended(comm, ensemble.augmented_experts, Xstar,
                                    ensemble.workers)
-    Xstar = np.asarray(Xstar, dtype=float)
-    if Xstar.ndim == 1:
-        Xstar = Xstar[:, None]
+    Xstar = gp.as_test_inputs(Xstar)
     means = np.empty((ensemble.M, Xstar.shape[0]))
     variances = np.empty_like(means)
 

@@ -435,18 +435,31 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarr
     return value, grads
 
 
+def as_test_inputs(Xstar: np.ndarray) -> np.ndarray:
+    """``Xstar`` as a 2-D float array with one test point per row (1-D input
+    is a column of 1-D points); a non-finite entry raises :class:`DataError`
+    naming the first bad row."""
+    Xstar = np.asarray(Xstar, dtype=float)
+    if Xstar.ndim == 1:
+        Xstar = Xstar[:, None]
+    bad = ~np.all(np.isfinite(Xstar), axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataError(f"test row {row} is not finite: x={Xstar[row].tolist()}")
+    return Xstar
+
+
 def predict(model: GPModel, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictive mean and noisy-observation variance at test inputs.
 
     Variances include observation noise, so each lies in
     ``(noise_variance, output_variance + noise_variance]`` up to jitter;
-    round-off dips are clamped at ``noise_variance * (1 - 1e-10)``.
+    round-off dips are clamped at ``noise_variance * (1 - 1e-10)``. A
+    non-finite test input raises :class:`DataError` (:func:`as_test_inputs`).
     """
     if not isinstance(model, GPModel):
         raise ValueError("predict requires a fitted GPModel")
-    Xstar = np.asarray(Xstar, dtype=float)
-    if Xstar.ndim == 1:
-        Xstar = Xstar[:, None]
+    Xstar = as_test_inputs(Xstar)
     means, V = _mean_and_whitened(model, Xstar)
     # the column sums of V * V without forming it; for two or more test
     # points the same bits as np.sum(V * V, axis=0), which adds row by row
@@ -515,12 +528,11 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     ``z_i = S_i^-1 (y_i - cross_i z_b)``: its mean is ``V_b' z_b + W_i' z_i``
     and its variance the prior minus ``|V_b|^2 + |W_i|^2``, floored as in
     :func:`predict`. The extensions are dealt to ``workers`` threads by
-    :func:`fan_out`; every thread count gives the same bits.
+    :func:`fan_out`; every thread count gives the same bits. A non-finite
+    test input raises :class:`DataError` (:func:`as_test_inputs`).
     """
     hp = base.hp
-    Xstar = np.asarray(Xstar, dtype=float)
-    if Xstar.ndim == 1:
-        Xstar = Xstar[:, None]
+    Xstar = as_test_inputs(Xstar)
     means = np.empty((len(extensions) + 1, Xstar.shape[0]))
     variances = np.empty_like(means)
     means[0], V_b = _mean_and_whitened(base, Xstar)

@@ -9,7 +9,7 @@ import pytest
 
 import gpcommittee.aggregate as aggregate
 import gpcommittee.gp as gp
-from gpcommittee import (Hyperparams, MissingCommunicationSubset,
+from gpcommittee import (DataError, Hyperparams, MissingCommunicationSubset,
                          NumericalBreakdown, OptimizerConfig, PriorVariance, bcm,
                          beta_entropy, fit, gpoe, grbcm, grbcm_fuse, grbcm_partition, npae,
                          poe, predict, prepare_grbcm, random_partition, rbcm, toy_generate,
@@ -415,18 +415,48 @@ def test_npae_non_finite_factor_names_the_first_test_point(monkeypatch):
         assert str(info.value).startswith("test point 0:")
         assert calls == [(3, 3)]
 
-    # non-finite from the second point of block 2 on: the error names the
-    # point by its index in Xstar, once the ladder has run on that block's
-    # points up to it
+    # non-finite expert terms from the second point of block 2 on: the error
+    # names the point by its index in Xstar, once the ladder has run on that
+    # block's points up to it
     start = len(np.array_split(np.arange(ds.n_test), 3)[0])
-    Xstar = ds.X_test.copy()
-    Xstar[start + 1:] = np.nan
+    poisoned = ds.X_test[start + 1:, 0]
+    mean_and_whitened = aggregate._mean_and_whitened
+
+    def nan_columns_from_the_poisoned_points(model, Xstar):
+        means, V = mean_and_whitened(model, Xstar)
+        V[:, np.isin(Xstar[:, 0], poisoned)] = np.nan
+        return means, V
+
+    monkeypatch.setattr(aggregate, "_mean_and_whitened", nan_columns_from_the_poisoned_points)
     calls.clear()
     with pytest.raises(NumericalBreakdown) as info:
-        npae(committee, Xstar)
+        npae(committee, ds.X_test)
     assert info.value.test_index == start + 1
     assert str(info.value).startswith(f"test point {start + 1}:")
     assert calls == [(3, 3)] * 2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["predict", "predict_extended", "experts_predict",
+                                   "experts_predict_augmented", "npae", "grbcm"])
+def test_non_finite_test_input_is_a_data_error_naming_its_first_row(entry, value):
+    ds, committee = _committee(n=120, M=3, kind="grbcm", max_evals=3)
+    prepared = prepare_grbcm(committee)
+    comm = prepared.experts[prepared.partition.communication_index]
+    call = {
+        "predict": lambda X: predict(comm, X),
+        "predict_extended": lambda X: predict_extended(comm, prepared.augmented_experts, X),
+        "experts_predict": lambda X: experts_predict(committee, X),
+        "experts_predict_augmented": lambda X: experts_predict(prepared, X, augmented=True),
+        "npae": lambda X: npae(committee, X),
+        "grbcm": lambda X: grbcm(prepared, X),
+    }[entry]
+    # a column of points and the same points as 1-D input
+    for Xstar in (ds.X_test.copy(), ds.X_test[:, 0].copy()):
+        Xstar[[7, 12]] = value
+        with pytest.raises(DataError) as info:
+            call(Xstar)
+        assert str(info.value) == f"test row 7 is not finite: x={[value]}"
 
 
 def test_npae_block_count_is_the_fewest_that_fit_with_no_lone_point(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields, replace
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from gpcommittee import (AggregatedPrediction, ExperimentConfig, PartitionKind, RunRecord,
-                         aggregate, read_results_csv, run_experiment)
-from gpcommittee.bench import METHOD_CHOICES, write_results_csv
+                         aggregate, consistency_sweep, read_results_csv, run_experiment)
+from gpcommittee.bench import METHOD_CHOICES, SCHEMA_VERSION, write_results_csv
 
 
 def test_invalid_fused_prediction_recorded_per_method(monkeypatch):
@@ -120,3 +121,53 @@ def test_results_csv_round_trips_failed_records(tmp_path):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert type(a) is type(b), f.name
             assert a == b or (math.isnan(a) and math.isnan(b)), f.name
+
+
+def test_artifacts_keep_every_rules_predictions_per_repetition():
+    config = ExperimentConfig(n=120, n_test=30, m0=40, max_evals=3, repetitions=2,
+                              methods=METHOD_CHOICES)
+    result = run_experiment(config)
+    assert len(result.artifacts) == 2
+    labels = ["poe", "gpoe_uniform", "bcm", "rbcm", "npae", "grbcm"]
+    for art in result.artifacts:
+        assert list(art.predictions) == labels
+        for means, variances in art.predictions.values():
+            assert means.shape == variances.shape == (30,)
+            assert np.all(np.isfinite(means)) and np.all(variances > 0)
+        assert art.interior_mask.shape == (30,)
+
+
+def test_sweep_with_M_fixed_tabulates_the_run_records(tmp_path):
+    config = ExperimentConfig(n=100, n_test=30, M=2, max_evals=3, repetitions=2,
+                              methods=("poe", "bcm", "grbcm"), out_dir=str(tmp_path))
+    report = consistency_sweep(config, [100, 160])
+    assert (report["M"], report["m0"]) == (2, None)
+    assert report["schema_version"] == SCHEMA_VERSION
+    with open(tmp_path / "sweep.json") as fh:
+        assert json.load(fh) == report
+    assert "bcm_inflation" not in report
+    # only the two calibration flags per rule: no trend verdicts
+    assert set(report["flags"]) == {f"{label}_{flag}" for label in ("poe", "bcm", "grbcm")
+                                    for flag in ("overconfident_at_max_n",
+                                                 "conservative_all_n")}
+    # each size's series are the records of a run at that size, with M kept
+    run = run_experiment(replace(config, n=160, out_dir=None))
+    assert all(len(part.subsets) == 2 for part in run.partitions)
+    for label in ("poe", "bcm", "grbcm"):
+        recs = [r for r in run.records if r.method == label]
+        entry = report["methods"]["160"][label]
+        assert entry["smse"] == [r.smse for r in recs]
+        assert entry["msll"] == [r.msll for r in recs]
+        assert entry["degeneracy_count"] == [r.degeneracy_count for r in recs]
+        assert len(entry["median_interior_variance"]) == 2
+
+
+def test_sweep_rejects_csv_data_and_invalid_sizes(tmp_path):
+    config = ExperimentConfig(dataset="csv", csv_path=str(tmp_path / "data.csv"), m0=5)
+    with pytest.raises(ValueError, match="csv data has a fixed size"):
+        consistency_sweep(config, [100, 200])
+    # a fixed M larger than the first size fails before any run
+    config = ExperimentConfig(n=100, M=60, max_evals=3, out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="M=60 exceeds n=50"):
+        consistency_sweep(config, [50, 100])
+    assert not (tmp_path / "out").exists()

@@ -138,3 +138,37 @@ def test_sweep_writes_flags(tmp_path, capsys):
     assert [list(report["methods"][n]) for n in ("100", "200")] == [["poe", "grbcm"]] * 2
     assert report["flags"]
     assert json.loads(capsys.readouterr().out) == report["flags"]
+
+
+def test_sweep_with_M_fixed(tmp_path, capsys):
+    assert main(["sweep", "--dataset", "toy100", "--experts", "2", "--max-evals", "5",
+                 "--methods", "poe,grbcm", "--n-list", "100,200", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.json") as fh:
+        report = json.load(fh)
+    assert (report["M"], report["m0"]) == (2, None)
+    assert "bcm_inflation" not in report
+    assert sorted(report["flags"]) == sorted(
+        f"{label}_{flag}" for label in ("poe", "grbcm")
+        for flag in ("overconfident_at_max_n", "conservative_all_n"))
+    assert json.loads(capsys.readouterr().out) == report["flags"]
+    # the sizes of --n-list are run, not the size of --dataset
+    assert main(["sweep", "--dataset", "toy1", "--experts", "2", "--max-evals", "5",
+                 "--methods", "poe", "--n-list", "100,200"]) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--csv", "table.csv", "--subset-size", "50"],
+     "sweep varies the toy training size; csv data has a fixed size"),
+    (["--dataset", "toy100", "--experts", "60"], "M=60 exceeds n=50"),
+])
+def test_sweep_that_cannot_run_every_size_is_a_usage_error(capsys, args, message):
+    # a CSV sweep would run the same experiment at every "size"; M=60 cannot
+    # split the 50 rows of the first size
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *args, "--n-list", "50,100"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"gpcommittee-bench: error: {message}"
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
