@@ -5,8 +5,8 @@ rules for fusing their predictions (PoE, GPoE, BCM, RBCM, NPAE, GRBCM), plus
 partitioning schemes, standardized metrics and a benchmark harness.
 """
 
-from .aggregate import (AggregatedPrediction, PriorVariance, bcm, beta_entropy,
-                        gpoe, grbcm, grbcm_fuse, npae, poe, rbcm)
+from .aggregate import (AggregatedPrediction, bcm, beta_entropy, gpoe, grbcm,
+                        grbcm_fuse, npae, poe, rbcm)
 from .bench import (ExperimentConfig, ExperimentResult, RunRecord,
                     consistency_sweep, read_results_csv, run_experiment)
 from .data import (Dataset, NormStats, denormalize_inputs, denormalize_predictions,
@@ -18,14 +18,14 @@ from .errors import (DataError, DegenerateTargets, GPCommitteeError, InvalidPart
 from .gp import GPModel, fit, nlml, predict
 from .kernel import Hyperparams, kernel_matrix, kernel_matrix_grads, se_kernel
 from .metrics import msll, smse
-from .optimize import OptimizeResult, OptimizerConfig, minimize
+from .optimize import OptimizeResult, minimize
 from .partition import (Partition, PartitionKind, disjoint_partition,
                         grbcm_partition, random_partition)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedPrediction", "PriorVariance",
+    "AggregatedPrediction",
     "bcm", "beta_entropy", "gpoe", "grbcm", "grbcm_fuse", "npae", "poe", "rbcm",
     "ExperimentConfig", "ExperimentResult", "RunRecord",
     "consistency_sweep", "read_results_csv", "run_experiment",
@@ -38,7 +38,7 @@ __all__ = [
     "GPModel", "fit", "nlml", "predict",
     "Hyperparams", "kernel_matrix", "kernel_matrix_grads", "se_kernel",
     "msll", "smse",
-    "OptimizeResult", "OptimizerConfig", "minimize",
+    "OptimizeResult", "minimize",
     "Partition", "PartitionKind", "disjoint_partition", "grbcm_partition",
     "random_partition",
 ]

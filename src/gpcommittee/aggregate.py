@@ -8,7 +8,8 @@ far-from-data predictions recover it. GRBCM fuses one committee of M
 densities, stacked like every other rule's: row 0 is the communication
 expert, the base of its fusion, and rows 1 onward are the augmented experts
 built on it. The rules differ only in their weights and in their precision
-floor.
+floor, a multiple of the prior precision ``1 / prior_var``; every rule but
+PoE takes ``prior_var`` (:attr:`Hyperparams.prior_variance`) as a float.
 
 NPAE instead regresses the target on the M expert means, one M x M system
 per test point. It streams the test points in blocks: the fewest near-equal
@@ -19,9 +20,9 @@ O(B (N + M^2)) however many points are asked for, at the cost of
 (blocks - 1) M (M - 1) / 2 pair kernels computed again; a test set that fits
 is one block. Both of its per-expert loops, the M expert terms and the
 M (M - 1) / 2 expert-pair products that fill those systems, are dealt
-round-robin to the committee's ``workers`` threads (:func:`gp.fan_out`);
-every call in them releases the interpreter lock, and they assume BLAS
-itself runs on one thread. The result does not depend on the thread count.
+round-robin to the committee's ``workers`` threads (:func:`gp.fan_out`,
+which pins BLAS to one thread while they run); every call in them releases
+the interpreter lock. The result does not depend on the thread count.
 Each block's points are solved as one batch on the calling thread: one
 stacked Cholesky factorization and one stacked solve against the factors.
 Only if a block cannot be factored does each of its points get the
@@ -45,7 +46,7 @@ from .gp import (_RETAINED_BLOCK_BYTES, _VARIANCE_GUARD, _mean_and_whitened,
                  as_test_inputs, chol_with_jitter, fan_out, triangular_product)
 # unused here; the benchmark's traced run patches this name in this module
 from .gp import predict  # noqa: F401
-from .kernel import Hyperparams, kernel_matrix
+from .kernel import kernel_matrix
 
 # precision floor for the BCM-family correction: degeneracy is signalled by
 # the counter, not by a crash
@@ -54,21 +55,6 @@ _PRECISION_FLOOR_RATIO = 1e-12
 # largest freed block the heap keeps after gp.retain_freed_memory, so each
 # block reuses the memory the block before it freed
 _NPAE_BLOCK_BYTES = _RETAINED_BLOCK_BYTES
-
-
-@dataclass(frozen=True)
-class PriorVariance:
-    """Predictive variance with no data: output variance plus noise variance."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (self.value > 0.0 and np.isfinite(self.value)):
-            raise ValueError("prior variance must be finite and > 0")
-
-    @classmethod
-    def from_hyperparams(cls, hp: Hyperparams) -> "PriorVariance":
-        return cls(hp.output_variance + hp.noise_variance)
 
 
 @dataclass(frozen=True)
@@ -99,8 +85,9 @@ def _as_expert_matrices(means, variances):
     return means, variances
 
 
-def _entropy_gap(base_var, expert_var):
-    return np.maximum(0.0, 0.5 * (np.log(base_var) - np.log(expert_var)))
+def _check_prior(prior_var: float) -> None:
+    if not (prior_var > 0.0 and np.isfinite(prior_var)):
+        raise ValueError(f"prior variance must be finite and > 0, got {prior_var}")
 
 
 def _fuse(means, variances, betas, floor, base=None):
@@ -123,15 +110,16 @@ def _fuse(means, variances, betas, floor, base=None):
     return var * weighted, var, int(np.sum(floored))
 
 
-def beta_entropy(prior_var: PriorVariance, expert_var) -> float:
-    """Differential-entropy gap between prior and expert predictive density.
+def beta_entropy(base_var, expert_var):
+    """Differential-entropy gap between a base and an expert predictive density.
 
-    ``0.5 * (log prior_var - log expert_var)``, clamped below at 0 so a
-    numerically overshooting expert simply loses its vote.
+    ``0.5 * (log base_var - log expert_var)``, clamped below at 0 so a
+    numerically overshooting expert simply loses its vote. The base is the
+    prior for GPoE and RBCM and the communication expert for GRBCM.
     """
     if np.any(np.asarray(expert_var) <= 0):
         raise ValueError("expert_var must be > 0")
-    return _entropy_gap(prior_var.value, expert_var)
+    return np.maximum(0.0, 0.5 * (np.log(base_var) - np.log(expert_var)))
 
 
 def poe(means, variances) -> AggregatedPrediction:
@@ -142,7 +130,7 @@ def poe(means, variances) -> AggregatedPrediction:
     return AggregatedPrediction(mean, var)
 
 
-def gpoe(means, variances, prior_var: PriorVariance,
+def gpoe(means, variances, prior_var: float,
          mode: str = "uniform") -> AggregatedPrediction:
     """Generalized product of experts.
 
@@ -152,32 +140,35 @@ def gpoe(means, variances, prior_var: PriorVariance,
     is floored at the prior precision (the blow-up stays visible in betas).
     """
     means, variances = _as_expert_matrices(means, variances)
+    _check_prior(prior_var)
     if mode == "uniform":
         base = poe(means, variances)
         return AggregatedPrediction(base.means, means.shape[0] * base.variances)
     if mode != "entropy":
         raise ValueError(f"unknown gpoe mode {mode!r}")
     betas = beta_entropy(prior_var, variances)
-    mean, var, floored = _fuse(means, variances, betas, floor=1.0 / prior_var.value)
+    mean, var, floored = _fuse(means, variances, betas, floor=1.0 / prior_var)
     return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
-def bcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
+def bcm(means, variances, prior_var: float) -> AggregatedPrediction:
     """Bayesian committee machine: unit weights plus a prior correction term."""
     means, variances = _as_expert_matrices(means, variances)
-    pv = prior_var.value
+    _check_prior(prior_var)
     mean, var, floored = _fuse(means, variances, np.ones_like(means),
-                               floor=_PRECISION_FLOOR_RATIO * (1.0 / pv), base=(0.0, pv))
+                               floor=_PRECISION_FLOOR_RATIO * (1.0 / prior_var),
+                               base=(0.0, prior_var))
     return AggregatedPrediction(mean, var, degeneracy_count=floored)
 
 
-def rbcm(means, variances, prior_var: PriorVariance) -> AggregatedPrediction:
+def rbcm(means, variances, prior_var: float) -> AggregatedPrediction:
     """Robust BCM: entropy weights on experts, prior fills the leftover mass."""
     means, variances = _as_expert_matrices(means, variances)
-    pv = prior_var.value
+    _check_prior(prior_var)
     betas = beta_entropy(prior_var, variances)
     mean, var, floored = _fuse(means, variances, betas,
-                               floor=_PRECISION_FLOOR_RATIO * (1.0 / pv), base=(0.0, pv))
+                               floor=_PRECISION_FLOOR_RATIO * (1.0 / prior_var),
+                               base=(0.0, prior_var))
     return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
@@ -195,7 +186,7 @@ def _npae_block_count(n_test: int, n_train: int, M: int) -> int:
     return max(1, min(-(-n_test // fits), n_test // 2))
 
 
-def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, bufs, offset: int,
+def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, offset: int,
                 means: np.ndarray, variances: np.ndarray) -> None:
     """NPAE at one block of test points, written into ``means`` and
     ``variances``; ``offset`` is the global index of the block's first point.
@@ -220,9 +211,7 @@ def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, bufs, offset
 
     def pair_covariance(slot, p):
         i, j = pairs[p]
-        K_ij = kernel_matrix(experts[i].X, experts[j].X, hp)
-        n_i = experts[i].n
-        prod = np.matmul(K_ij, U[j], out=bufs[slot][:n_i * n_test].reshape(n_i, n_test))
+        prod = kernel_matrix(experts[i].X, experts[j].X, hp) @ U[j]
         # the column sums of prod * U_i, row by row as prod.sum(axis=0) adds
         w = np.einsum("ij,ij->j", prod, U[i])
         K_agg[:, i, j] = w
@@ -251,7 +240,7 @@ def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, bufs, offset
     z_k, z_mu = z[:, :, 0], z[:, :, 1]
     means[:] = np.einsum("tm,tm->t", z_k, z_mu)
     variances[:] = np.maximum(
-        hp.output_variance + hp.noise_variance - np.einsum("tm,tm->t", z_k, z_k),
+        hp.prior_variance - np.einsum("tm,tm->t", z_k, z_k),
         hp.noise_variance * _VARIANCE_GUARD)
 
 
@@ -286,13 +275,10 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
 
     The expert terms and then the pair products are dealt round-robin to
     ``ensemble.workers`` threads by :func:`gp.fan_out` while the calling
-    thread waits; each thread forms its pair products in one buffer of its
-    own, allocated once per call, and each term or pair writes only its own
-    entries. The blocks depend only on the number of test points, N and M,
-    so every thread count gives the same bits. The threads assume BLAS runs
-    on one thread; with a multi-threaded BLAS they compete for the same
-    cores. An exception in any thread is raised here once every thread has
-    stopped.
+    thread waits, with BLAS on one thread; each term or pair writes only its
+    own entries. The blocks depend only on the number of test points, N and
+    M, so every thread count gives the same bits. An exception in any thread
+    is raised here once every thread has stopped.
     """
     Xstar = as_test_inputs(Xstar)
     experts = ensemble.experts
@@ -300,39 +286,33 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     n_test = Xstar.shape[0]
     blocks = np.array_split(Xstar, _npae_block_count(n_test, sum(model.n for model in experts), M))
     pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    # one product buffer per thread, reused for each of its pairs in every
-    # block (a pair fills the leading n_i x B entries, and the first block
-    # is the largest); with the single malloc arena of
-    # gp.retain_freed_memory, the allocating thread does not matter
-    bufs = [np.empty(max(model.n for model in experts) * blocks[0].shape[0])
-            for _ in range(min(ensemble.workers, len(pairs)))]
     means = np.empty(n_test)
     variances = np.empty(n_test)
     start = 0
     for block in blocks:
         stop = start + block.shape[0]
-        _npae_block(ensemble, block, pairs, bufs, start, means[start:stop], variances[start:stop])
+        _npae_block(ensemble, block, pairs, start, means[start:stop], variances[start:stop])
         start = stop
     return AggregatedPrediction(means, variances)
 
 
-def grbcm_fuse(means, variances, prior_precision: float):
+def grbcm_fuse(means, variances, prior_var: float) -> AggregatedPrediction:
     """Pointwise GRBCM fusion of one committee's stacked expert statistics.
 
     Row 0 is the communication expert, the base of the fusion: its precision
     is subtracted with the surplus weight mass. Row 1, the first augmented
-    expert, keeps weight 1; later rows get the entropy gap between the
-    communication density and theirs, clamped at 0. The fused precision is
-    floored (counted) on underflow. Returns (mean, var, betas, floored
-    count), with one row of ``betas`` per augmented expert.
+    expert, keeps weight 1; later rows get :func:`beta_entropy` against the
+    communication density. The fused precision is floored (counted) on
+    underflow. ``betas`` has one row per augmented expert.
     """
     means, variances = _as_expert_matrices(means, variances)
+    _check_prior(prior_var)
     betas = np.ones_like(means[1:])
-    betas[1:] = _entropy_gap(variances[:1], variances[2:])
+    betas[1:] = beta_entropy(variances[:1], variances[2:])
     mean, var, floored = _fuse(means[1:], variances[1:], betas,
-                               floor=_PRECISION_FLOOR_RATIO * prior_precision,
+                               floor=_PRECISION_FLOOR_RATIO * (1.0 / prior_var),
                                base=(means[0], variances[0]))
-    return mean, var, betas, floored
+    return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
 def grbcm(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
@@ -344,6 +324,4 @@ def grbcm(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     out the communication density rather than the prior.
     """
     means, variances = experts_predict(ensemble, Xstar, augmented=True)
-    prior_precision = 1.0 / (ensemble.hp.output_variance + ensemble.hp.noise_variance)
-    mean, var, betas, floored = grbcm_fuse(means, variances, prior_precision)
-    return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
+    return grbcm_fuse(means, variances, ensemble.hp.prior_variance)

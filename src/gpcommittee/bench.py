@@ -23,16 +23,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import aggregate
-from .aggregate import PriorVariance
 from .data import (Dataset, TOY_NOISE_VAR, TOY_TRAIN_RANGE, denormalize_inputs,
                    denormalize_predictions, load_csv, toy_generate)
 from .ensemble import ExpertEnsemble, experts_predict, prepare_grbcm, train
 from .errors import DataError, GPCommitteeError
-from .gp import blas_threads
-from .kernel import Hyperparams
 from .metrics import msll as msll_metric
 from .metrics import smse as smse_metric
-from .optimize import OptimizerConfig
 from .partition import (Partition, PartitionKind, disjoint_partition,
                         grbcm_partition, random_partition)
 
@@ -57,7 +53,7 @@ class ExperimentConfig:
     m0: int | None = None
     methods: tuple[str, ...] = ("poe", "gpoe", "bcm", "rbcm", "grbcm")
     gpoe_mode: str = "uniform"
-    max_evals: int = OptimizerConfig.max_evals
+    max_evals: int = 500
     seed: int = 0
     repetitions: int = 1
     # parallel slots (ExpertEnsemble.workers): training processes, prediction threads
@@ -74,7 +70,8 @@ class ExperimentConfig:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if (self.M is None) == (self.m0 is None):
             raise ValueError("give exactly one of M (experts) or m0 (subset size)")
-        sizes = [("M", self.M), ("m0", self.m0), ("workers", self.workers)]
+        sizes = [("M", self.M), ("m0", self.m0), ("workers", self.workers),
+                 ("max_evals", self.max_evals)]
         if self.dataset == "toy":
             sizes += [("n", self.n), ("n_test", self.n_test)]
         for name, value in sizes:
@@ -97,8 +94,6 @@ class ExperimentConfig:
             raise ValueError("gpoe_mode must be 'uniform' or 'entropy'")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        # the optimizer settings are checked by their owner
-        OptimizerConfig(max_evals=self.max_evals)
 
 
 @dataclass(frozen=True)
@@ -124,9 +119,13 @@ class RunRecord:
 
 @dataclass
 class RepArtifacts:
-    """One repetition's fused predictions (original units), by method label."""
+    """One repetition's fused predictions (original units), by method label.
 
-    interior_mask: np.ndarray
+    ``interior_mask`` marks the toy test points inside the training range;
+    it is None for CSV data.
+    """
+
+    interior_mask: np.ndarray | None
     predictions: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
@@ -182,7 +181,7 @@ def _predict_method(method: str, ensemble: ExpertEnsemble, Xstar: np.ndarray,
                     config: ExperimentConfig) -> aggregate.AggregatedPrediction:
     if method in ("poe", "gpoe", "bcm", "rbcm"):
         means, variances = experts_predict(ensemble, Xstar)
-        prior = PriorVariance.from_hyperparams(ensemble.hp)
+        prior = ensemble.hp.prior_variance
         if method == "poe":
             return aggregate.poe(means, variances)
         if method == "gpoe":
@@ -198,9 +197,9 @@ def _predict_method(method: str, ensemble: ExpertEnsemble, Xstar: np.ndarray,
     return aggregate.grbcm(prepared, Xstar)
 
 
-def _interior_mask(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
+def _interior_mask(config: ExperimentConfig, dataset: Dataset) -> np.ndarray | None:
     if config.dataset != "toy":
-        return np.ones(dataset.n_test, dtype=bool)
+        return None
     x = denormalize_inputs(dataset.X_test, dataset.norm_stats)[:, 0]
     lo, hi = TOY_TRAIN_RANGE
     return (x >= lo) & (x <= hi)
@@ -227,16 +226,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         M = _resolve_M(config, dataset.n_train)
         part = _build_partition(config, dataset, M, rep_seed)
         partitions.append(part)
-        opt = OptimizerConfig(max_evals=config.max_evals,
-                              initial_hp=Hyperparams.default(dataset.input_dim))
-        committee = train(dataset.X_train, dataset.y_train, part, opt, workers=config.workers)
+        committee = train(dataset.X_train, dataset.y_train, part, config.max_evals,
+                          workers=config.workers)
         art = RepArtifacts(interior_mask=_interior_mask(config, dataset))
         artifacts.append(art)
-        # the prediction threads assume BLAS on one thread, as training does
-        with blas_threads(1):
-            for method in config.methods:
-                records.append(_score_method(method, committee, dataset, config, rep,
-                                             rep_seed, art))
+        for method in config.methods:
+            records.append(_score_method(method, committee, dataset, config, rep, rep_seed,
+                                         art))
     result = ExperimentResult(config=config, records=records, partitions=partitions,
                               artifacts=artifacts)
     if config.out_dir:

@@ -1,10 +1,10 @@
 """Command-line benchmark driver.
 
 ``gpcommittee-bench run`` executes one experiment; ``gpcommittee-bench sweep``
-repeats a toy experiment over increasing training sizes with a fixed subset
-size or expert count and tabulates each size's scores and variances. A run
-writes results.csv, results.json and partition.json to the output
-directory; a sweep writes sweep.json.
+repeats a toy experiment at the training sizes of ``--n-list``, with a fixed
+subset size or expert count and no dataset flags, and tabulates each size's
+scores and variances. A run writes results.csv, results.json and
+partition.json to the output directory; a sweep writes sweep.json.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .errors import DataError
 
 
 def _parse_dataset(args) -> dict:
+    if args.command == "sweep":
+        # toy data; the sweep sets n from --n-list
+        return {"n_test": args.n_test}
     if args.csv:
         target: int | str = args.target_col
         try:
@@ -51,13 +54,17 @@ def _size_list(raw: str) -> list[int]:
     return sizes
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    # every default is ExperimentConfig's own, so the CLI adds none
+def _add_dataset(p: argparse.ArgumentParser) -> None:
+    # every default here and in _add_common is ExperimentConfig's own, so the
+    # CLI adds none
     p.add_argument("--dataset", default=None, help="toy dataset spec, e.g. toy1000")
     p.add_argument("--csv", default=None, help="CSV dataset path")
     p.add_argument("--target-col", default=ExperimentConfig.target_column,
                    help="target column index or header name (CSV only)")
     p.add_argument("--test-fraction", type=float, default=ExperimentConfig.test_fraction)
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-test", type=int, default=None, help="toy test size")
     p.add_argument("--partition", choices=PARTITION_CHOICES,
                    default=ExperimentConfig.partition_kind)
@@ -94,6 +101,7 @@ def _parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one experiment")
+    _add_dataset(run_p)
     _add_common(run_p)
     sweep_p = sub.add_parser("sweep", help="consistency sweep over training sizes")
     _add_common(sweep_p)
@@ -107,7 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        # a sweep runs at the sizes of --n-list, not at the size of --dataset
         if args.command == "sweep":
             check_sweep_config(config, args.n_list)
         else:

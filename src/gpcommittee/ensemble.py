@@ -11,11 +11,12 @@ neither the f2py LAPACK wrappers (which hold the interpreter lock) nor
 final fits and GRBCM's augmented experts are loops over the experts in
 subset-index order on the calling thread. Prediction deals the experts to
 the same number of threads (:func:`gp.fan_out`); every call in it releases
-the lock, and every thread count gives the same bits. Both assume BLAS on
-one thread: :func:`train` pins it there (:func:`gp.blas_threads`) before it
-forks, and so does the experiment harness around its predictions. GRBCM's
-augmented experts are block extensions of the communication expert
-(:func:`gp.extend`), so its factor is never recomputed.
+the lock, and every thread count gives the same bits. Every per-expert
+loop runs with BLAS on one thread (:func:`gp.blas_threads`): :func:`train`
+pins it before it forks, :func:`prepare_grbcm` for its extensions and
+:func:`gp.fan_out` for the prediction loops. GRBCM's augmented experts are
+block extensions of the communication expert (:func:`gp.extend`), so its
+factor is never recomputed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import gp
 from .errors import DataError, MissingCommunicationSubset, NumericalBreakdown
 from .kernel import Hyperparams
-from .optimize import OptimizerConfig, minimize
+from .optimize import minimize
 from .partition import Partition
 
 # seconds a stopped training worker gets to exit before it is killed
@@ -228,10 +229,13 @@ def _fit_experts(blocks: ExpertBlocks, hp: Hyperparams) -> list[gp.GPModel]:
     return [_for_expert(i, gp.fit, Xi, yi, hp) for i, (Xi, yi) in enumerate(blocks.blocks)]
 
 
-def train(X: np.ndarray, y: np.ndarray, partition: Partition,
-          opt_config: OptimizerConfig, workers: int = 1) -> ExpertEnsemble:
+def train(X: np.ndarray, y: np.ndarray, partition: Partition, max_evals: int,
+          workers: int = 1) -> ExpertEnsemble:
     """Optimize shared hyperparameters on the factorized objective, then refit
     every expert (factor inverse + weight vector) at the optimum.
+
+    The optimizer starts from :meth:`Hyperparams.default` for the columns of
+    ``X`` and evaluates the objective at most ``max_evals`` (>= 1) times.
 
     ``X`` and ``y`` are checked once, before the first objective evaluation:
     a row count mismatch or a non-finite entry raises :class:`DataError`
@@ -253,11 +257,15 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition,
         row = int(np.argmax(bad))
         raise DataError(f"training row {row} is not finite: x={X[row].tolist()}, y={y[row]}")
     partition.validate(X.shape[0])
+    # before any worker is forked
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     t0 = time.perf_counter()
     gp.retain_freed_memory()
     with gp.blas_threads(1):
         with ExpertBlocks(X, y, partition, workers) as blocks:
-            result = minimize(lambda hp: factorized_nlml(blocks, hp), opt_config)
+            result = minimize(lambda hp: factorized_nlml(blocks, hp),
+                              Hyperparams.default(X.shape[1]), max_evals)
         experts = _fit_experts(blocks, result.best_hp)
     elapsed = time.perf_counter() - t0
     return ExpertEnsemble(hp=result.best_hp, partition=partition, experts=experts,
@@ -275,6 +283,7 @@ def prepare_grbcm(ensemble: ExpertEnsemble) -> ExpertEnsemble:
     and the inverse Schur factor ``S_i^-1``. The communication block inherits
     the communication expert's jitter, and the jitter ladder runs on the Schur
     complement ``C_ii - B_i B_i'`` only; a breakdown there names expert i.
+    As in :func:`train`'s final fits, BLAS runs on one thread meanwhile.
     Returns a new ensemble; the input is left untouched.
     """
     c = ensemble.partition.communication_index
@@ -282,8 +291,9 @@ def prepare_grbcm(ensemble: ExpertEnsemble) -> ExpertEnsemble:
         raise MissingCommunicationSubset(
             "partition has no designated communication subset")
     comm = ensemble.experts[c]
-    augmented = [_for_expert(i, gp.extend, comm, model.X, model.y)
-                 for i, model in enumerate(ensemble.experts) if i != c]
+    with gp.blas_threads(1):
+        augmented = [_for_expert(i, gp.extend, comm, model.X, model.y)
+                     for i, model in enumerate(ensemble.experts) if i != c]
     return replace(ensemble, augmented_experts=augmented)
 
 

@@ -17,7 +17,8 @@ the call. Training's :func:`nlml` terms run on the same number of slots as
 forked processes instead (``ensemble.ExpertBlocks``): its LAPACK wrappers
 hold the lock, and its ``cdist`` and ``exp`` on expert-sized blocks do not
 scale across threads. Threads and processes alike assume BLAS runs on one
-thread; :func:`blas_threads` pins it there for training and prediction.
+thread; :func:`blas_threads` pins it there for every per-expert term, in
+training and in prediction, whatever BLAS setting the caller chose.
 
 Every factor inverse in the module comes from :func:`_triangular_inverse`.
 Blocks of at most 64 rows go to LAPACK ``trtri``. A larger factor is split
@@ -180,17 +181,15 @@ def fan_out(task, count: int, workers: int) -> None:
     keep per-slot scratch space indexed by ``slot``; each ``k`` must write
     only its own outputs. With one slot the tasks run on the calling thread
     and no thread starts; otherwise the calling thread waits for all slots.
-    A slot stops at its first exception. Once every thread has stopped, the
-    exception of the smallest failing ``k`` is raised, the one a serial loop
-    would have raised.
+    Either way BLAS runs on one thread meanwhile (:func:`blas_threads`), so
+    the slots do not compete with BLAS threads for the cores, and every
+    ``workers`` gives the bits of one BLAS thread. A slot stops at its first
+    exception. Once every thread has stopped, the exception of the smallest
+    failing ``k`` is raised, the one a serial loop would have raised.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     slots = min(workers, count)
-    if slots <= 1:
-        for k in range(count):
-            task(0, k)
-        return
     failures = [None] * slots
 
     def run(slot):
@@ -201,11 +200,16 @@ def fan_out(task, count: int, workers: int) -> None:
                 failures[slot] = (k, exc)
                 return
 
-    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(slots)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    with blas_threads(1):
+        if slots <= 1:
+            for k in range(count):
+                task(0, k)
+            return
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(slots)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     raised = [failure for failure in failures if failure is not None]
     if raised:
         raise min(raised, key=lambda failure: failure[0])[1]
@@ -523,7 +527,8 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
 
     Row 0 is ``base`` itself, exactly what :func:`predict` returns; row
     ``i + 1`` is ``extensions[i]``. The base terms ``V_b = L_b^-1 K_b*`` and
-    ``z_b = L_b^-1 y_b`` are formed once, on the calling thread. Extension i
+    ``z_b = L_b^-1 y_b`` are formed once, on the calling thread with BLAS on
+    one thread as in :func:`fan_out`. Extension i
     adds ``W_i = S_i^-1 (K_i* - cross_i V_b)`` and
     ``z_i = S_i^-1 (y_i - cross_i z_b)``: its mean is ``V_b' z_b + W_i' z_i``
     and its variance the prior minus ``|V_b|^2 + |W_i|^2``, floored as in
@@ -535,11 +540,12 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     Xstar = as_test_inputs(Xstar)
     means = np.empty((len(extensions) + 1, Xstar.shape[0]))
     variances = np.empty_like(means)
-    means[0], V_b = _mean_and_whitened(base, Xstar)
+    with blas_threads(1):
+        means[0], V_b = _mean_and_whitened(base, Xstar)
+        z_b = base.chol_inv @ base.y
+        base_mean = V_b.T @ z_b
     base_explained = np.einsum("ij,ij->j", V_b, V_b)
     variances[0] = _noisy_variance(hp, base_explained)
-    z_b = base.chol_inv @ base.y
-    base_mean = V_b.T @ z_b
 
     def extension_row(slot, k):
         ext = extensions[k]

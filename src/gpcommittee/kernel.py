@@ -62,6 +62,11 @@ class Hyperparams:
         return float(np.exp(2.0 * self.log_noise))
 
     @property
+    def prior_variance(self) -> float:
+        """Predictive variance with no data: output variance plus noise variance."""
+        return self.output_variance + self.noise_variance
+
+    @property
     def n_params(self) -> int:
         # canonical order: output scale, lengthscales, noise
         return 2 + self.input_dim

@@ -1,14 +1,13 @@
 """Unconstrained minimization of (value, gradient) objectives over hyperparameters.
 
-The minimizer is scipy's L-BFGS-B, run under a function-evaluation budget
-counted on the objective itself. It stops when the largest gradient entry
-falls below ``GRAD_TOLERANCE`` or the budget runs out, and returns the best
-iterate seen.
+The minimizer is scipy's L-BFGS-B, run from a given start under a
+function-evaluation budget counted on the objective itself. It stops when
+the largest gradient entry falls below ``GRAD_TOLERANCE`` or the budget runs
+out, and returns the best iterate seen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -20,16 +19,6 @@ from .kernel import Hyperparams
 Objective = Callable[[Hyperparams], tuple[float, np.ndarray]]
 
 GRAD_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_evals: int = 500
-    initial_hp: Hyperparams = field(default_factory=lambda: Hyperparams.default(1))
-
-    def __post_init__(self):
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
 
 
 class OptimizeResult(NamedTuple):
@@ -96,15 +85,18 @@ class _Evaluator:
         return value, grad
 
 
-def minimize(objective: Objective, config: OptimizerConfig) -> OptimizeResult:
-    """Minimize the objective from ``config.initial_hp`` under the eval budget.
+def minimize(objective: Objective, start: Hyperparams, max_evals: int) -> OptimizeResult:
+    """Minimize the objective from ``start`` in at most ``max_evals`` (>= 1)
+    objective evaluations.
 
-    The returned value never exceeds the objective at the initial point; the
-    trace holds the accepted (non-increasing) iterate values. Raises
-    :class:`InvalidStart` if the objective is non-finite at the initial point.
+    The returned value never exceeds the objective at the start; the trace
+    holds the accepted (non-increasing) iterate values. Raises
+    :class:`InvalidStart` if the objective is non-finite at the start.
     """
-    ev = _Evaluator(objective, config.max_evals)
-    x0 = config.initial_hp.to_vector()
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be >= 1, got {max_evals}")
+    ev = _Evaluator(objective, max_evals)
+    x0 = start.to_vector()
     f0, g0 = ev(x0)
     if not np.isfinite(f0):
         raise InvalidStart("objective is non-finite at the initial hyperparameters")

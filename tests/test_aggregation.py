@@ -10,10 +10,9 @@ import pytest
 import gpcommittee.aggregate as aggregate
 import gpcommittee.gp as gp
 from gpcommittee import (DataError, Hyperparams, MissingCommunicationSubset,
-                         NumericalBreakdown, OptimizerConfig, PriorVariance, bcm,
-                         beta_entropy, fit, gpoe, grbcm, grbcm_fuse, grbcm_partition, npae,
-                         poe, predict, prepare_grbcm, random_partition, rbcm, toy_generate,
-                         train)
+                         NumericalBreakdown, bcm, beta_entropy, fit, gpoe, grbcm, grbcm_fuse,
+                         grbcm_partition, npae, poe, predict, prepare_grbcm, random_partition,
+                         rbcm, toy_generate, train)
 from gpcommittee.ensemble import experts_predict
 from gpcommittee.gp import predict_extended
 from gpcommittee.kernel import kernel_matrix
@@ -27,21 +26,21 @@ def hp_1d(log_sf=0.0, log_l=0.0, log_noise=-1.0):
 # entropy weight
 
 def test_beta_entropy_uninformative_expert():
-    assert beta_entropy(PriorVariance(2.0), 2.0) == 0.0
+    assert beta_entropy(2.0, 2.0) == 0.0
 
 
 def test_beta_entropy_log_gap():
     v = 0.8
-    assert beta_entropy(PriorVariance(np.e * v), v) == pytest.approx(0.5, rel=1e-12)
+    assert beta_entropy(np.e * v, v) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_beta_entropy_clamped_at_zero():
-    assert beta_entropy(PriorVariance(1.0), 1.5) == 0.0
+    assert beta_entropy(1.0, 1.5) == 0.0
 
 
 def test_beta_entropy_rejects_nonpositive():
     with pytest.raises(ValueError):
-        beta_entropy(PriorVariance(1.0), 0.0)
+        beta_entropy(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,7 @@ def test_gpoe_uniform_identical_experts_exact():
     M = 4
     means = np.full((M, 2), -0.3)
     variances = np.full((M, 2), 0.8)
-    agg = gpoe(means, variances, PriorVariance(1.5), mode="uniform")
+    agg = gpoe(means, variances, 1.5, mode="uniform")
     np.testing.assert_allclose(agg.means, -0.3, rtol=1e-15)
     np.testing.assert_allclose(agg.variances, 0.8, rtol=1e-14)
 
@@ -85,13 +84,13 @@ def test_gpoe_uniform_identities_with_poe():
     means = rng.normal(size=(M, n))
     variances = rng.uniform(0.2, 1.4, size=(M, n))
     base = poe(means, variances)
-    agg = gpoe(means, variances, PriorVariance(1.5), mode="uniform")
+    agg = gpoe(means, variances, 1.5, mode="uniform")
     np.testing.assert_allclose(agg.means, base.means, atol=1e-12)
     np.testing.assert_allclose(agg.variances, M * base.variances, rtol=1e-12)
 
 
 def test_gpoe_entropy_floors_at_prior_precision():
-    pv = PriorVariance(2.0)
+    pv = 2.0
     means = np.array([[0.5], [1.5]])
     variances = np.array([[2.0], [2.0]])  # both at the prior: betas vanish
     agg = gpoe(means, variances, pv, mode="entropy")
@@ -102,7 +101,7 @@ def test_gpoe_entropy_floors_at_prior_precision():
 
 def test_gpoe_unknown_mode():
     with pytest.raises(ValueError):
-        gpoe(np.ones((1, 1)), np.ones((1, 1)), PriorVariance(1.0), mode="mixed")
+        gpoe(np.ones((1, 1)), np.ones((1, 1)), 1.0, mode="mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +110,7 @@ def test_gpoe_unknown_mode():
 def test_bcm_single_expert_recovers_input():
     means = np.array([[0.2, 1.0]])
     variances = np.array([[0.4, 0.6]])
-    agg = bcm(means, variances, PriorVariance(1.5))
+    agg = bcm(means, variances, 1.5)
     np.testing.assert_allclose(agg.means, means[0], rtol=1e-14)
     np.testing.assert_allclose(agg.variances, variances[0], rtol=1e-14)
 
@@ -121,14 +120,14 @@ def test_bcm_prior_recovery_and_trio_behaviour():
     M = 4
     means = np.zeros((M, 3))
     variances = np.full((M, 3), pv)
-    agg_bcm = bcm(means, variances, PriorVariance(pv))
+    agg_bcm = bcm(means, variances, pv)
     np.testing.assert_allclose(agg_bcm.variances, pv, rtol=1e-12)
     np.testing.assert_allclose(agg_bcm.means, 0.0, atol=1e-15)
-    agg_rbcm = rbcm(means, variances, PriorVariance(pv))
+    agg_rbcm = rbcm(means, variances, pv)
     np.testing.assert_allclose(agg_rbcm.variances, pv, rtol=1e-12)
     agg_poe = poe(means, variances)
     np.testing.assert_allclose(agg_poe.variances, pv / M, rtol=1e-14)
-    agg_gpoe = gpoe(means, variances, PriorVariance(pv), mode="uniform")
+    agg_gpoe = gpoe(means, variances, pv, mode="uniform")
     np.testing.assert_allclose(agg_gpoe.variances, pv, rtol=1e-14)
 
 
@@ -138,7 +137,7 @@ def test_bcm_remark_ratio_two_experts():
     means = np.array([[1.0], [0.4]])
     variances = np.full((2, 1), pv / 2)
     agg_poe = poe(means, variances)
-    agg_bcm = bcm(means, variances, PriorVariance(pv))
+    agg_bcm = bcm(means, variances, pv)
     assert agg_bcm.variances[0] == pytest.approx(4.0 / 3.0 * agg_poe.variances[0], rel=1e-12)
     assert agg_bcm.means[0] == pytest.approx(4.0 / 3.0 * agg_poe.means[0], rel=1e-12)
 
@@ -150,7 +149,7 @@ def test_bcm_variance_always_above_poe():
     means = rng.normal(size=(M, n))
     variances = rng.uniform(0.05, 1.0, size=(M, n)) * pv
     agg_poe = poe(means, variances)
-    agg_bcm = bcm(means, variances, PriorVariance(pv))
+    agg_bcm = bcm(means, variances, pv)
     assert np.all(agg_bcm.variances > agg_poe.variances)
 
 
@@ -159,7 +158,7 @@ def test_rbcm_single_informative_expert_differs_from_input():
     pv = 2.0
     means = np.array([[1.0]])
     variances = np.array([[0.5]])
-    agg = rbcm(means, variances, PriorVariance(pv))
+    agg = rbcm(means, variances, pv)
     assert abs(agg.means[0] - 1.0) > 1e-3
     assert abs(agg.variances[0] - 0.5) > 1e-3
 
@@ -170,7 +169,7 @@ def test_rbcm_identical_experts_closed_form():
     var = pv / np.e  # beta = 0.5 each
     means = np.full((M, 1), 0.6)
     variances = np.full((M, 1), var)
-    agg = rbcm(means, variances, PriorVariance(pv))
+    agg = rbcm(means, variances, pv)
     precision = M * 0.5 * (np.e / pv) + (1 - M * 0.5) / pv
     assert agg.variances[0] == pytest.approx(1.0 / precision, rel=1e-12)
     np.testing.assert_allclose(agg.betas, 0.5, rtol=1e-12)
@@ -180,10 +179,10 @@ def test_bcm_precision_floor_counts_degeneracy():
     # slightly informative experts keep the corrected precision positive
     means = np.zeros((3, 1))
     variances = np.array([[0.999999], [1.0], [1.0]])
-    agg = bcm(means, variances, PriorVariance(1.0))
+    agg = bcm(means, variances, 1.0)
     assert agg.degeneracy_count == 0
     # experts worse than the prior underflow the subtraction: floor + counter
-    under = bcm(np.zeros((2, 1)), np.array([[2.0], [2.0]]), PriorVariance(1.0))
+    under = bcm(np.zeros((2, 1)), np.array([[2.0], [2.0]]), 1.0)
     assert under.degeneracy_count == 1
     assert under.variances[0] == pytest.approx(1e12, rel=1e-6)
 
@@ -201,7 +200,14 @@ def test_inputs_validated():
         poe(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
-def _reference_rules(means, variances, pv, mu_c, var_c, prior_precision):
+@pytest.mark.parametrize("prior_var", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("rule", [gpoe, bcm, rbcm, grbcm_fuse])
+def test_rules_reject_a_prior_variance_that_is_not_finite_and_positive(rule, prior_var):
+    with pytest.raises(ValueError, match="prior variance must be finite and > 0"):
+        rule(np.zeros((2, 3)), np.ones((2, 3)), prior_var)
+
+
+def _reference_rules(means, variances, pv, mu_c, var_c, grbcm_prior_var):
     """Each closed-form rule written out as its own formula."""
     M = means.shape[0]
     out = {}
@@ -229,7 +235,7 @@ def _reference_rules(means, variances, pv, mu_c, var_c, prior_precision):
     g[1:] = np.maximum(0.0, 0.5 * (np.log(var_c)[None, :] - np.log(variances[1:])))
     g_sum = np.sum(g, axis=0)
     precision = np.sum(g / variances, axis=0) - (g_sum - 1.0) / var_c
-    floor = 1e-12 * prior_precision
+    floor = 1e-12 * (1.0 / grbcm_prior_var)
     floored = precision < floor
     var = 1.0 / np.maximum(precision, floor)
     mean = var * (np.sum(g * means / variances, axis=0) - (g_sum - 1.0) * mu_c / var_c)
@@ -237,29 +243,28 @@ def _reference_rules(means, variances, pv, mu_c, var_c, prior_precision):
     return out
 
 
-@pytest.mark.parametrize("var_range, prior_precision, floors", [
-    ((0.05, 1.2), 1.0 / 1.3, False),
-    # experts worse than the prior, and a prior precision so large that
+@pytest.mark.parametrize("var_range, grbcm_prior_var, floors", [
+    ((0.05, 1.2), 1.3, False),
+    # experts worse than the prior, and a prior variance so small that
     # GRBCM's floor passes its precision: every floor fires somewhere
-    ((1.0, 3.0), 1e12, True),
+    ((1.0, 3.0), 1e-12, True),
 ])
-def test_fusion_matches_reference_formulas(var_range, prior_precision, floors):
+def test_fusion_matches_reference_formulas(var_range, grbcm_prior_var, floors):
     rng = np.random.default_rng(11)
     M, n, pv = 7, 50, 1.3
     means = rng.normal(size=(M, n))
     variances = rng.uniform(*var_range, size=(M, n))
     mu_c = rng.normal(size=n)
     var_c = rng.uniform(0.5, 1.3, size=n)
-    ref = _reference_rules(means, variances, pv, mu_c, var_c, prior_precision)
-    prior = PriorVariance(pv)
+    ref = _reference_rules(means, variances, pv, mu_c, var_c, grbcm_prior_var)
 
     agg = poe(means, variances)
     np.testing.assert_array_equal(agg.means, ref["poe"][0])
     np.testing.assert_array_equal(agg.variances, ref["poe"][1])
-    agg = gpoe(means, variances, prior, mode="uniform")
+    agg = gpoe(means, variances, pv, mode="uniform")
     np.testing.assert_array_equal(agg.means, ref["gpoe_uniform"][0])
     np.testing.assert_array_equal(agg.variances, ref["gpoe_uniform"][1])
-    agg = gpoe(means, variances, prior, mode="entropy")
+    agg = gpoe(means, variances, pv, mode="entropy")
     mean, var, betas, count = ref["gpoe_entropy"]
     np.testing.assert_array_equal(agg.means, mean)
     np.testing.assert_array_equal(agg.variances, var)
@@ -269,19 +274,18 @@ def test_fusion_matches_reference_formulas(var_range, prior_precision, floors):
     # the prior term divides by the prior variance where the reference
     # multiplies by its inverse: equal to rounding, not bit for bit
     for rule, name in ((bcm, "bcm"), (rbcm, "rbcm")):
-        agg = rule(means, variances, prior)
+        agg = rule(means, variances, pv)
         mean, var, count = ref[name]
         np.testing.assert_allclose(agg.means, mean, rtol=1e-14, atol=0)
         np.testing.assert_allclose(agg.variances, var, rtol=1e-14, atol=0)
         assert agg.degeneracy_count == count
 
-    mean, var, betas, count = grbcm_fuse(np.vstack([mu_c, means]), np.vstack([var_c, variances]),
-                                         prior_precision)
+    agg = grbcm_fuse(np.vstack([mu_c, means]), np.vstack([var_c, variances]), grbcm_prior_var)
     ref_mean, ref_var, ref_betas, ref_count = ref["grbcm"]
-    np.testing.assert_array_equal(mean, ref_mean)
-    np.testing.assert_array_equal(var, ref_var)
-    np.testing.assert_array_equal(betas, ref_betas)
-    assert count == ref_count
+    np.testing.assert_array_equal(agg.means, ref_mean)
+    np.testing.assert_array_equal(agg.variances, ref_var)
+    np.testing.assert_array_equal(agg.betas, ref_betas)
+    assert agg.degeneracy_count == ref_count
 
     counts = (ref["gpoe_entropy"][3], ref["bcm"][2], ref["grbcm"][3])
     assert all(c > 0 for c in counts) if floors else counts == (0, 0, 0)
@@ -296,8 +300,7 @@ def _committee(n=200, M=4, seed=0, kind="random", max_evals=30):
         part = grbcm_partition(ds.X_train, M, seed=seed)
     else:
         part = random_partition(n, M, seed=seed)
-    committee = train(ds.X_train, ds.y_train, part,
-                      OptimizerConfig(max_evals=max_evals, initial_hp=Hyperparams.default(1)))
+    committee = train(ds.X_train, ds.y_train, part, max_evals)
     return ds, committee
 
 
@@ -579,8 +582,8 @@ def test_expert_rows_give_the_same_bits_for_every_workers(rows, M, workers):
                                   for ext in committee.augmented_experts])
                      for k in (0, 1)]
         if rows == "grbcm":
-            prior_precision = 1.0 / (committee.hp.output_variance + committee.hp.noise_variance)
-            reference = grbcm_fuse(*reference, prior_precision)[:2]
+            fused = grbcm_fuse(*reference, committee.hp.prior_variance)
+            reference = [fused.means, fused.variances]
     fanned = replace(committee, workers=workers)
     if rows == "grbcm":
         agg = _switching_often(lambda: grbcm(fanned, Xstar))
@@ -711,8 +714,8 @@ def test_grbcm_fuse_first_row_weight_one():
     mu_c, var_c = rng.normal(size=5), rng.uniform(0.5, 1.0, size=5)
     mu_aug = rng.normal(size=(3, 5))
     var_aug = rng.uniform(0.1, 0.4, size=(3, 5))
-    _, _, betas, _ = grbcm_fuse(np.vstack([mu_c, mu_aug]), np.vstack([var_c, var_aug]), 1.0)
-    np.testing.assert_array_equal(betas[0], 1.0)
+    agg = grbcm_fuse(np.vstack([mu_c, mu_aug]), np.vstack([var_c, var_aug]), 1.0)
+    np.testing.assert_array_equal(agg.betas[0], 1.0)
 
 
 def test_grbcm_fuse_uninformative_subsets_collapse_to_first():
@@ -724,12 +727,11 @@ def test_grbcm_fuse_uninformative_subsets_collapse_to_first():
     var_first = rng.uniform(0.2, 0.4, size=n)
     mu_aug = np.vstack([mu_first, mu_c, mu_c])
     var_aug = np.vstack([var_first, var_c, var_c])
-    mean, var, betas, floored = grbcm_fuse(np.vstack([mu_c, mu_aug]),
-                                           np.vstack([var_c, var_aug]), 1.0)
-    np.testing.assert_array_equal(betas[1:], 0.0)
-    np.testing.assert_allclose(mean, mu_first, rtol=1e-12)
-    np.testing.assert_allclose(var, var_first, rtol=1e-12)
-    assert floored == 0
+    agg = grbcm_fuse(np.vstack([mu_c, mu_aug]), np.vstack([var_c, var_aug]), 1.0)
+    np.testing.assert_array_equal(agg.betas[1:], 0.0)
+    np.testing.assert_allclose(agg.means, mu_first, rtol=1e-12)
+    np.testing.assert_allclose(agg.variances, var_first, rtol=1e-12)
+    assert agg.degeneracy_count == 0
 
 
 def test_grbcm_fuse_three_expert_closed_form():
@@ -738,16 +740,16 @@ def test_grbcm_fuse_three_expert_closed_form():
     var_2 = 0.7
     var_3 = var_c / np.e
     mu_c, mu_2, mu_3 = 0.4, 1.2, -0.5
-    mean, var, betas, _ = grbcm_fuse(
+    agg = grbcm_fuse(
         np.vstack([[mu_c], [mu_2], [mu_3]]), np.vstack([[var_c], [var_2], [var_3]]), 1.0)
     beta3 = 0.5
     precision = 1.0 / var_2 + beta3 / var_3 - beta3 / var_c
     expected_var = 1.0 / precision
     expected_mean = expected_var * (mu_2 / var_2 + beta3 * mu_3 / var_3
                                     - beta3 * mu_c / var_c)
-    assert betas[1, 0] == pytest.approx(beta3, rel=1e-12)
-    assert var[0] == pytest.approx(expected_var, rel=1e-12)
-    assert mean[0] == pytest.approx(expected_mean, rel=1e-12)
+    assert agg.betas[1, 0] == pytest.approx(beta3, rel=1e-12)
+    assert agg.variances[0] == pytest.approx(expected_var, rel=1e-12)
+    assert agg.means[0] == pytest.approx(expected_mean, rel=1e-12)
 
 
 def test_grbcm_two_subsets_equals_full_gp():
@@ -782,11 +784,11 @@ def test_prior_recovery_far_from_data_all_rules():
     ds, committee = _committee(n=150, M=3, kind="grbcm")
     far = np.array([[70.0]])
     means, variances = experts_predict(committee, far)
-    pv = PriorVariance.from_hyperparams(committee.hp)
+    pv = committee.hp.prior_variance
     M = committee.M
-    assert poe(means, variances).variances[0] == pytest.approx(pv.value / M, rel=1e-8)
-    assert gpoe(means, variances, pv).variances[0] == pytest.approx(pv.value, rel=1e-8)
-    assert bcm(means, variances, pv).variances[0] == pytest.approx(pv.value, rel=1e-6)
-    assert rbcm(means, variances, pv).variances[0] == pytest.approx(pv.value, rel=1e-6)
+    assert poe(means, variances).variances[0] == pytest.approx(pv / M, rel=1e-8)
+    assert gpoe(means, variances, pv).variances[0] == pytest.approx(pv, rel=1e-8)
+    assert bcm(means, variances, pv).variances[0] == pytest.approx(pv, rel=1e-6)
+    assert rbcm(means, variances, pv).variances[0] == pytest.approx(pv, rel=1e-6)
     prepared = prepare_grbcm(committee)
-    assert grbcm(prepared, far).variances[0] == pytest.approx(pv.value, rel=1e-6)
+    assert grbcm(prepared, far).variances[0] == pytest.approx(pv, rel=1e-6)

@@ -95,6 +95,9 @@ def test_split_files_take_precedence_over_the_default_test_fraction(tmp_path):
     assert [rec.error for rec in result.records] == [None, None]
     (part,) = result.partitions
     assert sorted(np.concatenate(part.subsets)) == list(range(14))
+    # the interior of the toy training range means nothing for CSV data
+    (art,) = result.artifacts
+    assert art.interior_mask is None
 
 
 def test_results_csv_round_trips_failed_records(tmp_path):

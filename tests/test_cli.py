@@ -63,7 +63,7 @@ def test_invalid_config_is_a_usage_error(capsys, args, message):
 
 def test_sweep_size_list_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--dataset", "toy100", *SMALL, "--n-list", "100,abc"])
+        main(["sweep", *SMALL, "--n-list", "100,abc"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == ("gpcommittee-bench sweep: error: argument --n-list: "
@@ -74,7 +74,7 @@ def test_sweep_size_list_is_a_usage_error(capsys):
 @pytest.mark.parametrize("sizes", ["200,100", "200", "100,100", "100,200,200"])
 def test_sweep_sizes_out_of_order_are_a_usage_error(capsys, sizes):
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--dataset", "toy100", *SMALL, "--n-list", sizes])
+        main(["sweep", *SMALL, "--n-list", sizes])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -129,8 +129,7 @@ def test_cli_adds_no_defaults_of_its_own():
 
 
 def test_sweep_writes_flags(tmp_path, capsys):
-    assert main(["sweep", "--dataset", "toy100", *SMALL, "--n-list", "100,200",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["sweep", *SMALL, "--n-list", "100,200", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "sweep.json") as fh:
         report = json.load(fh)
     assert report["n_list"] == [100, 200]
@@ -141,8 +140,8 @@ def test_sweep_writes_flags(tmp_path, capsys):
 
 
 def test_sweep_with_M_fixed(tmp_path, capsys):
-    assert main(["sweep", "--dataset", "toy100", "--experts", "2", "--max-evals", "5",
-                 "--methods", "poe,grbcm", "--n-list", "100,200", "--out", str(tmp_path)]) == 0
+    assert main(["sweep", "--experts", "2", "--max-evals", "5", "--methods", "poe,grbcm",
+                 "--n-list", "100,200", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "sweep.json") as fh:
         report = json.load(fh)
     assert (report["M"], report["m0"]) == (2, None)
@@ -151,19 +150,20 @@ def test_sweep_with_M_fixed(tmp_path, capsys):
         f"{label}_{flag}" for label in ("poe", "grbcm")
         for flag in ("overconfident_at_max_n", "conservative_all_n"))
     assert json.loads(capsys.readouterr().out) == report["flags"]
-    # the sizes of --n-list are run, not the size of --dataset
-    assert main(["sweep", "--dataset", "toy1", "--experts", "2", "--max-evals", "5",
-                 "--methods", "poe", "--n-list", "100,200"]) == 0
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--csv", "table.csv", "--subset-size", "50"],
-     "sweep varies the toy training size; csv data has a fixed size"),
-    (["--dataset", "toy100", "--experts", "60"], "M=60 exceeds n=50"),
+    (["--csv", "table.csv", "--subset-size", "50"], "unrecognized arguments: --csv table.csv"),
+    (["--experts", "60"], "M=60 exceeds n=50"),
+    (["--dataset", "toy100", "--subset-size", "50"], "unrecognized arguments: --dataset toy100"),
+    (["--subset-size", "50", "--target-col", "0"], "unrecognized arguments: --target-col 0"),
+    (["--subset-size", "50", "--test-fraction", "0.5"],
+     "unrecognized arguments: --test-fraction 0.5"),
 ])
 def test_sweep_that_cannot_run_every_size_is_a_usage_error(capsys, args, message):
-    # a CSV sweep would run the same experiment at every "size"; M=60 cannot
-    # split the 50 rows of the first size
+    # the sweep runs toy data at the sizes of --n-list, so it takes no dataset
+    # flags (a CSV sweep would run the same experiment at every "size"); M=60
+    # cannot split the 50 rows of the first size
     with pytest.raises(SystemExit) as exc:
         main(["sweep", *args, "--n-list", "50,100"])
     assert exc.value.code == 2

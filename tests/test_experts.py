@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpcommittee import (DataError, ExpertBlocks, Hyperparams, InvalidPartition,
-                         MissingCommunicationSubset, NumericalBreakdown, OptimizerConfig,
+                         MissingCommunicationSubset, NumericalBreakdown,
                          experts_predict, factorized_nlml, fit, grbcm_partition, minimize,
                          nlml, predict, prepare_grbcm, random_partition, toy_generate, train)
 from gpcommittee.partition import Partition, PartitionKind, disjoint_partition
@@ -70,8 +70,7 @@ def test_sum_decomposition():
 def test_train_recovers_noise_scale():
     ds = toy_generate(1000, 100, seed=0)
     part = disjoint_partition(ds.X_train, 4, seed=0)
-    config = OptimizerConfig(max_evals=80, initial_hp=Hyperparams.default(1))
-    committee = train(ds.X_train, ds.y_train, part, config)
+    committee = train(ds.X_train, ds.y_train, part, 80)
     noise_std_raw = np.exp(committee.hp.log_noise) * ds.norm_stats.y_std
     assert 0.3 <= noise_std_raw <= 0.8  # generating noise std is 0.5
     assert committee.train_time_seconds > 0
@@ -82,9 +81,8 @@ def test_train_single_expert_equals_exact_training():
     X = rng.uniform(size=(80, 1))
     y = np.sin(4 * X[:, 0]) + 0.3 * rng.normal(size=80)
     part = random_partition(80, 1, seed=0)
-    config = OptimizerConfig(max_evals=40, initial_hp=Hyperparams.default(1))
-    committee = train(X, y, part, config)
-    direct = minimize(lambda hp: nlml(X, y, hp), config)
+    committee = train(X, y, part, 40)
+    direct = minimize(lambda hp: nlml(X, y, hp), Hyperparams.default(1), 40)
     assert committee.opt_trace == tuple(direct.trace)
     np.testing.assert_array_equal(committee.hp.to_vector(), direct.best_hp.to_vector())
 
@@ -94,9 +92,8 @@ def test_train_budget_one_keeps_initial_hp():
     X = rng.uniform(size=(30, 1))
     y = rng.normal(size=30)
     part = random_partition(30, 3, seed=0)
-    start = Hyperparams.default(1)
-    committee = train(X, y, part, OptimizerConfig(max_evals=1, initial_hp=start))
-    np.testing.assert_array_equal(committee.hp.to_vector(), start.to_vector())
+    committee = train(X, y, part, 1)
+    np.testing.assert_array_equal(committee.hp.to_vector(), Hyperparams.default(1).to_vector())
     assert len(committee.experts) == 3
     assert all(m.chol_inv.shape == (10, 10) for m in committee.experts)
 
@@ -120,8 +117,7 @@ def test_factor_inverse_failure_names_expert(monkeypatch):
     X = rng.uniform(size=(30, 1))
     part = random_partition(30, 3, seed=0)
     with pytest.raises(NumericalBreakdown, match="expert 1: trtri failed") as err:
-        train(X, rng.normal(size=30), part,
-              OptimizerConfig(max_evals=1, initial_hp=Hyperparams.default(1)))
+        train(X, rng.normal(size=30), part, 1)
     assert err.value.expert_index == 1
     assert calls == [(10, 10), (10, 10)]
 
@@ -188,16 +184,14 @@ def test_train_rejects_non_finite_data_before_any_evaluation(monkeypatch, bad_X,
         y[row] = np.nan
         y[row + 3] = np.inf
     with pytest.raises(DataError, match=f"training row {row} is not finite"):
-        train(X, y, random_partition(30, 3, seed=0),
-              OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)))
+        train(X, y, random_partition(30, 3, seed=0), 5)
     assert calls == []
 
 
 def test_train_rejects_a_target_count_mismatch():
     rng = np.random.default_rng(5)
     with pytest.raises(DataError, match="X has 30 rows but y has 29 targets"):
-        train(rng.uniform(size=(30, 1)), rng.normal(size=29), random_partition(30, 3, seed=0),
-              OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)))
+        train(rng.uniform(size=(30, 1)), rng.normal(size=29), random_partition(30, 3, seed=0), 5)
 
 
 def test_train_rejects_non_positive_workers(monkeypatch):
@@ -206,16 +200,26 @@ def test_train_rejects_non_positive_workers(monkeypatch):
     monkeypatch.setattr(gp, "nlml", lambda *args, **kwargs: calls.append(1))
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        train(rng.uniform(size=(30, 1)), rng.normal(size=30), random_partition(30, 3, seed=0),
-              OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)), workers=0)
+        train(rng.uniform(size=(30, 1)), rng.normal(size=30), random_partition(30, 3, seed=0), 5,
+              workers=0)
     assert calls == []
+
+
+def test_train_rejects_a_zero_budget_before_forking(monkeypatch):
+    from gpcommittee import ensemble
+    forked = []
+    monkeypatch.setattr(ensemble, "ExpertBlocks", lambda *args: forked.append(args))
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="max_evals must be >= 1, got 0"):
+        train(rng.uniform(size=(30, 1)), rng.normal(size=30), random_partition(30, 3, seed=0), 0,
+              workers=3)
+    assert forked == []
 
 
 def test_train_keeps_workers_on_the_ensemble():
     rng = np.random.default_rng(5)
     committee = train(rng.uniform(size=(30, 1)), rng.normal(size=30),
-                      random_partition(30, 3, seed=0),
-                      OptimizerConfig(max_evals=2, initial_hp=Hyperparams.default(1)), workers=3)
+                      random_partition(30, 3, seed=0), 2, workers=3)
     assert committee.workers == 3
     assert prepare_grbcm(replace(committee, partition=committee.partition.with_communication(0))
                          ).workers == 3
@@ -231,8 +235,7 @@ def test_train_rejects_overlapping_partition_before_any_evaluation(monkeypatch):
     overlapping = replace(part, subsets=[part.subsets[0], part.subsets[1],
                                          np.concatenate([part.subsets[2], part.subsets[0][:1]])])
     with pytest.raises(InvalidPartition, match="disjoint cover"):
-        train(X, rng.normal(size=30), overlapping,
-              OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)))
+        train(X, rng.normal(size=30), overlapping, 5)
     assert calls == []
 
 
@@ -248,8 +251,7 @@ def test_train_validates_partition_once(monkeypatch):
     monkeypatch.setattr(Partition, "validate", counting_validate)
     rng = np.random.default_rng(5)
     X = rng.uniform(size=(30, 1))
-    committee = train(X, rng.normal(size=30), random_partition(30, 3, seed=0),
-                      OptimizerConfig(max_evals=5, initial_hp=Hyperparams.default(1)))
+    committee = train(X, rng.normal(size=30), random_partition(30, 3, seed=0), 5)
     assert committee.opt_evals > 1
     assert calls == [30]
 
@@ -260,8 +262,7 @@ def _small_committee(n=120, M=3, seed=0, kind="grbcm"):
         part = grbcm_partition(ds.X_train, M, seed=seed)
     else:
         part = random_partition(n, M, seed=seed)
-    config = OptimizerConfig(max_evals=30, initial_hp=Hyperparams.default(1))
-    return ds, train(ds.X_train, ds.y_train, part, config)
+    return ds, train(ds.X_train, ds.y_train, part, 30)
 
 
 def test_prepare_grbcm_two_subsets_uses_all_data():
@@ -305,11 +306,10 @@ def test_experts_predict_single_expert_matches_full_gp():
     X = rng.uniform(size=(50, 1))
     y = np.sin(5 * X[:, 0]) + 0.2 * rng.normal(size=50)
     part = random_partition(50, 1, seed=0)
-    hp = hp_1d()
-    committee = train(X, y, part, OptimizerConfig(max_evals=1, initial_hp=hp))
+    committee = train(X, y, part, 1)
     Xstar = rng.uniform(size=(20, 1))
     means, variances = experts_predict(committee, Xstar)
-    full = fit(X, y, hp)
+    full = fit(X, y, committee.hp)
     fm, fv = predict(full, Xstar)
     np.testing.assert_array_equal(means[0], fm)
     np.testing.assert_array_equal(variances[0], fv)
@@ -318,7 +318,7 @@ def test_experts_predict_single_expert_matches_full_gp():
 def test_experts_predict_far_recovers_prior():
     ds, committee = _small_committee(M=3)
     means, variances = experts_predict(committee, np.array([[60.0]]))
-    prior = committee.hp.output_variance + committee.hp.noise_variance
+    prior = committee.hp.prior_variance
     assert np.all(np.abs(means) < 1e-8)
     np.testing.assert_allclose(variances, prior, rtol=1e-10)
 

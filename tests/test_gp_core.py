@@ -372,22 +372,52 @@ print(json.dumps({"paths": list(paths), "before": before, "inside": inside,
                   "after": counts()}))
 """
 
+_FAN_OUT_PROBE = """
+import json
+from gpcommittee.gp import _openblas_thread_controls, blas_threads, fan_out
+def counts():
+    return [get() for _, get, _ in _openblas_thread_controls()]
+seen = [None, None, None]
+def task(slot, k):
+    seen[k] = counts()
+with blas_threads(2):
+    fan_out(task, 2, 2)
+    fan_out(lambda slot, k: task(slot, 2), 1, 2)
+    after = counts()
+print(json.dumps({"controls": len(_openblas_thread_controls()), "seen": seen,
+                  "after": after}))
+"""
 
-def test_blas_threads_pins_and_restores_the_openblas_thread_counts():
-    # a fresh interpreter with no thread count in the environment, so
-    # OpenBLAS starts at its own default
+
+def _run_probe(code: str) -> dict:
+    """The JSON line ``code`` prints in a fresh interpreter with no thread
+    count in the environment, so OpenBLAS starts at its own default (and
+    threads it starts end with that interpreter)."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     src = os.path.dirname(os.path.dirname(gp.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    counts = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_blas_threads_pins_and_restores_the_openblas_thread_counts():
+    counts = _run_probe(_BLAS_THREADS_PROBE)
     if not counts["paths"]:
         pytest.skip("no scipy-openblas build with thread functions is loaded")
     assert counts["inside"] == [1] * len(counts["paths"])
     assert counts["after"] == counts["before"]
     assert all(n >= 1 for n in counts["before"])
+
+
+def test_fan_out_pins_blas_to_one_thread_while_its_tasks_run():
+    probe = _run_probe(_FAN_OUT_PROBE)
+    if not probe["controls"]:
+        pytest.skip("no scipy-openblas build with thread functions is loaded")
+    # two slots on two threads, then one slot on the calling thread
+    assert probe["seen"] == [[1] * probe["controls"]] * 3
+    assert probe["after"] == [2] * probe["controls"]
 
 
 def test_blas_threads_without_openblas_changes_nothing(monkeypatch):

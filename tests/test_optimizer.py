@@ -3,8 +3,7 @@ import pytest
 import scipy.optimize
 import scipy.stats
 
-from gpcommittee import (Hyperparams, InvalidStart, OptimizerConfig, fit,
-                         minimize, nlml, predict)
+from gpcommittee import ExperimentConfig, Hyperparams, InvalidStart, fit, minimize, nlml, predict
 from gpcommittee.kernel import kernel_matrix
 
 
@@ -20,16 +19,14 @@ def quadratic_about(theta0):
 
 def test_quadratic_converges():
     theta0 = np.array([0.7, -0.4, 0.2, 1.1])
-    config = OptimizerConfig(max_evals=50, initial_hp=Hyperparams.default(2))
-    result = minimize(quadratic_about(theta0), config)
+    result = minimize(quadratic_about(theta0), Hyperparams.default(2), 50)
     assert np.linalg.norm(result.best_hp.to_vector() - theta0, np.inf) < 1e-6
     assert result.evals_used <= 50
 
 
 def test_budget_one_returns_initial():
     start = Hyperparams.default(1)
-    config = OptimizerConfig(max_evals=1, initial_hp=start)
-    result = minimize(quadratic_about([1.0, 1.0, 1.0]), config)
+    result = minimize(quadratic_about([1.0, 1.0, 1.0]), start, 1)
     np.testing.assert_array_equal(result.best_hp.to_vector(), start.to_vector())
     assert result.evals_used == 1
     assert result.trace == [result.best_value]
@@ -40,8 +37,7 @@ def test_trace_non_increasing_and_best_not_worse_than_start():
     X = rng.uniform(size=(40, 1))
     y = np.sin(7 * X[:, 0]) + 0.2 * rng.normal(size=40)
     start = Hyperparams.default(1)
-    config = OptimizerConfig(max_evals=60, initial_hp=start)
-    result = minimize(lambda hp: nlml(X, y, hp), config)
+    result = minimize(lambda hp: nlml(X, y, hp), start, 60)
     f0 = nlml(X, y, start)[0]
     assert result.best_value <= f0
     assert all(b <= a for a, b in zip(result.trace, result.trace[1:]))
@@ -61,8 +57,7 @@ def test_gp_hyperparameter_recovery_1d():
     f = np.linalg.cholesky(K) @ rng.normal(size=n)
     y = f + np.exp(true.log_noise) * rng.normal(size=n)
     start = Hyperparams.default(1)
-    config = OptimizerConfig(max_evals=200, initial_hp=start)
-    result = minimize(lambda hp: nlml(X, y, hp), config)
+    result = minimize(lambda hp: nlml(X, y, hp), start, 200)
     theta = result.best_hp.to_vector()
 
     def value(v):
@@ -88,7 +83,7 @@ def test_invalid_start_raises():
         return np.nan, np.zeros(hp.n_params)
 
     with pytest.raises(InvalidStart):
-        minimize(bad, OptimizerConfig(max_evals=10, initial_hp=Hyperparams.default(1)))
+        minimize(bad, Hyperparams.default(1), 10)
 
 
 def test_non_finite_midrun_backs_off():
@@ -104,8 +99,7 @@ def test_non_finite_midrun_backs_off():
         evaluated.append((value, v))
         return value, np.array([2 * (v[0] - 1.9), 0.0, 0.0])
 
-    config = OptimizerConfig(max_evals=80, initial_hp=Hyperparams.default(1))
-    result = minimize(objective, config)
+    result = minimize(objective, Hyperparams.default(1), 80)
     assert sum(not np.isfinite(value) for value, _ in evaluated) >= 1
     best_value, best_x = min((e for e in evaluated if np.isfinite(e[0])),
                              key=lambda e: e[0])
@@ -128,7 +122,7 @@ def test_wall_past_the_minimum_is_backed_off_from():
         return value, np.concatenate(([2 * (v[0] - 0.45)], 2 * v[1:]))
 
     start = Hyperparams.from_vector(np.zeros(3))
-    result = minimize(objective, OptimizerConfig(max_evals=80, initial_hp=start))
+    result = minimize(objective, start, 80)
     assert sum(not np.isfinite(value) for value in evaluated) >= 1
     np.testing.assert_allclose(result.best_hp.to_vector(), [0.45, 0.0, 0.0], atol=1e-6)
     assert result.best_value == min(v for v in evaluated if np.isfinite(v)) < 1e-12
@@ -149,9 +143,7 @@ def test_budget_binds_mid_run():
         evaluated.append((value, v))
         return value, grad
 
-    config = OptimizerConfig(max_evals=7,
-                             initial_hp=Hyperparams.from_vector(np.array([0.5, -1.0, 0.0])))
-    result = minimize(objective, config)
+    result = minimize(objective, Hyperparams.from_vector(np.array([0.5, -1.0, 0.0])), 7)
     assert result.evals_used == len(evaluated) == 7
     assert len(result.trace) > 1
     assert all(b <= a for a, b in zip(result.trace, result.trace[1:]))
@@ -161,13 +153,15 @@ def test_budget_binds_mid_run():
 
 
 def test_already_converged_returns_immediately():
-    config = OptimizerConfig(max_evals=50, initial_hp=Hyperparams.default(1))
-    result = minimize(quadratic_about([0.0, 0.0, -1.0]), config)
+    result = minimize(quadratic_about([0.0, 0.0, -1.0]), Hyperparams.default(1), 50)
     # start is the exact minimizer: gradient 0, single evaluation
     assert result.evals_used == 1
     assert result.best_value == 0.0
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_evals=0)
+    # the budget is checked by the experiment config and by minimize itself
+    with pytest.raises(ValueError, match="max_evals must be >= 1, got 0"):
+        ExperimentConfig(m0=50, max_evals=0).validate()
+    with pytest.raises(ValueError, match="max_evals must be >= 1, got 0"):
+        minimize(quadratic_about([1.0, 1.0, 1.0]), Hyperparams.default(1), 0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gpcommittee import (ExpertBlocks, Hyperparams, InvalidStart, NumericalBreakdown,
-                         OptimizerConfig, ensemble, gp, minimize, train)
+                         ensemble, gp, minimize, train)
 from gpcommittee.partition import Partition, PartitionKind
 
 START = Hyperparams.default(1)
@@ -32,8 +32,7 @@ def uneven_problem(sizes, seed=0):
 
 def run(problem, workers, max_evals=30):
     X, y, part = problem
-    return train(X, y, part, OptimizerConfig(max_evals=max_evals, initial_hp=START),
-                 workers=workers)
+    return train(X, y, part, max_evals, workers=workers)
 
 
 def assert_same_bits(a, b):
@@ -79,7 +78,7 @@ def serial_sum(problem):
             grad += g
         return value, grad
 
-    result = minimize(objective, OptimizerConfig(max_evals=30, initial_hp=START))
+    result = minimize(objective, START, 30)
     experts = [gp.fit(X[idx], y[idx], result.best_hp) for idx in part.subsets]
     return SimpleNamespace(hp=result.best_hp, opt_evals=result.evals_used,
                            opt_trace=tuple(result.trace), experts=experts)
