@@ -199,7 +199,7 @@ def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, offset: int,
     rhs = np.empty((n_test, M, 2))    # [cov[mu_i, y*], mu_i] per test point
     U = [None] * M                    # C_i^-1 K_i* = L_i^-T V_i
 
-    def expert_terms(slot, i):
+    def expert_terms(i):
         rhs[:, i, 1], V = _mean_and_whitened(experts[i], Xstar)
         rhs[:, i, 0] = np.einsum("ij,ij->j", V, V)
         U[i] = triangular_product(experts[i].chol_inv, V, transpose=True)
@@ -209,7 +209,7 @@ def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, offset: int,
     for i in range(M):
         K_agg[:, i, i] = rhs[:, i, 0]
 
-    def pair_covariance(slot, p):
+    def pair_covariance(p):
         i, j = pairs[p]
         prod = kernel_matrix(experts[i].X, experts[j].X, hp) @ U[j]
         # the column sums of prod * U_i, row by row as prod.sum(axis=0) adds

@@ -29,8 +29,7 @@ from .ensemble import ExpertEnsemble, experts_predict, prepare_grbcm, train
 from .errors import DataError, GPCommitteeError
 from .metrics import msll as msll_metric
 from .metrics import smse as smse_metric
-from .partition import (Partition, PartitionKind, disjoint_partition,
-                        grbcm_partition, random_partition)
+from .partition import Partition, disjoint_partition, grbcm_partition, random_partition
 
 SCHEMA_VERSION = 5
 METHOD_CHOICES = ("poe", "gpoe", "bcm", "rbcm", "npae", "grbcm")
@@ -163,18 +162,13 @@ def _resolve_M(config: ExperimentConfig, n: int) -> int:
 
 def _build_partition(config: ExperimentConfig, dataset: Dataset, M: int,
                      rep_seed: int) -> Partition:
-    wants_grbcm = "grbcm" in config.methods and M >= 2
-    if config.partition_kind == "disjoint":
-        if wants_grbcm:
-            # the hybrid scheme: every method shares the partition, whose
-            # first subset is the random communication subset
-            return grbcm_partition(dataset.X_train, M, rep_seed)
-        return disjoint_partition(dataset.X_train, M, rep_seed)
-    part = random_partition(dataset.n_train, M, rep_seed)
-    if wants_grbcm:
-        # any block of a random partition is itself a uniform random subset
-        part = part.with_communication(0)
-    return part
+    if config.partition_kind == "random":
+        return random_partition(dataset.n_train, M, rep_seed)
+    if "grbcm" in config.methods and M >= 2:
+        # the hybrid scheme: every method shares the partition, whose
+        # first subset is the random communication subset
+        return grbcm_partition(dataset.X_train, M, rep_seed)
+    return disjoint_partition(dataset.X_train, M, rep_seed)
 
 
 def _predict_method(method: str, ensemble: ExpertEnsemble, Xstar: np.ndarray,
@@ -264,7 +258,8 @@ def _score_method(method, committee, dataset, config, rep, rep_seed, art):
     art.predictions[label] = (means_eval, vars_eval)
     y_eval = dataset.y_test * stats.y_std + stats.y_mean
     train_mean, train_var = stats.y_mean, stats.y_std ** 2
-    betas = agg.betas
+    # a one-expert committee has no augmented experts, so no betas to summarize
+    betas = agg.betas if agg.betas is not None and agg.betas.size else None
     return RunRecord(
         method=label,
         repetition=rep, seed=rep_seed,

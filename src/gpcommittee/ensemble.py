@@ -45,9 +45,9 @@ class ExpertEnsemble:
     """Shared hyperparameters plus the fitted experts of one committee.
 
     ``augmented_experts`` holds the models on (communication subset +
-    ordinary subset i), one per non-communication subset in ascending subset
-    order, each stored as a block extension of the communication expert; it
-    stays None until :func:`prepare_grbcm` runs. ``workers`` is the number of
+    subset i), one per subset i = 1, ..., M - 1 in order, each stored as a
+    block extension of expert 0, the communication expert; it stays None
+    until :func:`prepare_grbcm` runs. ``workers`` is the number of
     parallel slots of the committee: :func:`train` ran its objective terms on
     that many processes (:class:`ExpertBlocks`), and every per-expert
     prediction loop, here and in NPAE, is dealt to that many threads
@@ -277,23 +277,24 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition, max_evals: int,
 def prepare_grbcm(ensemble: ExpertEnsemble) -> ExpertEnsemble:
     """Build the M-1 augmented experts on (communication subset + subset i).
 
-    Each is the GP on the communication expert's rows followed by expert i's
-    rows, built by :func:`gp.extend` as a block extension of the
-    communication expert: it keeps only the cross block ``B_i = K_ic L_c^-T``
-    and the inverse Schur factor ``S_i^-1``. The communication block inherits
-    the communication expert's jitter, and the jitter ladder runs on the Schur
-    complement ``C_ii - B_i B_i'`` only; a breakdown there names expert i.
+    The communication expert is expert 0 of a random or hybrid partition
+    (:attr:`Partition.communication_index`); a disjoint partition has none.
+    Augmented expert i, for i = 1, ..., M - 1, is the GP on expert 0's rows
+    followed by expert i's, built by :func:`gp.extend` as a block extension
+    of expert 0: it keeps only the cross block ``B_i = K_ic L_c^-T`` and the
+    inverse Schur factor ``S_i^-1``. The communication block inherits expert
+    0's jitter, and the jitter ladder runs on the Schur complement
+    ``C_ii - B_i B_i'`` only; a breakdown there names expert i. With M = 1
+    there are none, and GRBCM is the one expert.
     As in :func:`train`'s final fits, BLAS runs on one thread meanwhile.
     Returns a new ensemble; the input is left untouched.
     """
-    c = ensemble.partition.communication_index
-    if c is None:
-        raise MissingCommunicationSubset(
-            "partition has no designated communication subset")
-    comm = ensemble.experts[c]
+    if ensemble.partition.communication_index is None:
+        raise MissingCommunicationSubset("a disjoint partition has no communication subset")
+    comm, *others = ensemble.experts
     with gp.blas_threads(1):
         augmented = [_for_expert(i, gp.extend, comm, model.X, model.y)
-                     for i, model in enumerate(ensemble.experts) if i != c]
+                     for i, model in enumerate(others, start=1)]
     return replace(ensemble, augmented_experts=augmented)
 
 
@@ -302,11 +303,11 @@ def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
     """Per-expert predictive means and variances, stacked one row per expert.
 
     With ``augmented=True`` the rows are the GRBCM committee instead
-    (requires :func:`prepare_grbcm` first): row 0 is the communication
-    expert, exactly as :func:`gp.predict` gives it, and row ``i + 1`` the
-    i-th augmented expert. The communication expert's terms ``L_c^-1 K_c*``
-    and ``L_c^-1 y_c`` are formed once and each augmented expert adds its
-    own block (see :func:`gp.predict_extended`). Either way the rows are
+    (requires :func:`prepare_grbcm` first): row 0 is expert 0, the
+    communication expert, exactly as :func:`gp.predict` gives it, and row
+    ``i + 1`` the i-th augmented expert. Expert 0's terms ``L_c^-1 K_c*`` and
+    ``L_c^-1 y_c`` are formed once and each augmented expert adds its own
+    block (see :func:`gp.predict_extended`). Either way the rows are
     dealt to ``ensemble.workers`` threads, and every thread count gives the
     same bits. A non-finite test input raises :class:`DataError`
     (:func:`gp.as_test_inputs`).
@@ -314,14 +315,13 @@ def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
     if augmented:
         if ensemble.augmented_experts is None:
             raise MissingCommunicationSubset("augmented experts not prepared")
-        comm = ensemble.experts[ensemble.partition.communication_index]
-        return gp.predict_extended(comm, ensemble.augmented_experts, Xstar,
+        return gp.predict_extended(ensemble.experts[0], ensemble.augmented_experts, Xstar,
                                    ensemble.workers)
     Xstar = gp.as_test_inputs(Xstar)
     means = np.empty((ensemble.M, Xstar.shape[0]))
     variances = np.empty_like(means)
 
-    def predict_row(slot, i):
+    def predict_row(i):
         means[i], variances[i] = gp.predict(ensemble.experts[i], Xstar)
 
     gp.fan_out(predict_row, ensemble.M, ensemble.workers)

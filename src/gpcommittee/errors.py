@@ -42,7 +42,7 @@ class InvalidPartition(GPCommitteeError):
 
 
 class MissingCommunicationSubset(GPCommitteeError):
-    """An operation requires a designated communication subset and none exists."""
+    """GRBCM has no communication subset (a disjoint partition) or no augmented experts."""
 
 
 class DegenerateTargets(GPCommitteeError):

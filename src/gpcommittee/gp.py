@@ -174,13 +174,13 @@ def blas_threads(count: int):
 
 
 def fan_out(task, count: int, workers: int) -> None:
-    """Run ``task(slot, k)`` for every ``k`` in ``range(count)``, dealt
+    """Run ``task(k)`` for every ``k`` in ``range(count)``, dealt
     round-robin to ``slots = min(workers, count)`` threads.
 
-    Slot ``s`` runs ``k = s, s + slots, ...`` in that order, so a task may
-    keep per-slot scratch space indexed by ``slot``; each ``k`` must write
-    only its own outputs. With one slot the tasks run on the calling thread
-    and no thread starts; otherwise the calling thread waits for all slots.
+    Slot ``s`` runs ``k = s, s + slots, ...`` in that order; each ``k`` must
+    write only its own outputs. With one slot the tasks run on the calling
+    thread and no thread starts; otherwise the calling thread waits for all
+    slots.
     Either way BLAS runs on one thread meanwhile (:func:`blas_threads`), so
     the slots do not compete with BLAS threads for the cores, and every
     ``workers`` gives the bits of one BLAS thread. A slot stops at its first
@@ -195,7 +195,7 @@ def fan_out(task, count: int, workers: int) -> None:
     def run(slot):
         for k in range(slot, count, slots):
             try:
-                task(slot, k)
+                task(k)
             except BaseException as exc:
                 failures[slot] = (k, exc)
                 return
@@ -203,7 +203,7 @@ def fan_out(task, count: int, workers: int) -> None:
     with blas_threads(1):
         if slots <= 1:
             for k in range(count):
-                task(0, k)
+                task(k)
             return
         threads = [threading.Thread(target=run, args=(slot,)) for slot in range(slots)]
         for thread in threads:
@@ -547,7 +547,7 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     base_explained = np.einsum("ij,ij->j", V_b, V_b)
     variances[0] = _noisy_variance(hp, base_explained)
 
-    def extension_row(slot, k):
+    def extension_row(k):
         ext = extensions[k]
         Kstar = kernel_matrix(ext.X, Xstar, hp)
         Kstar -= ext.cross @ V_b

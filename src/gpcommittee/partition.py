@@ -10,7 +10,7 @@ assumes every expert holds about n/M points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,34 +29,32 @@ class PartitionKind(str, Enum):
 class Partition:
     """Assignment of training indices to M pairwise-disjoint subsets.
 
-    ``communication_index`` marks which subset plays the communication role;
-    it is set by the hybrid scheme and may be designated explicitly on other
-    kinds (only meaningful when that subset is a uniform random sample).
+    The kind fixes GRBCM's communication subset, the uniform random sample
+    its committee is built on (:attr:`communication_index`).
     """
 
     subsets: list[np.ndarray]
     kind: PartitionKind
-    communication_index: int | None
     seed: int
 
     @property
     def M(self) -> int:
         return len(self.subsets)
 
+    @property
+    def communication_index(self) -> int | None:
+        """0 for a random or hybrid partition, whose subset 0 is a uniform
+        random sample (every block of a random partition is one); None for a
+        disjoint partition, which has none."""
+        return None if self.kind is PartitionKind.DISJOINT else 0
+
     def validate(self, n: int) -> None:
-        """Check coverage, disjointness, non-emptiness and the communication index."""
+        """Check coverage, disjointness and non-emptiness."""
         seen = np.concatenate(self.subsets) if self.subsets else np.array([], dtype=int)
         if any(s.size == 0 for s in self.subsets):
             raise InvalidPartition("empty subset")
         if seen.size != n or not np.array_equal(np.sort(seen), np.arange(n)):
             raise InvalidPartition("subsets are not a disjoint cover of 0..n-1")
-        if self.communication_index is not None and not (0 <= self.communication_index < self.M):
-            raise InvalidPartition("communication_index out of range")
-
-    def with_communication(self, index: int) -> "Partition":
-        if not (0 <= index < self.M):
-            raise InvalidPartition("communication_index out of range")
-        return replace(self, communication_index=index)
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,7 +69,6 @@ class Partition:
         return cls(
             subsets=[np.asarray(s, dtype=int) for s in doc["subsets"]],
             kind=PartitionKind(doc["kind"]),
-            communication_index=doc["communication_index"],
             seed=int(doc["seed"]),
         )
 
@@ -86,8 +83,7 @@ def random_partition(n: int, M: int, seed: int) -> Partition:
     _check_counts(n, M)
     perm = np.random.default_rng(seed).permutation(n)
     subsets = [np.sort(block) for block in np.array_split(perm, M)]
-    return Partition(subsets=subsets, kind=PartitionKind.RANDOM,
-                     communication_index=None, seed=seed)
+    return Partition(subsets=subsets, kind=PartitionKind.RANDOM, seed=seed)
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,8 +180,7 @@ def disjoint_partition(X: np.ndarray, M: int, seed: int) -> Partition:
         sizes = np.bincount(labels, minlength=M)
         _rebalance(X, labels, centroids, _near_equal_targets(n, M, sizes))
         subsets = [np.flatnonzero(labels == c) for c in range(M)]
-    return Partition(subsets=subsets, kind=PartitionKind.DISJOINT,
-                     communication_index=None, seed=seed)
+    return Partition(subsets=subsets, kind=PartitionKind.DISJOINT, seed=seed)
 
 
 def grbcm_partition(X: np.ndarray, M: int, seed: int) -> Partition:
@@ -201,5 +196,4 @@ def grbcm_partition(X: np.ndarray, M: int, seed: int) -> Partition:
     child_seed = int(rng.integers(2 ** 31))
     inner = disjoint_partition(X[rest], M - 1, child_seed)
     subsets = [comm] + [rest[s] for s in inner.subsets]
-    return Partition(subsets=subsets, kind=PartitionKind.GRBCM_HYBRID,
-                     communication_index=0, seed=seed)
+    return Partition(subsets=subsets, kind=PartitionKind.GRBCM_HYBRID, seed=seed)

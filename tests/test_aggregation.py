@@ -496,8 +496,7 @@ def _switching_often(fn):
 
 def _uneven_committee(M):
     # 604 rows do not split evenly into 3 or 8 subsets, so the experts differ
-    # in size (and some NPAE pair products fill only a leading slice of a
-    # thread's buffer)
+    # in size
     _, committee = _committee(n=604, M=M, seed=M, max_evals=10)
     sizes = {model.n for model in committee.experts}
     assert len(sizes) == (1 if M == 1 else 2)
@@ -570,8 +569,7 @@ def test_npae_peak_memory_stays_flat_as_the_test_set_grows(monkeypatch):
 def test_expert_rows_give_the_same_bits_for_every_workers(rows, M, workers):
     # the reference takes one expert per call, so nothing in it is fanned out
     committee = _uneven_committee(M)
-    committee = prepare_grbcm(replace(committee,
-                                      partition=committee.partition.with_communication(0)))
+    committee = prepare_grbcm(committee)
     Xstar = np.linspace(-0.5, 1.5, 2000)[:, None]
     if rows == "plain":
         reference = [np.vstack(r) for r in zip(*(predict(m, Xstar) for m in committee.experts))]

@@ -66,6 +66,20 @@ def test_every_partition_kind_runs_every_rule(kind, expected):
         assert plain.communication_index is None
 
 
+def test_grbcm_on_a_one_subset_random_partition_is_its_one_expert():
+    # the one block of a random partition is its communication subset, and
+    # GRBCM has no augmented experts, so no betas to summarize
+    config = ExperimentConfig(n=200, M=1, max_evals=5, partition_kind="random",
+                              methods=("poe", "grbcm"))
+    poe, grbcm = run_experiment(config).records
+    assert grbcm.error is None
+    assert (grbcm.smse, grbcm.msll) == (poe.smse, poe.msll)
+    assert (grbcm.beta_mean, grbcm.beta_min, grbcm.beta_max) == (None, None, None)
+    # a disjoint partition has no communication subset
+    _, failed = run_experiment(replace(config, partition_kind="disjoint")).records
+    assert failed.error.startswith("MissingCommunicationSubset")
+
+
 def test_workers_do_not_change_the_records():
     config = ExperimentConfig(n=200, n_test=40, m0=30, max_evals=3, methods=METHOD_CHOICES)
 

@@ -135,7 +135,7 @@ def test_nlml_reports_a_failed_block_inverse(monkeypatch):
     monkeypatch.setattr(gp, "dtrtri", dtrtri_failing_on_last_block)
     rng = np.random.default_rng(6)
     part = Partition(subsets=np.split(np.arange(180), [10, 20, 30, 40]),
-                     kind=PartitionKind.RANDOM, communication_index=None, seed=0)
+                     kind=PartitionKind.RANDOM, seed=0)
     with pytest.raises(NumericalBreakdown, match="expert 4: trtri failed") as err:
         factorized_nlml(ExpertBlocks(rng.uniform(size=(180, 1)), rng.normal(size=180), part),
                         hp_1d())
@@ -221,8 +221,7 @@ def test_train_keeps_workers_on_the_ensemble():
     committee = train(rng.uniform(size=(30, 1)), rng.normal(size=30),
                       random_partition(30, 3, seed=0), 2, workers=3)
     assert committee.workers == 3
-    assert prepare_grbcm(replace(committee, partition=committee.partition.with_communication(0))
-                         ).workers == 3
+    assert prepare_grbcm(committee).workers == 3
 
 
 def test_train_rejects_overlapping_partition_before_any_evaluation(monkeypatch):
@@ -260,6 +259,8 @@ def _small_committee(n=120, M=3, seed=0, kind="grbcm"):
     ds = toy_generate(n, 40, seed=seed)
     if kind == "grbcm":
         part = grbcm_partition(ds.X_train, M, seed=seed)
+    elif kind == "disjoint":
+        part = disjoint_partition(ds.X_train, M, seed=seed)
     else:
         part = random_partition(n, M, seed=seed)
     return ds, train(ds.X_train, ds.y_train, part, 30)
@@ -283,7 +284,7 @@ def test_prepare_grbcm_sizes():
 
 
 def test_prepare_grbcm_requires_communication_subset():
-    ds, committee = _small_committee(kind="random")
+    ds, committee = _small_committee(kind="disjoint")
     with pytest.raises(MissingCommunicationSubset):
         prepare_grbcm(committee)
 

@@ -378,11 +378,11 @@ from gpcommittee.gp import _openblas_thread_controls, blas_threads, fan_out
 def counts():
     return [get() for _, get, _ in _openblas_thread_controls()]
 seen = [None, None, None]
-def task(slot, k):
+def task(k):
     seen[k] = counts()
 with blas_threads(2):
     fan_out(task, 2, 2)
-    fan_out(lambda slot, k: task(slot, 2), 1, 2)
+    fan_out(lambda k: task(2), 1, 2)
     after = counts()
 print(json.dumps({"controls": len(_openblas_thread_controls()), "seen": seen,
                   "after": after}))

@@ -143,10 +143,11 @@ def test_partition_json_round_trip():
         np.testing.assert_array_equal(s, t)
 
 
-def test_designate_communication():
-    part = random_partition(30, 3, seed=0)
-    assert part.communication_index is None
-    tagged = part.with_communication(0)
-    assert tagged.communication_index == 0
-    with pytest.raises(InvalidPartition):
-        part.with_communication(5)
+def test_communication_index_follows_the_kind():
+    # subset 0 of a random or hybrid partition is a uniform random sample;
+    # a disjoint partition has no such subset
+    X = np.random.default_rng(14).uniform(size=(30, 1))
+    for M in (1, 3):
+        assert random_partition(30, M, seed=0).communication_index == 0
+        assert disjoint_partition(X, M, seed=0).communication_index is None
+    assert grbcm_partition(X, 3, seed=0).communication_index == 0

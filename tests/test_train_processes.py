@@ -26,8 +26,7 @@ def uneven_problem(sizes, seed=0):
     X = rng.uniform(-2, 2, size=(n, 1))
     y = np.sin(2 * X[:, 0]) + 0.2 * rng.normal(size=n)
     subsets = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
-    return X, y, Partition(subsets=subsets, kind=PartitionKind.RANDOM,
-                           communication_index=None, seed=seed)
+    return X, y, Partition(subsets=subsets, kind=PartitionKind.RANDOM, seed=seed)
 
 
 def run(problem, workers, max_evals=30):
