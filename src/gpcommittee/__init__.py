@@ -8,7 +8,7 @@ partitioning schemes, standardized metrics and a benchmark harness.
 from .aggregate import (AggregatedPrediction, bcm, beta_entropy, gpoe, grbcm,
                         grbcm_fuse, npae, poe, rbcm)
 from .bench import (ExperimentConfig, ExperimentResult, RunRecord,
-                    consistency_sweep, read_results_csv, run_experiment)
+                    consistency_sweep, run_experiment)
 from .data import (Dataset, NormStats, denormalize_inputs, denormalize_predictions,
                    load_csv, toy_function, toy_generate)
 from .ensemble import (ExpertBlocks, ExpertEnsemble, experts_predict, factorized_nlml,
@@ -28,7 +28,7 @@ __all__ = [
     "AggregatedPrediction",
     "bcm", "beta_entropy", "gpoe", "grbcm", "grbcm_fuse", "npae", "poe", "rbcm",
     "ExperimentConfig", "ExperimentResult", "RunRecord",
-    "consistency_sweep", "read_results_csv", "run_experiment",
+    "consistency_sweep", "run_experiment",
     "Dataset", "NormStats", "denormalize_inputs", "denormalize_predictions",
     "load_csv", "toy_function", "toy_generate",
     "ExpertBlocks", "ExpertEnsemble", "experts_predict", "factorized_nlml", "prepare_grbcm",

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +30,7 @@ from .metrics import msll as msll_metric
 from .metrics import smse as smse_metric
 from .partition import Partition, disjoint_partition, grbcm_partition, random_partition
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 METHOD_CHOICES = ("poe", "gpoe", "bcm", "rbcm", "npae", "grbcm")
 PARTITION_CHOICES = ("random", "disjoint")
 
@@ -45,8 +44,7 @@ class ExperimentConfig:
     n_test: int | None = None             # toy test size (default max(200, n // 10))
     csv_path: str | None = None
     target_column: int | str = -1
-    test_fraction: float | None = 0.2     # csv random split; unread when split_files is given
-    split_files: tuple[str, str] | None = None  # csv (train, test) row-index files
+    test_fraction: float = 0.2            # csv random test split
     partition_kind: str = "disjoint"
     M: int | None = None
     m0: int | None = None
@@ -64,8 +62,7 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be 'toy' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ValueError("csv dataset requires csv_path")
-        if self.dataset == "csv" and self.split_files is None and not (
-                self.test_fraction is not None and 0.0 < self.test_fraction < 1.0):
+        if self.dataset == "csv" and not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if (self.M is None) == (self.m0 is None):
             raise ValueError("give exactly one of M (experts) or m0 (subset size)")
@@ -141,10 +138,8 @@ def _build_dataset(config: ExperimentConfig, rep_seed: int) -> Dataset:
         n_test = config.n_test if config.n_test else max(200, config.n // 10)
         dataset = toy_generate(config.n, n_test, rep_seed)
     else:
-        # split files take precedence over the (default) test fraction
-        fraction = None if config.split_files is not None else config.test_fraction
-        dataset = load_csv(config.csv_path, config.target_column, test_fraction=fraction,
-                           split_files=config.split_files, seed=rep_seed)
+        dataset = load_csv(config.csv_path, config.target_column,
+                           test_fraction=config.test_fraction, seed=rep_seed)
     # SMSE divides by the test targets' variance: fail here, not after training
     if dataset.n_test < 2:
         raise DataError("the test split has fewer than 2 rows, so SMSE is undefined")
@@ -284,15 +279,6 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _parse_cell(text: str, kind) -> object:
-    optional = typing.get_args(kind)
-    if optional:
-        if not text:
-            return None
-        kind = optional[0]
-    return kind(text)
-
-
 def write_results_csv(records: list[RunRecord], path: str) -> None:
     names = [f.name for f in dataclasses.fields(RunRecord)]
     with open(path, "w", newline="") as fh:
@@ -300,18 +286,6 @@ def write_results_csv(records: list[RunRecord], path: str) -> None:
         writer.writerow(names)
         for rec in records:
             writer.writerow([_cell(getattr(rec, name)) for name in names])
-
-
-def read_results_csv(path: str) -> list[RunRecord]:
-    """Parse a results CSV back into RunRecords (exact float round trip)."""
-    kinds = typing.get_type_hints(RunRecord)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != list(kinds):
-            raise ValueError(f"unexpected results header {header}")
-        return [RunRecord(*(_parse_cell(text, kind) for text, kind in zip(row, kinds.values())))
-                for row in reader]
 
 
 def write_outputs(result: ExperimentResult, out_dir: str) -> None:

@@ -24,6 +24,10 @@ def _parse_dataset(args) -> dict:
         # toy data; the sweep sets n from --n-list
         return {"n_test": args.n_test}
     if args.csv:
+        # a CSV run reads no toy flag, so one given is a mistake, not a no-op
+        for flag, value in (("--dataset", args.dataset), ("--n-test", args.n_test)):
+            if value is not None:
+                raise ValueError(f"{flag} is for toy data; --csv takes none")
         target: int | str = args.target_col
         try:
             target = int(target)

@@ -151,31 +151,16 @@ def _read_numeric_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
     return header, np.asarray(rows, dtype=float)
 
 
-def _read_index_file(path: str) -> np.ndarray:
-    indices = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                indices.append(int(line))
-            except ValueError:
-                raise DataError(f"{path}, line {line_no}: row index must be an integer, "
-                                f"got {line.strip()!r}") from None
-    return np.asarray(indices, dtype=int)
-
-
-def load_csv(path: str, target_column: int | str, test_fraction: float | None = None,
-             split_files: tuple[str, str] | None = None, seed: int = 0) -> Dataset:
+def load_csv(path: str, target_column: int | str, test_fraction: float,
+             seed: int = 0) -> Dataset:
     """Load a delimited numeric table, split it, and normalize per protocol.
 
-    Exactly one of ``test_fraction`` (seeded random split) or ``split_files``
-    (paths to train/test row-index lists, one integer per line) must be given.
-    A non-numeric first non-blank line is treated as a header, in which case
-    ``target_column`` may be a column name.
+    A seeded random ``test_fraction`` of the rows, in (0, 1), is the test
+    split. A non-numeric first non-blank line is treated as a header, in
+    which case ``target_column`` may be a column name.
     """
-    if (test_fraction is None) == (split_files is None):
-        raise ValueError("give exactly one of test_fraction or split_files")
+    if not (0.0 < test_fraction < 1.0):
+        raise ValueError("test_fraction must be in (0, 1)")
     header, table = _read_numeric_csv(path)
     if isinstance(target_column, str):
         if header is None or target_column not in header:
@@ -188,26 +173,9 @@ def load_csv(path: str, target_column: int | str, test_fraction: float | None = 
     y = table[:, target_idx]
     X = np.delete(table, target_idx % table.shape[1], axis=1)
     n = table.shape[0]
-    if split_files is not None:
-        train_idx = _read_index_file(split_files[0])
-        test_idx = _read_index_file(split_files[1])
-        rows, counts = np.unique(np.concatenate([train_idx, test_idx]), return_counts=True)
-        repeated = rows[counts > 1]
-        if repeated.size:
-            # a shared row would leak test targets into training
-            raise DataError(f"split files repeat or share {repeated.size} row "
-                            f"index(es), first {repeated[0]}")
-    else:
-        if not (0.0 < test_fraction < 1.0):
-            raise ValueError("test_fraction must be in (0, 1)")
-        n_test = max(1, int(round(n * test_fraction)))
-        if n_test >= n:
-            n_test = n - 1
-        perm = np.random.default_rng(seed).permutation(n)
-        test_idx, train_idx = np.sort(perm[:n_test]), np.sort(perm[n_test:])
-    for idx, label in ((train_idx, "train"), (test_idx, "test")):
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
-            raise DataError(f"{label} split indices out of range")
+    n_test = min(max(1, int(round(n * test_fraction))), n - 1)
+    perm = np.random.default_rng(seed).permutation(n)
+    test_idx, train_idx = np.sort(perm[:n_test]), np.sort(perm[n_test:])
     return _normalize_dataset(X[train_idx], y[train_idx], X[test_idx], y[test_idx])
 
 

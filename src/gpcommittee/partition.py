@@ -18,6 +18,10 @@ from scipy.spatial.distance import cdist
 
 from .errors import InvalidPartition
 
+# Lloyd's loop stops after this many passes, or once no centroid moves farther
+_LLOYD_MAX_ITER = 100
+_LLOYD_TOL = 1e-8
+
 
 class PartitionKind(str, Enum):
     RANDOM = "random"
@@ -36,10 +40,6 @@ class Partition:
     subsets: list[np.ndarray]
     kind: PartitionKind
     seed: int
-
-    @property
-    def M(self) -> int:
-        return len(self.subsets)
 
     @property
     def communication_index(self) -> int | None:
@@ -63,14 +63,6 @@ class Partition:
             "communication_index": self.communication_index,
             "subsets": [s.tolist() for s in self.subsets],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Partition":
-        return cls(
-            subsets=[np.asarray(s, dtype=int) for s in doc["subsets"]],
-            kind=PartitionKind(doc["kind"]),
-            seed=int(doc["seed"]),
-        )
 
 
 def _check_counts(n: int, M: int, minimum_M: int = 1) -> None:
@@ -114,17 +106,16 @@ def _repair_empty(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: i
         sizes[c] += 1
 
 
-def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int = 100, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     centroids = _kmeans_pp_init(X, k, rng)
     labels = np.zeros(X.shape[0], dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         labels = np.argmin(cdist(X, centroids, metric="sqeuclidean"), axis=1)
         _repair_empty(X, labels, centroids, k)
         new_centroids = np.vstack([X[labels == c].mean(axis=0) for c in range(k)])
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < _LLOYD_TOL:
             break
     return labels, centroids
 

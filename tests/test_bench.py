@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import fields, replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from gpcommittee import (AggregatedPrediction, ExperimentConfig, PartitionKind, RunRecord,
-                         aggregate, consistency_sweep, read_results_csv, run_experiment)
+                         aggregate, consistency_sweep, run_experiment)
 from gpcommittee.bench import METHOD_CHOICES, SCHEMA_VERSION, write_results_csv
 
 
@@ -92,26 +93,32 @@ def test_workers_do_not_change_the_records():
     assert untimed(2) == serial
 
 
-def test_split_files_take_precedence_over_the_default_test_fraction(tmp_path):
+def test_csv_run_holds_out_the_default_test_fraction(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.uniform(-2.0, 2.0, 20)
     rows = np.column_stack([x, np.sin(x) + 0.1 * rng.normal(size=20)])
     path = tmp_path / "data.csv"
     np.savetxt(path, rows, delimiter=",")
-    (tmp_path / "train.idx").write_text("\n".join(map(str, range(14))) + "\n")
-    (tmp_path / "test.idx").write_text("\n".join(map(str, range(14, 20))) + "\n")
-    config = ExperimentConfig(dataset="csv", csv_path=str(path), m0=7, max_evals=3,
-                              split_files=(str(tmp_path / "train.idx"),
-                                           str(tmp_path / "test.idx")),
+    config = ExperimentConfig(dataset="csv", csv_path=str(path), m0=8, max_evals=3,
                               methods=("poe", "grbcm"))
-    assert config.test_fraction == 0.2
     result = run_experiment(config)
     assert [rec.error for rec in result.records] == [None, None]
+    # the default test fraction 0.2 holds out 4 of the 20 rows, so the
+    # partition covers the other 16 in two experts
     (part,) = result.partitions
-    assert sorted(np.concatenate(part.subsets)) == list(range(14))
+    assert len(part.subsets) == 2
+    assert sorted(np.concatenate(part.subsets)) == list(range(16))
     # the interior of the toy training range means nothing for CSV data
     (art,) = result.artifacts
     assert art.interior_mask is None
+
+
+def written_cell(value) -> str:
+    """The results.csv form of a record value: repr for a float, so it reads
+    back exactly and nan stays nan; an empty cell for None."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def test_results_csv_round_trips_failed_records(tmp_path):
@@ -131,13 +138,10 @@ def test_results_csv_round_trips_failed_records(tmp_path):
         assert fh.readline().rstrip() == (
             "method,repetition,seed,smse,msll,train_time_seconds,predict_time_seconds,"
             "degeneracy_count,beta_mean,beta_min,beta_max,error")
-    back = read_results_csv(path)
-    assert len(back) == len(records)
-    for got, want in zip(back, records):
-        for f in fields(RunRecord):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert type(a) is type(b), f.name
-            assert a == b or (math.isnan(a) and math.isnan(b)), f.name
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [[written_cell(getattr(rec, f.name)) for f in fields(RunRecord)]
+                    for rec in records]
 
 
 def test_artifacts_keep_every_rules_predictions_per_repetition():

@@ -1,13 +1,21 @@
+import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gpcommittee import ExperimentConfig, RunRecord, read_results_csv
+from gpcommittee import ExperimentConfig, RunRecord
 from gpcommittee.bench import SCHEMA_VERSION
 from gpcommittee.cli import _config_from_args, _parser, main
 
 SMALL = ["--subset-size", "50", "--max-evals", "5", "--methods", "poe,grbcm"]
+
+
+def written_cell(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def test_run_writes_matching_csv_and_json(tmp_path, capsys):
@@ -15,10 +23,16 @@ def test_run_writes_matching_csv_and_json(tmp_path, capsys):
     assert "poe" in capsys.readouterr().out
     with open(tmp_path / "results.json") as fh:
         doc = json.load(fh)
-    from_json = [RunRecord(**rec) for rec in doc["records"]]
-    assert [r.method for r in from_json] == ["poe", "grbcm"]
-    assert all(r.error is None for r in from_json)
-    assert read_results_csv(str(tmp_path / "results.csv")) == from_json
+    assert [rec["method"] for rec in doc["records"]] == ["poe", "grbcm"]
+    assert all(rec["error"] is None for rec in doc["records"])
+    names = [f.name for f in fields(RunRecord)]
+    assert [list(rec) for rec in doc["records"]] == [names, names]
+    with open(tmp_path / "results.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == names
+    # each cell is the writer's form of the JSON value: repr for a float (so
+    # it reads back exactly), an empty cell for None
+    assert rows == [[written_cell(rec[name]) for name in names] for rec in doc["records"]]
     assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["config"]["methods"] == ["poe", "grbcm"]
     assert "opt_method" not in doc["config"]
@@ -51,8 +65,9 @@ def test_workers_flag_is_rejected():
      "test_fraction must be in (0, 1), got 0.0"),
 ])
 def test_invalid_config_is_a_usage_error(capsys, args, message):
+    dataset = [] if "--csv" in args else ["--dataset", "toy200"]
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--dataset", "toy200", *args])
+        main(["run", *dataset, *args])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -121,6 +136,57 @@ def test_unusable_csv_fails_before_training(tmp_path, capsys, rows, constant_tes
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"gpcommittee-bench: error: {message}")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag", [["--dataset", "toy5000"], ["--n-test", "7"]])
+def test_csv_takes_no_toy_flags(capsys, flag):
+    # a CSV run reads no toy flag, so one given is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--csv", "table.csv", *flag, "--subset-size", "100"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"gpcommittee-bench: error: {flag[0]} is for toy data; --csv takes none")
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+
+
+def _write_table(tmp_path):
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2.0, 2.0, (60, 2))
+    y = np.sin(X[:, 0]) * np.cos(X[:, 1]) + 0.1 * rng.normal(size=60)
+    path = tmp_path / "table.csv"
+    np.savetxt(path, np.column_stack([X, y]), delimiter=",", header="x1,x2,y", comments="")
+    return str(path)
+
+
+def _untimed_records(out_dir) -> list[dict]:
+    with open(out_dir / "results.json") as fh:
+        records = json.load(fh)["records"]
+    for rec in records:
+        del rec["train_time_seconds"], rec["predict_time_seconds"]
+    return records
+
+
+def test_target_column_by_header_name(tmp_path, capsys):
+    path = _write_table(tmp_path)
+    runs = {}
+    for target in ("y", "-1"):
+        out = tmp_path / f"target{target}"
+        assert main(["run", "--csv", path, "--target-col", target, "--subset-size", "20",
+                     "--max-evals", "5", "--methods", "poe,grbcm", "--out", str(out)]) == 0
+        runs[target] = _untimed_records(out)
+    assert all(rec["error"] is None for rec in runs["y"])
+    assert runs["y"] == runs["-1"]
+
+
+def test_unknown_target_column_name_is_one_error_line(tmp_path, capsys):
+    path = _write_table(tmp_path)
+    assert main(["run", "--csv", path, "--target-col", "z", "--subset-size", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "gpcommittee-bench: error: target column 'z' not found in header"]
 
 
 def test_cli_adds_no_defaults_of_its_own():

@@ -110,43 +110,11 @@ def test_csv_missing_file():
         load_csv("/nonexistent/nowhere.csv", target_column=-1, test_fraction=0.5)
 
 
-def test_csv_split_files(tmp_path):
-    path = _write(tmp_path, "1,2\n3,4\n5,6\n7,8\n9,10\n")
-    train = _write(tmp_path, "0\n2\n4\n", name="train.idx")
-    test = _write(tmp_path, "1\n3\n", name="test.idx")
-    ds = load_csv(path, target_column=-1, split_files=(train, test))
-    assert ds.n_train == 3 and ds.n_test == 2
-
-
-
-@pytest.mark.parametrize("train_rows, test_rows, message", [
-    ("0 1 2 3 4 5 6", "5 6 7 7", r"share 3 row index\(es\), first 5"),
-    ("0 1 2 2", "3 4", r"share 1 row index\(es\), first 2"),
-])
-def test_csv_split_files_reject_shared_or_repeated_rows(tmp_path, train_rows, test_rows,
-                                                         message):
-    # a row in both lists would leak a test target into training
-    path = _write(tmp_path, "".join(f"{i},{2 * i}\n" for i in range(8)))
-    train = _write(tmp_path, "\n".join(train_rows.split()) + "\n", name="train.idx")
-    test = _write(tmp_path, "\n".join(test_rows.split()) + "\n", name="test.idx")
-    with pytest.raises(DataError, match=message):
-        load_csv(path, target_column=-1, split_files=(train, test))
-
-
-def test_csv_split_file_non_integer_line(tmp_path):
-    path = _write(tmp_path, "1,2\n3,4\n5,6\n7,8\n9,10\n")
-    train = _write(tmp_path, "0\n\n2\nabc\n", name="train.idx")
-    test = _write(tmp_path, "1\n3\n", name="test.idx")
-    with pytest.raises(DataError, match=r"train\.idx, line 4: .*'abc'"):
-        load_csv(path, target_column=-1, split_files=(train, test))
-
-
-def test_csv_requires_exactly_one_split_spec(tmp_path):
-    path = _write(tmp_path, "1,2\n3,4\n")
-    with pytest.raises(ValueError):
-        load_csv(path, target_column=-1)
-    with pytest.raises(ValueError):
-        load_csv(path, target_column=-1, test_fraction=0.5, split_files=("a", "b"))
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_csv_test_fraction_must_lie_in_the_open_unit_interval(fraction):
+    # checked before the file is read
+    with pytest.raises(ValueError, match=r"test_fraction must be in \(0, 1\)"):
+        load_csv("/nonexistent/nowhere.csv", target_column=-1, test_fraction=fraction)
 
 
 def test_denormalize_round_trip():
