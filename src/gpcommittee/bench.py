@@ -33,6 +33,7 @@ from .partition import Partition, disjoint_partition, grbcm_partition, random_pa
 SCHEMA_VERSION = 6
 METHOD_CHOICES = ("poe", "gpoe", "bcm", "rbcm", "npae", "grbcm")
 PARTITION_CHOICES = ("random", "disjoint")
+GPOE_MODES = ("uniform", "entropy")
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,10 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be 'toy' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ValueError("csv dataset requires csv_path")
+        # a setting the data source never reads is a mistake, not a no-op
+        unread = "csv_path" if self.dataset == "toy" else "n_test"
+        if getattr(self, unread) is not None:
+            raise ValueError(f"{self.dataset} data reads no {unread}")
         if self.dataset == "csv" and not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if (self.M is None) == (self.m0 is None):
@@ -86,8 +91,8 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ValueError(f"methods listed more than once: {repeated}")
-        if self.gpoe_mode not in ("uniform", "entropy"):
-            raise ValueError("gpoe_mode must be 'uniform' or 'entropy'")
+        if self.gpoe_mode not in GPOE_MODES:
+            raise ValueError(f"gpoe_mode must be one of {GPOE_MODES}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
@@ -272,20 +277,13 @@ def _score_method(method, committee, dataset, config, rep, rep_seed, art):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _cell(value) -> str:
-    # repr round-trips a float exactly; None is an empty cell
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def write_results_csv(records: list[RunRecord], path: str) -> None:
     names = [f.name for f in dataclasses.fields(RunRecord)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for rec in records:
-            writer.writerow([_cell(getattr(rec, name)) for name in names])
+        # csv writes a float as its exact repr and None as an empty cell
+        writer.writerows(dataclasses.astuple(rec) for rec in records)
 
 
 def write_outputs(result: ExperimentResult, out_dir: str) -> None:

@@ -5,6 +5,11 @@ repeats a toy experiment at the training sizes of ``--n-list``, with a fixed
 subset size or expert count and no dataset flags, and tabulates each size's
 scores and variances. A run writes results.csv, results.json and
 partition.json to the output directory; a sweep writes sweep.json.
+
+A run reads toy data (``--dataset toyN`` and ``--n-test``) or a CSV table
+(``--csv PATH``, ``--target-col`` and ``--test-fraction``); a flag of the other
+data source is a usage error. A flag left out, ``--dataset`` too, takes
+ExperimentConfig's default.
 """
 
 from __future__ import annotations
@@ -14,31 +19,30 @@ import json
 import re
 import sys
 
-from .bench import (ExperimentConfig, PARTITION_CHOICES, check_n_list,
+from .bench import (ExperimentConfig, GPOE_MODES, PARTITION_CHOICES, check_n_list,
                     check_sweep_config, consistency_sweep, run_experiment)
 from .errors import DataError
 
+# per data source: its flag, and the flags (by config field) of the other source
+_SOURCES = {
+    "toy": ("--dataset", "CSV", {"target_column": "--target-col",
+                                 "test_fraction": "--test-fraction"}),
+    "csv": ("--csv", "toy", {"n": "--dataset", "n_test": "--n-test"}),
+}
 
-def _parse_dataset(args) -> dict:
-    if args.command == "sweep":
-        # toy data; the sweep sets n from --n-list
-        return {"n_test": args.n_test}
-    if args.csv:
-        # a CSV run reads no toy flag, so one given is a mistake, not a no-op
-        for flag, value in (("--dataset", args.dataset), ("--n-test", args.n_test)):
-            if value is not None:
-                raise ValueError(f"{flag} is for toy data; --csv takes none")
-        target: int | str = args.target_col
-        try:
-            target = int(target)
-        except (TypeError, ValueError):
-            pass
-        return {"dataset": "csv", "csv_path": args.csv, "target_column": target,
-                "test_fraction": args.test_fraction}
-    m = re.fullmatch(r"toy(\d+)", args.dataset or "")
+
+def _toy_size(raw: str) -> int:
+    m = re.fullmatch(r"toy(\d+)", raw)
     if not m:
-        raise ValueError("--dataset must look like toy1000, or use --csv PATH")
-    return {"dataset": "toy", "n": int(m.group(1)), "n_test": args.n_test}
+        raise argparse.ArgumentTypeError("must look like toy1000, or use --csv PATH")
+    return int(m.group(1))
+
+
+def _column(raw: str) -> int | str:
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
 
 
 def _method_list(raw: str) -> tuple[str, ...]:
@@ -59,44 +63,37 @@ def _size_list(raw: str) -> list[int]:
 
 
 def _add_dataset(p: argparse.ArgumentParser) -> None:
-    # every default here and in _add_common is ExperimentConfig's own, so the
-    # CLI adds none
-    p.add_argument("--dataset", default=None, help="toy dataset spec, e.g. toy1000")
-    p.add_argument("--csv", default=None, help="CSV dataset path")
-    p.add_argument("--target-col", default=ExperimentConfig.target_column,
+    p.add_argument("--dataset", dest="n", type=_toy_size, metavar="toyN",
+                   help="toy dataset of N training points, e.g. toy1000")
+    p.add_argument("--csv", dest="csv_path", metavar="PATH", help="CSV dataset path")
+    p.add_argument("--target-col", dest="target_column", type=_column, metavar="COL",
                    help="target column index or header name (CSV only)")
-    p.add_argument("--test-fraction", type=float, default=ExperimentConfig.test_fraction)
+    p.add_argument("--test-fraction", type=float, help="held-out share of rows (CSV only)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-test", type=int, default=None, help="toy test size")
-    p.add_argument("--partition", choices=PARTITION_CHOICES,
-                   default=ExperimentConfig.partition_kind)
-    p.add_argument("--experts", type=int, default=None, metavar="M")
-    p.add_argument("--subset-size", type=int, default=None, metavar="M0")
-    p.add_argument("--methods", type=_method_list, default=ExperimentConfig.methods,
+    p.add_argument("--n-test", type=int, help="toy test size")
+    p.add_argument("--partition", dest="partition_kind", choices=PARTITION_CHOICES)
+    p.add_argument("--experts", dest="M", type=int, metavar="M")
+    p.add_argument("--subset-size", dest="m0", type=int, metavar="M0")
+    p.add_argument("--methods", type=_method_list,
                    help="comma-separated aggregation methods")
-    p.add_argument("--gpoe-beta", choices=("uniform", "entropy"),
-                   default=ExperimentConfig.gpoe_mode)
-    p.add_argument("--reps", type=int, default=ExperimentConfig.repetitions)
-    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
-    p.add_argument("--max-evals", type=int, default=ExperimentConfig.max_evals)
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--gpoe-beta", dest="gpoe_mode", choices=GPOE_MODES)
+    p.add_argument("--reps", dest="repetitions", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-evals", type=int)
+    p.add_argument("--out", dest="out_dir", help="output directory")
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        partition_kind=args.partition,
-        M=args.experts,
-        m0=args.subset_size,
-        methods=args.methods,
-        gpoe_mode=args.gpoe_beta,
-        max_evals=args.max_evals,
-        seed=args.seed,
-        repetitions=args.reps,
-        out_dir=args.out,
-        **_parse_dataset(args),
-    )
+    # the subparsers suppress defaults, so ``given`` holds only the flags given
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "n_list")}
+    given["dataset"] = "csv" if "csv_path" in given else "toy"
+    flag, other, unread = _SOURCES[given["dataset"]]
+    for field, unread_flag in unread.items():
+        if field in given:
+            raise ValueError(f"{unread_flag} is for {other} data; {flag} takes none")
+    return ExperimentConfig(**given)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -104,10 +101,12 @@ def _parser() -> argparse.ArgumentParser:
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run one experiment")
+    run_p = sub.add_parser("run", help="run one experiment",
+                           argument_default=argparse.SUPPRESS)
     _add_dataset(run_p)
     _add_common(run_p)
-    sweep_p = sub.add_parser("sweep", help="consistency sweep over training sizes")
+    sweep_p = sub.add_parser("sweep", help="consistency sweep over training sizes",
+                             argument_default=argparse.SUPPRESS)
     _add_common(sweep_p)
     sweep_p.add_argument("--n-list", type=_size_list, required=True,
                          help="comma-separated increasing training sizes")

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -41,6 +42,19 @@ def test_non_positive_committee_size_rejected(sizes, message):
     with pytest.raises(ValueError, match=message):
         config.validate()
     with pytest.raises(ValueError, match=message):
+        run_experiment(config)
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(csv_path="data.csv"), "toy data reads no csv_path"),
+    (dict(dataset="csv", csv_path="data.csv", n_test=30), "csv data reads no n_test"),
+])
+def test_setting_the_data_source_never_reads_is_rejected(settings, message):
+    # a toy run ignored csv_path, and a CSV run ignored n_test
+    config = ExperimentConfig(n=120, m0=40, max_evals=3, methods=("poe",), **settings)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config.validate()
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_experiment(config)
 
 

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -151,6 +151,73 @@ def test_csv_takes_no_toy_flags(capsys, flag):
     assert sum("error:" in line for line in captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", [["--target-col", "3"], ["--test-fraction", "0.5"]])
+def test_toy_takes_no_csv_flags(tmp_path, capsys, flag):
+    # a toy run reads no CSV flag, so one given is a usage error, not a no-op
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--dataset", "toy200", *SMALL, *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"gpcommittee-bench: error: {flag[0]} is for CSV data; --dataset takes none")
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+# a value unlike ExperimentConfig's default for every option, as given and as parsed
+OPTION_VALUES = {
+    "--dataset": ("toy37", 37),
+    "--csv": ("other.csv", "other.csv"),
+    "--target-col": ("y", "y"),
+    "--test-fraction": ("0.5", 0.5),
+    "--n-test": ("7", 7),
+    "--partition": ("random", "random"),
+    "--experts": ("4", 4),
+    "--subset-size": ("50", 50),
+    "--methods": ("npae,poe", ("npae", "poe")),
+    "--gpoe-beta": ("entropy", "entropy"),
+    "--reps": ("3", 3),
+    "--seed": ("5", 5),
+    "--max-evals": ("9", 9),
+    "--out": ("out", "out"),
+    "--n-list": ("30,60,90", [30, 60, 90]),
+}
+
+
+def _options(command: str) -> list:
+    (subparsers,) = [a for a in _parser()._actions if a.dest == "command"]
+    return [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+
+
+@pytest.mark.parametrize("base, config, usage_errors", [
+    (["run", "--dataset", "toy200"], ExperimentConfig(n=200),
+     {"--csv", "--target-col", "--test-fraction"}),
+    (["run", "--csv", "t.csv"], ExperimentConfig(dataset="csv", csv_path="t.csv"),
+     {"--dataset", "--n-test"}),
+    (["sweep", "--n-list", "100,200"], ExperimentConfig(), set()),
+])
+def test_every_option_sets_its_config_field_or_is_a_usage_error(base, config, usage_errors):
+    # the options come from the parser, so one added later is checked too
+    errors = set()
+    for action in _options(base[0]):
+        (flag,) = action.option_strings
+        raw, value = OPTION_VALUES[flag]
+        args = _parser().parse_args([*base, flag, raw])
+        try:
+            got = _config_from_args(args)
+        except ValueError:
+            errors.add(flag)
+            continue
+        if action.dest == "n_list":
+            assert (args.n_list, got) == (value, config)
+        else:
+            assert getattr(config, action.dest) != value, flag
+            assert got == replace(config, **{action.dest: value}), flag
+    assert errors == usage_errors
+
+
 def _write_table(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.uniform(-2.0, 2.0, (60, 2))
@@ -192,6 +259,9 @@ def test_unknown_target_column_name_is_one_error_line(tmp_path, capsys):
 def test_cli_adds_no_defaults_of_its_own():
     args = _parser().parse_args(["run", "--dataset", "toy200", "--subset-size", "50"])
     assert _config_from_args(args) == ExperimentConfig(dataset="toy", n=200, m0=50)
+    # a run given no data flag takes the config's default toy data
+    args = _parser().parse_args(["run", "--subset-size", "50"])
+    assert _config_from_args(args) == ExperimentConfig(m0=50)
 
 
 def test_sweep_writes_flags(tmp_path, capsys):

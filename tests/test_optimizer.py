@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 import scipy.stats
 
-from gpcommittee import ExperimentConfig, Hyperparams, InvalidStart, fit, minimize, nlml, predict
+from gpcommittee import ExperimentConfig, Hyperparams, InvalidStart, minimize, nlml
 from gpcommittee.kernel import kernel_matrix
 
 
