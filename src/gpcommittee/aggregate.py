@@ -7,9 +7,10 @@ PoE and GPoE take no base density ``b``; BCM and RBCM take the prior, so
 far-from-data predictions recover it. GRBCM fuses one committee of M
 densities, stacked like every other rule's: row 0 is the communication
 expert, the base of its fusion, and rows 1 onward are the augmented experts
-built on it. The rules differ only in their weights and in their precision
-floor, a multiple of the prior precision ``1 / prior_var``; every rule but
-PoE takes ``prior_var`` (:attr:`Hyperparams.prior_variance`) as a float.
+that :func:`prepare_grbcm` returns. The rules differ only in their weights
+and in their precision floor, a multiple of the prior precision
+``1 / prior_var``; every rule but PoE takes ``prior_var``
+(:attr:`Hyperparams.prior_variance`) as a float.
 
 NPAE instead regresses the target on the M expert means, one M x M system
 per test point. It streams the test points in blocks: the fewest near-equal
@@ -42,7 +43,7 @@ from scipy.linalg import cho_solve  # noqa: F401
 
 from .ensemble import ExpertEnsemble, experts_predict
 from .errors import NumericalBreakdown
-from .gp import (_RETAINED_BLOCK_BYTES, _VARIANCE_GUARD, _mean_and_whitened,
+from .gp import (_RETAINED_BLOCK_BYTES, _VARIANCE_GUARD, BlockExtension, _mean_and_whitened,
                  as_test_inputs, chol_with_jitter, fan_out, triangular_product)
 # unused here; the benchmark's traced run patches this name in this module
 from .gp import predict  # noqa: F401
@@ -315,13 +316,15 @@ def grbcm_fuse(means, variances, prior_var: float) -> AggregatedPrediction:
     return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
-def grbcm(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
+def grbcm(ensemble: ExpertEnsemble, extensions: list[BlockExtension],
+          Xstar: np.ndarray) -> AggregatedPrediction:
     """Committee correction against a communication expert.
 
-    One pass of :func:`experts_predict` over the augmented committee gives
-    the communication expert (row 0) and the augmented experts built on it;
-    see :func:`grbcm_fuse` for their weights. The correction term divides
-    out the communication density rather than the prior.
+    One pass of :func:`experts_predict` over ``extensions``, the augmented
+    experts of :func:`prepare_grbcm`, gives the communication expert (row 0)
+    and the augmented experts; see :func:`grbcm_fuse` for their weights. The
+    correction term divides out the communication density rather than the
+    prior.
     """
-    means, variances = experts_predict(ensemble, Xstar, augmented=True)
+    means, variances = experts_predict(ensemble, Xstar, extensions)
     return grbcm_fuse(means, variances, ensemble.hp.prior_variance)

@@ -31,7 +31,23 @@ from .metrics import smse as smse_metric
 from .partition import Partition, disjoint_partition, grbcm_partition, random_partition
 
 SCHEMA_VERSION = 6
-METHOD_CHOICES = ("poe", "gpoe", "bcm", "rbcm", "npae", "grbcm")
+# each rule's prediction (ensemble, Xstar, config); every name is looked up when
+# called, so one patched in its module (as a traced run does) is the one run
+_RULES = {
+    "poe": lambda ensemble, Xstar, config: aggregate.poe(*experts_predict(ensemble, Xstar)),
+    "gpoe": lambda ensemble, Xstar, config: aggregate.gpoe(
+        *experts_predict(ensemble, Xstar), ensemble.hp.prior_variance, mode=config.gpoe_mode),
+    "bcm": lambda ensemble, Xstar, config: aggregate.bcm(
+        *experts_predict(ensemble, Xstar), ensemble.hp.prior_variance),
+    "rbcm": lambda ensemble, Xstar, config: aggregate.rbcm(
+        *experts_predict(ensemble, Xstar), ensemble.hp.prior_variance),
+    "npae": lambda ensemble, Xstar, config: aggregate.npae(ensemble, Xstar),
+    # augmented experts are part of the prediction phase by the committee's
+    # complexity accounting, so they are built inside the timed region
+    "grbcm": lambda ensemble, Xstar, config: aggregate.grbcm(
+        ensemble, prepare_grbcm(ensemble), Xstar),
+}
+METHOD_CHOICES = tuple(_RULES)
 PARTITION_CHOICES = ("random", "disjoint")
 GPOE_MODES = ("uniform", "entropy")
 
@@ -83,8 +99,13 @@ class ExperimentConfig:
                 raise ValueError("n_test must be >= 2 to score SMSE, got 1")
             if self.M is not None and self.M > self.n:
                 raise ValueError(f"M={self.M} exceeds n={self.n}")
+        # numpy's generators take no negative seed
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.partition_kind not in PARTITION_CHOICES:
             raise ValueError(f"partition_kind must be one of {PARTITION_CHOICES}")
+        if not self.methods:
+            raise ValueError(f"methods must name at least one of {METHOD_CHOICES}")
         unknown = [m for m in self.methods if m not in METHOD_CHOICES]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHOD_CHOICES}")
@@ -173,22 +194,7 @@ def _build_partition(config: ExperimentConfig, dataset: Dataset, M: int,
 
 def _predict_method(method: str, ensemble: ExpertEnsemble, Xstar: np.ndarray,
                     config: ExperimentConfig) -> aggregate.AggregatedPrediction:
-    if method in ("poe", "gpoe", "bcm", "rbcm"):
-        means, variances = experts_predict(ensemble, Xstar)
-        prior = ensemble.hp.prior_variance
-        if method == "poe":
-            return aggregate.poe(means, variances)
-        if method == "gpoe":
-            return aggregate.gpoe(means, variances, prior, mode=config.gpoe_mode)
-        if method == "bcm":
-            return aggregate.bcm(means, variances, prior)
-        return aggregate.rbcm(means, variances, prior)
-    if method == "npae":
-        return aggregate.npae(ensemble, Xstar)
-    # augmented experts are part of the prediction phase by the committee's
-    # complexity accounting, so they are fitted inside the timed region
-    prepared = prepare_grbcm(ensemble)
-    return aggregate.grbcm(prepared, Xstar)
+    return _RULES[method](ensemble, Xstar, config)
 
 
 def _interior_mask(config: ExperimentConfig, dataset: Dataset) -> np.ndarray | None:

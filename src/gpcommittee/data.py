@@ -148,6 +148,9 @@ def _read_numeric_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
     widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise DataError(f"{path}: inconsistent column counts {sorted(widths)}")
+    if header is not None and len(header) not in widths:
+        raise DataError(f"{path}: the header has {len(header)} columns "
+                        f"but the rows have {widths.pop()}")
     return header, np.asarray(rows, dtype=float)
 
 

@@ -14,9 +14,10 @@ the same number of threads (:func:`gp.fan_out`); every call in it releases
 the lock, and every thread count gives the same bits. Every per-expert
 loop runs with BLAS on one thread (:func:`gp.blas_threads`): :func:`train`
 pins it before it forks, :func:`prepare_grbcm` for its extensions and
-:func:`gp.fan_out` for the prediction loops. GRBCM's augmented experts are
-block extensions of the communication expert (:func:`gp.extend`), so its
-factor is never recomputed.
+:func:`gp.fan_out` for the prediction loops. GRBCM's augmented experts, the
+list :func:`prepare_grbcm` returns for :func:`experts_predict`, are block
+extensions of the communication expert (:func:`gp.extend`), so its factor
+is never recomputed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import multiprocessing as mp
 import signal
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -44,20 +45,15 @@ _JOIN_SECONDS = 5.0
 class ExpertEnsemble:
     """Shared hyperparameters plus the fitted experts of one committee.
 
-    ``augmented_experts`` holds the models on (communication subset +
-    subset i), one per subset i = 1, ..., M - 1 in order, each stored as a
-    block extension of expert 0, the communication expert; it stays None
-    until :func:`prepare_grbcm` runs. ``workers`` is the number of
-    parallel slots of the committee: :func:`train` ran its objective terms on
-    that many processes (:class:`ExpertBlocks`), and every per-expert
-    prediction loop, here and in NPAE, is dealt to that many threads
-    (:func:`gp.fan_out`).
+    ``workers`` is the number of parallel slots of the committee: :func:`train`
+    ran its objective terms on that many processes (:class:`ExpertBlocks`),
+    and every per-expert prediction loop, here and in NPAE, is dealt to that
+    many threads (:func:`gp.fan_out`).
     """
 
     hp: Hyperparams
     partition: Partition
     experts: list[gp.GPModel]
-    augmented_experts: list[gp.BlockExtension] | None
     train_time_seconds: float
     opt_evals: int = 0
     opt_trace: tuple[float, ...] = ()
@@ -269,13 +265,12 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition, max_evals: int,
         experts = _fit_experts(blocks, result.best_hp)
     elapsed = time.perf_counter() - t0
     return ExpertEnsemble(hp=result.best_hp, partition=partition, experts=experts,
-                          augmented_experts=None, train_time_seconds=elapsed,
-                          opt_evals=result.evals_used, opt_trace=tuple(result.trace),
-                          workers=workers)
+                          train_time_seconds=elapsed, opt_evals=result.evals_used,
+                          opt_trace=tuple(result.trace), workers=workers)
 
 
-def prepare_grbcm(ensemble: ExpertEnsemble) -> ExpertEnsemble:
-    """Build the M-1 augmented experts on (communication subset + subset i).
+def prepare_grbcm(ensemble: ExpertEnsemble) -> list[gp.BlockExtension]:
+    """The M-1 augmented experts on (communication subset + subset i), in order.
 
     The communication expert is expert 0 of a random or hybrid partition
     (:attr:`Partition.communication_index`); a disjoint partition has none.
@@ -285,38 +280,35 @@ def prepare_grbcm(ensemble: ExpertEnsemble) -> ExpertEnsemble:
     inverse Schur factor ``S_i^-1``. The communication block inherits expert
     0's jitter, and the jitter ladder runs on the Schur complement
     ``C_ii - B_i B_i'`` only; a breakdown there names expert i. With M = 1
-    there are none, and GRBCM is the one expert.
+    the list is empty, and GRBCM is the one expert.
     As in :func:`train`'s final fits, BLAS runs on one thread meanwhile.
-    Returns a new ensemble; the input is left untouched.
+    The ensemble is left untouched.
     """
     if ensemble.partition.communication_index is None:
         raise MissingCommunicationSubset("a disjoint partition has no communication subset")
     comm, *others = ensemble.experts
     with gp.blas_threads(1):
-        augmented = [_for_expert(i, gp.extend, comm, model.X, model.y)
-                     for i, model in enumerate(others, start=1)]
-    return replace(ensemble, augmented_experts=augmented)
+        return [_for_expert(i, gp.extend, comm, model.X, model.y)
+                for i, model in enumerate(others, start=1)]
 
 
 def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
-                    augmented: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                    extensions: list[gp.BlockExtension] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-expert predictive means and variances, stacked one row per expert.
 
-    With ``augmented=True`` the rows are the GRBCM committee instead
-    (requires :func:`prepare_grbcm` first): row 0 is expert 0, the
-    communication expert, exactly as :func:`gp.predict` gives it, and row
-    ``i + 1`` the i-th augmented expert. Expert 0's terms ``L_c^-1 K_c*`` and
-    ``L_c^-1 y_c`` are formed once and each augmented expert adds its own
-    block (see :func:`gp.predict_extended`). Either way the rows are
-    dealt to ``ensemble.workers`` threads, and every thread count gives the
-    same bits. A non-finite test input raises :class:`DataError`
+    Given ``extensions``, the augmented experts of :func:`prepare_grbcm`
+    (even an empty list), the rows are the GRBCM committee instead: row 0 is
+    expert 0, the communication expert, exactly as :func:`gp.predict` gives
+    it, and row ``i + 1`` the i-th extension. Expert 0's terms ``L_c^-1 K_c*``
+    and ``L_c^-1 y_c`` are formed once and each extension adds its own block
+    (see :func:`gp.predict_extended`). Either way the rows are dealt to
+    ``ensemble.workers`` threads, and every thread count gives the same
+    bits. A non-finite test input raises :class:`DataError`
     (:func:`gp.as_test_inputs`).
     """
-    if augmented:
-        if ensemble.augmented_experts is None:
-            raise MissingCommunicationSubset("augmented experts not prepared")
-        return gp.predict_extended(ensemble.experts[0], ensemble.augmented_experts, Xstar,
-                                   ensemble.workers)
+    if extensions is not None:
+        return gp.predict_extended(ensemble.experts[0], extensions, Xstar, ensemble.workers)
     Xstar = gp.as_test_inputs(Xstar)
     means = np.empty((ensemble.M, Xstar.shape[0]))
     variances = np.empty_like(means)

@@ -42,7 +42,7 @@ class InvalidPartition(GPCommitteeError):
 
 
 class MissingCommunicationSubset(GPCommitteeError):
-    """GRBCM has no communication subset (a disjoint partition) or no augmented experts."""
+    """GRBCM has no communication subset: the partition is a disjoint one."""
 
 
 class DegenerateTargets(GPCommitteeError):

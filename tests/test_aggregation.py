@@ -9,10 +9,9 @@ import pytest
 
 import gpcommittee.aggregate as aggregate
 import gpcommittee.gp as gp
-from gpcommittee import (DataError, Hyperparams, MissingCommunicationSubset,
-                         NumericalBreakdown, bcm, beta_entropy, fit, gpoe, grbcm, grbcm_fuse,
-                         grbcm_partition, npae, poe, predict, prepare_grbcm, random_partition,
-                         rbcm, toy_generate, train)
+from gpcommittee import (DataError, Hyperparams, NumericalBreakdown, bcm, beta_entropy, fit,
+                         gpoe, grbcm, grbcm_fuse, grbcm_partition, npae, poe, predict,
+                         prepare_grbcm, random_partition, rbcm, toy_generate, train)
 from gpcommittee.ensemble import experts_predict
 from gpcommittee.gp import predict_extended
 from gpcommittee.kernel import kernel_matrix
@@ -444,15 +443,15 @@ def test_npae_non_finite_factor_names_the_first_test_point(monkeypatch):
                                    "experts_predict_augmented", "npae", "grbcm"])
 def test_non_finite_test_input_is_a_data_error_naming_its_first_row(entry, value):
     ds, committee = _committee(n=120, M=3, kind="grbcm", max_evals=3)
-    prepared = prepare_grbcm(committee)
-    comm = prepared.experts[prepared.partition.communication_index]
+    extensions = prepare_grbcm(committee)
+    comm = committee.experts[committee.partition.communication_index]
     call = {
         "predict": lambda X: predict(comm, X),
-        "predict_extended": lambda X: predict_extended(comm, prepared.augmented_experts, X),
+        "predict_extended": lambda X: predict_extended(comm, extensions, X),
         "experts_predict": lambda X: experts_predict(committee, X),
-        "experts_predict_augmented": lambda X: experts_predict(prepared, X, augmented=True),
+        "experts_predict_augmented": lambda X: experts_predict(committee, X, extensions),
         "npae": lambda X: npae(committee, X),
-        "grbcm": lambda X: grbcm(prepared, X),
+        "grbcm": lambda X: grbcm(committee, extensions, X),
     }[entry]
     # a column of points and the same points as 1-D input
     for Xstar in (ds.X_test.copy(), ds.X_test[:, 0].copy()):
@@ -569,7 +568,7 @@ def test_npae_peak_memory_stays_flat_as_the_test_set_grows(monkeypatch):
 def test_expert_rows_give_the_same_bits_for_every_workers(rows, M, workers):
     # the reference takes one expert per call, so nothing in it is fanned out
     committee = _uneven_committee(M)
-    committee = prepare_grbcm(committee)
+    extensions = prepare_grbcm(committee)
     Xstar = np.linspace(-0.5, 1.5, 2000)[:, None]
     if rows == "plain":
         reference = [np.vstack(r) for r in zip(*(predict(m, Xstar) for m in committee.experts))]
@@ -577,18 +576,18 @@ def test_expert_rows_give_the_same_bits_for_every_workers(rows, M, workers):
         comm = committee.experts[0]
         reference = [np.vstack([predict(comm, Xstar)[k]]
                                + [predict_extended(comm, [ext], Xstar)[k][1]
-                                  for ext in committee.augmented_experts])
+                                  for ext in extensions])
                      for k in (0, 1)]
         if rows == "grbcm":
             fused = grbcm_fuse(*reference, committee.hp.prior_variance)
             reference = [fused.means, fused.variances]
     fanned = replace(committee, workers=workers)
     if rows == "grbcm":
-        agg = _switching_often(lambda: grbcm(fanned, Xstar))
+        agg = _switching_often(lambda: grbcm(fanned, extensions, Xstar))
         got = [agg.means, agg.variances]
     else:
-        got = _switching_often(lambda: experts_predict(fanned, Xstar,
-                                                       augmented=rows == "augmented"))
+        got = _switching_often(lambda: experts_predict(
+            fanned, Xstar, extensions if rows == "augmented" else None))
     assert len(got) == len(reference) == 2
     for a, b in zip(got, reference):
         np.testing.assert_array_equal(a, b)
@@ -679,26 +678,25 @@ def test_prediction_leaves_models_and_inputs_untouched():
     Xstar = ds.X_test.copy()
     fields = ("X", "y", "chol_inv", "weight_vector")
     stored = [[getattr(m, f).copy() for f in fields] for m in committee.experts]
-    prepared = prepare_grbcm(committee)
+    extensions = prepare_grbcm(committee)
     ext_fields = ("X", "y", "cross", "schur_inv")
-    stored_ext = [[getattr(e, f).copy() for f in ext_fields]
-                  for e in prepared.augmented_experts]
-    comm = prepared.experts[prepared.partition.communication_index]
+    stored_ext = [[getattr(e, f).copy() for f in ext_fields] for e in extensions]
+    comm = committee.experts[committee.partition.communication_index]
 
     def outputs():
-        out = [v for m in prepared.experts for v in predict(m, Xstar)]
-        out += predict_extended(comm, prepared.augmented_experts, Xstar)
-        agg = npae(prepared, Xstar)
+        out = [v for m in committee.experts for v in predict(m, Xstar)]
+        out += predict_extended(comm, extensions, Xstar)
+        agg = npae(committee, Xstar)
         return out + [agg.means, agg.variances]
 
     first = outputs()
     second = outputs()
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
-    for model, saved in zip(prepared.experts, stored):
+    for model, saved in zip(committee.experts, stored):
         for f, value in zip(fields, saved):
             np.testing.assert_array_equal(getattr(model, f), value)
-    for ext, saved in zip(prepared.augmented_experts, stored_ext):
+    for ext, saved in zip(extensions, stored_ext):
         for f, value in zip(ext_fields, saved):
             np.testing.assert_array_equal(getattr(ext, f), value)
     np.testing.assert_array_equal(Xstar, ds.X_test)
@@ -752,24 +750,16 @@ def test_grbcm_fuse_three_expert_closed_form():
 
 def test_grbcm_two_subsets_equals_full_gp():
     ds, committee = _committee(n=160, M=2, kind="grbcm")
-    prepared = prepare_grbcm(committee)
-    agg = grbcm(prepared, ds.X_test)
+    agg = grbcm(committee, prepare_grbcm(committee), ds.X_test)
     full = fit(ds.X_train, ds.y_train, committee.hp)
     fm, fv = predict(full, ds.X_test)
     assert np.max(np.abs(agg.means - fm)) <= 1e-10 * max(1.0, np.max(np.abs(fm)))
     assert np.max(np.abs(agg.variances - fv)) <= 1e-10 * np.max(fv)
 
 
-def test_grbcm_requires_preparation():
-    ds, committee = _committee(n=120, M=3, kind="grbcm")
-    with pytest.raises(MissingCommunicationSubset):
-        grbcm(committee, ds.X_test)
-
-
 def test_grbcm_betas_recorded_per_point():
     ds, committee = _committee(n=150, M=3, kind="grbcm")
-    prepared = prepare_grbcm(committee)
-    agg = grbcm(prepared, ds.X_test)
+    agg = grbcm(committee, prepare_grbcm(committee), ds.X_test)
     assert agg.betas.shape == (2, ds.n_test)
     np.testing.assert_array_equal(agg.betas[0], 1.0)
     assert np.all(agg.betas >= 0.0)
@@ -788,5 +778,5 @@ def test_prior_recovery_far_from_data_all_rules():
     assert gpoe(means, variances, pv).variances[0] == pytest.approx(pv, rel=1e-8)
     assert bcm(means, variances, pv).variances[0] == pytest.approx(pv, rel=1e-6)
     assert rbcm(means, variances, pv).variances[0] == pytest.approx(pv, rel=1e-6)
-    prepared = prepare_grbcm(committee)
-    assert grbcm(prepared, far).variances[0] == pytest.approx(pv, rel=1e-6)
+    agg = grbcm(committee, prepare_grbcm(committee), far)
+    assert agg.variances[0] == pytest.approx(pv, rel=1e-6)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from gpcommittee import (AggregatedPrediction, ExperimentConfig, PartitionKind, RunRecord,
-                         aggregate, consistency_sweep, run_experiment)
-from gpcommittee.bench import METHOD_CHOICES, SCHEMA_VERSION, write_results_csv
+                         aggregate, consistency_sweep, grbcm_partition, run_experiment,
+                         toy_generate, train)
+from gpcommittee.bench import (_RULES, METHOD_CHOICES, SCHEMA_VERSION, _predict_method,
+                               write_results_csv)
 
 
 def test_invalid_fused_prediction_recorded_per_method(monkeypatch):
@@ -56,6 +58,33 @@ def test_setting_the_data_source_never_reads_is_rejected(settings, message):
         config.validate()
     with pytest.raises(ValueError, match=re.escape(message)):
         run_experiment(config)
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(methods=()), "methods must name at least one of ('poe', 'gpoe', 'bcm', 'rbcm', "
+                       "'npae', 'grbcm')"),
+])
+def test_negative_seed_and_empty_method_list_rejected(settings, message):
+    # seed -1 stopped in numpy's generator with a traceback; no methods trained
+    # a committee and scored nothing
+    config = ExperimentConfig(n=120, m0=40, max_evals=3, **settings)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config.validate()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(config)
+
+
+def test_the_rule_table_lists_every_method_in_order():
+    assert tuple(_RULES) == METHOD_CHOICES
+    assert METHOD_CHOICES == ("poe", "gpoe", "bcm", "rbcm", "npae", "grbcm")
+
+
+def test_an_unknown_method_raises_instead_of_running_a_rule():
+    ds = toy_generate(60, 10, seed=0)
+    committee = train(ds.X_train, ds.y_train, grbcm_partition(ds.X_train, 2, seed=0), 3)
+    with pytest.raises(KeyError, match="bogus"):
+        _predict_method("bogus", committee, ds.X_test, ExperimentConfig(m0=30))
 
 
 @pytest.mark.parametrize("kind, expected", [

@@ -63,6 +63,10 @@ def test_workers_flag_is_rejected():
      "test_fraction must be in (0, 1), got 1.5"),
     (["--csv", "table.csv", "--subset-size", "1", "--test-fraction", "0"],
      "test_fraction must be in (0, 1), got 0.0"),
+    (["--subset-size", "50", "--methods", ",", "--max-evals", "3"],
+     "methods must name at least one of ('poe', 'gpoe', 'bcm', 'rbcm', 'npae', 'grbcm')"),
+    (["--subset-size", "50", "--seed", "-1", "--methods", "poe", "--max-evals", "3"],
+     "seed must be >= 0, got -1"),
 ])
 def test_invalid_config_is_a_usage_error(capsys, args, message):
     dataset = [] if "--csv" in args else ["--dataset", "toy200"]
@@ -256,6 +260,23 @@ def test_unknown_target_column_name_is_one_error_line(tmp_path, capsys):
         "gpcommittee-bench: error: target column 'z' not found in header"]
 
 
+@pytest.mark.parametrize("target", ["y", "extra", "-1"])
+def test_csv_header_of_another_width_is_one_error_line(tmp_path, capsys, target):
+    # four names over three columns: "y" indexed past the last column, and
+    # "extra" took the third column as the target
+    rows = [f"{x:.1f},{x * x:.2f},{np.sin(x):.4f}" for x in np.linspace(0.0, 2.0, 20)]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(["x1,x2,extra,y", *rows]) + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--csv", str(path), "--target-col", target, "--subset-size", "8",
+                 "--max-evals", "3", "--methods", "poe", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"gpcommittee-bench: error: {path}: the header has 4 columns but the rows have 3"]
+    assert not out.exists()
+
+
 def test_cli_adds_no_defaults_of_its_own():
     args = _parser().parse_args(["run", "--dataset", "toy200", "--subset-size", "50"])
     assert _config_from_args(args) == ExperimentConfig(dataset="toy", n=200, m0=50)
@@ -295,6 +316,9 @@ def test_sweep_with_M_fixed(tmp_path, capsys):
     (["--subset-size", "50", "--target-col", "0"], "unrecognized arguments: --target-col 0"),
     (["--subset-size", "50", "--test-fraction", "0.5"],
      "unrecognized arguments: --test-fraction 0.5"),
+    (["--subset-size", "50", "--seed", "-2", "--max-evals", "3"], "seed must be >= 0, got -2"),
+    (["--subset-size", "50", "--methods", ",", "--max-evals", "3"],
+     "methods must name at least one of ('poe', 'gpoe', 'bcm', 'rbcm', 'npae', 'grbcm')"),
 ])
 def test_sweep_that_cannot_run_every_size_is_a_usage_error(capsys, args, message):
     # the sweep runs toy data at the sizes of --n-list, so it takes no dataset

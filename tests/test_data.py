@@ -83,6 +83,17 @@ def test_csv_header_after_blank_line(tmp_path):
     assert ds.n_train + ds.n_test == 4
 
 
+@pytest.mark.parametrize("header, width", [("x1,x2,extra,y", 4), ("x,y", 2)])
+@pytest.mark.parametrize("target", ["y", -1])
+def test_csv_header_must_be_as_wide_as_its_rows(tmp_path, header, width, target):
+    # a header of four names over three columns indexed "y" past the last
+    # column, and one of two names took a middle column as the target
+    path = _write(tmp_path, header + "\n1,2,3\n4,5,6\n7,8,9\n2,1,0\n")
+    message = f"the header has {width} columns but the rows have 3"
+    with pytest.raises(DataError, match=message):
+        load_csv(path, target_column=target, test_fraction=0.25, seed=0)
+
+
 def test_csv_non_numeric_cell_reported(tmp_path):
     path = _write(tmp_path, "1,2\n3,oops\n5,6\n")
     with pytest.raises(DataError, match=r"row 1, column 1"):

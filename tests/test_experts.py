@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from gpcommittee import (DataError, ExpertBlocks, Hyperparams, InvalidPartition,
                          MissingCommunicationSubset, NumericalBreakdown,
                          experts_predict, factorized_nlml, fit, grbcm_partition, minimize,
                          nlml, predict, prepare_grbcm, random_partition, toy_generate, train)
+from gpcommittee.gp import BlockExtension
 from gpcommittee.partition import Partition, PartitionKind, disjoint_partition
 
 
@@ -216,12 +217,23 @@ def test_train_rejects_a_zero_budget_before_forking(monkeypatch):
     assert forked == []
 
 
-def test_train_keeps_workers_on_the_ensemble():
+def test_train_keeps_workers_on_the_ensemble(monkeypatch):
+    from gpcommittee import gp
     rng = np.random.default_rng(5)
-    committee = train(rng.uniform(size=(30, 1)), rng.normal(size=30),
-                      random_partition(30, 3, seed=0), 2, workers=3)
+    X = rng.uniform(size=(30, 1))
+    committee = train(X, rng.normal(size=30), random_partition(30, 3, seed=0), 2, workers=3)
     assert committee.workers == 3
-    assert prepare_grbcm(committee).workers == 3
+    # GRBCM's augmented rows are dealt to the ensemble's workers too
+    dealt = []
+    fan_out = gp.fan_out
+
+    def recording_fan_out(task, count, workers):
+        dealt.append(workers)
+        fan_out(task, count, workers)
+
+    monkeypatch.setattr(gp, "fan_out", recording_fan_out)
+    experts_predict(committee, X, prepare_grbcm(committee))
+    assert dealt == [3]
 
 
 def test_train_rejects_overlapping_partition_before_any_evaluation(monkeypatch):
@@ -266,20 +278,34 @@ def _small_committee(n=120, M=3, seed=0, kind="grbcm"):
     return ds, train(ds.X_train, ds.y_train, part, 30)
 
 
+@pytest.mark.parametrize("M, kind", [(1, "random"), (2, "grbcm"), (4, "grbcm"), (3, "random")])
+def test_prepare_grbcm_returns_the_extensions_and_keeps_the_ensemble(M, kind):
+    ds, committee = _small_committee(M=M, kind=kind)
+    before = {f.name: getattr(committee, f.name) for f in fields(committee)}
+    experts = list(committee.experts)
+    arrays = ("X", "y", "chol_inv", "weight_vector")
+    stored = [[getattr(m, a).copy() for a in arrays] for m in experts]
+    extensions = prepare_grbcm(committee)
+    assert isinstance(extensions, list) and len(extensions) == M - 1
+    assert all(isinstance(ext, BlockExtension) for ext in extensions)
+    assert all(getattr(committee, name) is value for name, value in before.items())
+    assert all(a is b for a, b in zip(committee.experts, experts, strict=True))
+    for model, saved in zip(experts, stored):
+        for a, value in zip(arrays, saved):
+            np.testing.assert_array_equal(getattr(model, a), value)
+
+
 def test_prepare_grbcm_two_subsets_uses_all_data():
     ds, committee = _small_committee(M=2)
-    prepared = prepare_grbcm(committee)
-    assert len(prepared.augmented_experts) == 1
-    assert prepared.augmented_experts[0].n == ds.n_train
-    # original ensemble untouched (fitted lazily, returned as a new object)
-    assert committee.augmented_experts is None
+    extensions = prepare_grbcm(committee)
+    assert len(extensions) == 1
+    assert extensions[0].n == ds.n_train
 
 
 def test_prepare_grbcm_sizes():
     ds, committee = _small_committee(n=120, M=3)
-    prepared = prepare_grbcm(committee)
     comm_size = committee.partition.subsets[0].size
-    for aug, idx in zip(prepared.augmented_experts, committee.partition.subsets[1:]):
+    for aug, idx in zip(prepare_grbcm(committee), committee.partition.subsets[1:]):
         assert aug.n == comm_size + idx.size
 
 
@@ -291,11 +317,10 @@ def test_prepare_grbcm_requires_communication_subset():
 
 def test_augmented_expert_never_less_informative():
     ds, committee = _small_committee(n=150, M=3)
-    prepared = prepare_grbcm(committee)
     comm = committee.experts[committee.partition.communication_index]
     Xstar = np.random.default_rng(6).uniform(-1.5, 1.5, size=(30, 1))
     mean_comm, var_comm = predict(comm, Xstar)
-    means, variances = experts_predict(prepared, Xstar, augmented=True)
+    means, variances = experts_predict(committee, Xstar, prepare_grbcm(committee))
     assert variances.shape == (committee.M, Xstar.shape[0])
     np.testing.assert_array_equal(means[0], mean_comm)
     np.testing.assert_array_equal(variances[0], var_comm)

@@ -48,7 +48,7 @@ def rules_against_exact_gp(kind, seed, n):
         "gpoe": gpoe(means, variances, prior),
         "bcm": bcm(means, variances, prior),
         "rbcm": rbcm(means, variances, prior),
-        "grbcm": grbcm(prepare_grbcm(committee), Xstar),
+        "grbcm": grbcm(committee, prepare_grbcm(committee), Xstar),
     }
     return {rule: (float(np.mean(kl(exact_mean, exact_var, agg.means, agg.variances))),
                    float(np.median(agg.variances / exact_var)))
