@@ -13,10 +13,10 @@ from .data import (Dataset, NormStats, denormalize_inputs, denormalize_predictio
                    load_csv, toy_function, toy_generate)
 from .ensemble import (ExpertBlocks, ExpertEnsemble, experts_predict, factorized_nlml,
                        prepare_grbcm, train)
-from .errors import (DataError, DegenerateTargets, GPCommitteeError, InvalidPartition,
-                     InvalidStart, MissingCommunicationSubset, NumericalBreakdown)
+from .errors import (DataError, GPCommitteeError, InvalidPartition, InvalidStart,
+                     MissingCommunicationSubset, NumericalBreakdown)
 from .gp import GPModel, fit, nlml, predict
-from .kernel import Hyperparams, kernel_matrix, kernel_matrix_grads, se_kernel
+from .kernel import Hyperparams, kernel_matrix, kernel_matrix_grads
 from .metrics import msll, smse
 from .optimize import OptimizeResult, minimize
 from .partition import (Partition, PartitionKind, disjoint_partition,
@@ -33,10 +33,10 @@ __all__ = [
     "load_csv", "toy_function", "toy_generate",
     "ExpertBlocks", "ExpertEnsemble", "experts_predict", "factorized_nlml", "prepare_grbcm",
     "train",
-    "DataError", "DegenerateTargets", "GPCommitteeError", "InvalidPartition",
+    "DataError", "GPCommitteeError", "InvalidPartition",
     "InvalidStart", "MissingCommunicationSubset", "NumericalBreakdown",
     "GPModel", "fit", "nlml", "predict",
-    "Hyperparams", "kernel_matrix", "kernel_matrix_grads", "se_kernel",
+    "Hyperparams", "kernel_matrix", "kernel_matrix_grads",
     "msll", "smse",
     "OptimizeResult", "minimize",
     "Partition", "PartitionKind", "disjoint_partition", "grbcm_partition",

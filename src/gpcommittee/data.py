@@ -151,6 +151,11 @@ def _read_numeric_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
     if header is not None and len(header) not in widths:
         raise DataError(f"{path}: the header has {len(header)} columns "
                         f"but the rows have {widths.pop()}")
+    # a target named by a repeated name would be its first column, and the
+    # others would stay inputs
+    repeated = [name for c, name in enumerate(header or []) if name in header[:c]]
+    if repeated:
+        raise DataError(f"{path}: the header names the column {repeated[0]!r} more than once")
     return header, np.asarray(rows, dtype=float)
 
 
@@ -160,7 +165,8 @@ def load_csv(path: str, target_column: int | str, test_fraction: float,
 
     A seeded random ``test_fraction`` of the rows, in (0, 1), is the test
     split. A non-numeric first non-blank line is treated as a header, in
-    which case ``target_column`` may be a column name.
+    which case ``target_column`` may be a column name; a header must name as
+    many columns as the rows have, each once.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")

@@ -32,7 +32,7 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from . import gp
-from .errors import DataError, MissingCommunicationSubset, NumericalBreakdown
+from .errors import MissingCommunicationSubset, NumericalBreakdown
 from .kernel import Hyperparams
 from .optimize import minimize
 from .partition import Partition
@@ -233,25 +233,17 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition, max_evals: int,
     The optimizer starts from :meth:`Hyperparams.default` for the columns of
     ``X`` and evaluates the objective at most ``max_evals`` (>= 1) times.
 
-    ``X`` and ``y`` are checked once, before the first objective evaluation:
-    a row count mismatch or a non-finite entry raises :class:`DataError`
-    naming the first bad row, and the partition is validated against ``X``.
+    ``X`` and ``y`` are checked once, before the first objective evaluation,
+    by :func:`gp.as_training_rows`: a row count mismatch or a non-finite
+    entry raises :class:`DataError` naming the first bad row. The partition
+    is then validated against ``X``.
     Each expert's rows are then sliced once, and the objective's terms run
     on ``workers`` (at least 1) slots, one the calling process and the others
     forked processes (:class:`ExpertBlocks`), which are stopped and joined
     before this returns or raises. ``workers`` is kept on the ensemble for
     its prediction threads. BLAS runs on one thread while training.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} targets")
-    bad = ~(np.all(np.isfinite(X), axis=1) & np.isfinite(y))
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DataError(f"training row {row} is not finite: x={X[row].tolist()}, y={y[row]}")
+    X, y = gp.as_training_rows(X, y)
     partition.validate(X.shape[0])
     # before any worker is forked
     if max_evals < 1:

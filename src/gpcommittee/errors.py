@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Bad data raises :class:`DataError` whichever layer finds it: a CSV cell or
+header, a training or test row that is not finite, training rows and targets
+of different counts, or test targets too few or too constant to score. The
+other types name a failed computation, a bad optimizer start or a partition
+that cannot be built or used.
+"""
 
 from __future__ import annotations
 
@@ -45,9 +52,5 @@ class MissingCommunicationSubset(GPCommitteeError):
     """GRBCM has no communication subset: the partition is a disjoint one."""
 
 
-class DegenerateTargets(GPCommitteeError):
-    """Target vector is constant, so variance-normalized metrics are undefined."""
-
-
 class DataError(GPCommitteeError):
-    """Malformed input data (bad CSV cell, wrong shapes, ...)."""
+    """Input data the library cannot use (see the module docstring)."""

@@ -71,7 +71,7 @@ from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from .errors import DataError, NumericalBreakdown
-from .kernel import Hyperparams, kernel_matrix, kernel_matrix_grads
+from .kernel import Hyperparams, as_rows, kernel_matrix, kernel_matrix_grads
 
 # Jitter ladder: 0, then 1e-10 * mean(diag), escalating by 10x up to 1e-2 * mean(diag).
 _JITTER_START = 1e-10
@@ -360,6 +360,23 @@ class GPModel:
         return self.X.shape[0]
 
 
+def as_training_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` as rows (:func:`kernel.as_rows`) and ``y`` as a flat float vector.
+
+    The one check of training data: a row count mismatch, then a non-finite
+    entry, raises :class:`DataError`, the latter naming the first bad row.
+    """
+    X = as_rows(X)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} targets")
+    bad = ~(np.all(np.isfinite(X), axis=1) & np.isfinite(y))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataError(f"training row {row} is not finite: x={X[row].tolist()}, y={y[row]}")
+    return X, y
+
+
 def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> GPModel:
     """Fit an exact GP: factorize ``K + (noise + jitter_used)*I``, invert the
     factor and precompute the weight vector.
@@ -369,19 +386,13 @@ def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> GPModel:
     with that extra noise: at the training points the mean shrinks each
     eigen-component of ``y`` by ``s/(lambda + s)``, ``s = noise + jitter_used``,
     so components whose eigenvalue ``lambda`` of ``K`` lies below the jitter
-    are no longer interpolated, however small ``noise`` is. Empty data, a row
-    count mismatch or a non-finite entry raises :class:`DataError`.
+    are no longer interpolated, however small ``noise`` is. The rows are
+    checked by :func:`as_training_rows`, and empty data also raises
+    :class:`DataError`.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = as_training_rows(X, y)
     if X.shape[0] < 1:
         raise DataError("need at least one training point")
-    if X.shape[0] != y.shape[0]:
-        raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} targets")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise DataError("training data contains non-finite entries")
     C = kernel_matrix(X, X, hp)
     C.flat[:: X.shape[0] + 1] += hp.noise_variance
     L, jitter = chol_with_jitter(C)
@@ -406,12 +417,11 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarr
     ``K`` is built once and shared with the kernel gradient; ``C^-1`` is
     ``lauum`` of the factor inverse :func:`_triangular_inverse`, the same one
     that :func:`fit` keeps. ``X`` and ``y`` are taken as finite
-    (:func:`ensemble.train` checks them once). Coordinates are in the
-    canonical order (output scale, lengthscales, noise).
+    (:func:`ensemble.train` checks them once, by :func:`as_training_rows`).
+    Coordinates are in the canonical order (output scale, lengthscales,
+    noise).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_rows(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
     K = kernel_matrix(X, X, hp)
@@ -440,12 +450,9 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarr
 
 
 def as_test_inputs(Xstar: np.ndarray) -> np.ndarray:
-    """``Xstar`` as a 2-D float array with one test point per row (1-D input
-    is a column of 1-D points); a non-finite entry raises :class:`DataError`
-    naming the first bad row."""
-    Xstar = np.asarray(Xstar, dtype=float)
-    if Xstar.ndim == 1:
-        Xstar = Xstar[:, None]
+    """``Xstar`` as rows (:func:`kernel.as_rows`); a non-finite entry raises
+    :class:`DataError` naming the first bad row."""
+    Xstar = as_rows(Xstar)
     bad = ~np.all(np.isfinite(Xstar), axis=1)
     if bad.any():
         row = int(np.argmax(bad))

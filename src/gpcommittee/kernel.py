@@ -1,5 +1,8 @@
-"""Squared-exponential covariance, batched kernel matrices, and the kernel
-part of the marginal-likelihood gradient.
+"""Squared-exponential covariance matrices, the kernel part of the
+marginal-likelihood gradient, and the one conversion of inputs to rows.
+
+The GP core and the partitions take every input array through
+:func:`as_rows`.
 
 All hyperparameters live on a log scale so downstream optimization is
 unconstrained while the underlying amplitudes, lengthscales and noise stay
@@ -88,10 +91,15 @@ class Hyperparams:
         return cls(0.0, np.zeros(input_dim), _DEFAULT_LOG_NOISE)
 
 
-def _check_dim(X: np.ndarray, hp: Hyperparams, name: str) -> np.ndarray:
+def as_rows(X: np.ndarray) -> np.ndarray:
+    """``X`` as a float array with one point per row; a 1-D array becomes a
+    column of 1-D points."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    return X[:, None] if X.ndim == 1 else X
+
+
+def _check_dim(X: np.ndarray, hp: Hyperparams, name: str) -> np.ndarray:
+    X = as_rows(X)
     if X.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got ndim={X.ndim}")
     if X.shape[1] != hp.input_dim:
@@ -99,19 +107,6 @@ def _check_dim(X: np.ndarray, hp: Hyperparams, name: str) -> np.ndarray:
             f"{name} has {X.shape[1]} columns but hyperparameters expect {hp.input_dim}"
         )
     return X
-
-
-def se_kernel(x: np.ndarray, x_prime: np.ndarray, hp: Hyperparams) -> float:
-    """Squared-exponential covariance between two points.
-
-    ``k(x, x') = output_variance * exp(-0.5 * sum_i (x_i - x'_i)^2 / l_i^2)``
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    x_prime = np.asarray(x_prime, dtype=float).ravel()
-    if x.shape[0] != hp.input_dim or x_prime.shape[0] != hp.input_dim:
-        raise ValueError("input vectors must match the hyperparameter dimension")
-    z = (x - x_prime) / hp.lengthscales
-    return hp.output_variance * float(np.exp(-0.5 * np.dot(z, z)))
 
 
 def kernel_matrix(X: np.ndarray, X_prime: np.ndarray, hp: Hyperparams) -> np.ndarray:

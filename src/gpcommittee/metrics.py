@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateTargets
+from .errors import DataError
 
 
 def smse(pred_means: np.ndarray, y_true: np.ndarray) -> float:
-    """Mean squared error divided by the population variance of the targets."""
+    """Mean squared error divided by the population variance of the targets;
+    constant targets raise :class:`DataError`."""
     pred_means = np.asarray(pred_means, dtype=float).ravel()
     y_true = np.asarray(y_true, dtype=float).ravel()
     if pred_means.shape != y_true.shape or y_true.size < 2:
         raise ValueError("pred_means and y_true must share length >= 2")
     var = float(np.mean((y_true - np.mean(y_true)) ** 2))
     if var == 0.0:
-        raise DegenerateTargets("constant test targets make SMSE undefined")
+        raise DataError("constant test targets make SMSE undefined")
     return float(np.mean((pred_means - y_true) ** 2)) / var
 
 

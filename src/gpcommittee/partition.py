@@ -5,7 +5,9 @@ The k-means here is a small deterministic Lloyd's loop (k-means++ seeding,
 empty clusters repaired by stealing the farthest point from the largest
 cluster). Cluster sizes are then rebalanced to near-equality by moving
 boundary points toward the receiving centroid, since committee training
-assumes every expert holds about n/M points.
+assumes every expert holds about n/M points. Every M from 1 to n - 1 takes
+this path; M = n gives the one-point subsets in index order directly, where
+k-means would cost O(n^2) and order them otherwise.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidPartition
+from .kernel import as_rows
 
 # Lloyd's loop stops after this many passes, or once no centroid moves farther
 _LLOYD_MAX_ITER = 100
@@ -108,7 +111,6 @@ def _repair_empty(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: i
 
 def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     centroids = _kmeans_pp_init(X, k, rng)
-    labels = np.zeros(X.shape[0], dtype=int)
     for _ in range(_LLOYD_MAX_ITER):
         labels = np.argmin(cdist(X, centroids, metric="sqeuclidean"), axis=1)
         _repair_empty(X, labels, centroids, k)
@@ -133,37 +135,39 @@ def _rebalance(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
                targets: np.ndarray) -> None:
     """Move points from over-full to under-full clusters, nearest pairs first.
 
+    ``surplus[c]``, the size of cluster c minus its target, is positive for
+    an over-full cluster and negative for an under-full one; each move takes
+    one from the source's and adds one to the destination's. A point already
+    moved belongs to an under-full cluster, whose surplus is never positive,
+    so it does not move twice.
+
     One pass reaches every target: an over-full cluster always keeps an
     unmoved point, so a surplus left beside a deficit would mean that pair
-    was visited with both counts positive, and a point would have moved.
+    was visited with both counts nonzero, and a point would have moved.
     """
-    sizes = np.bincount(labels, minlength=targets.size)
-    over = np.where(sizes > targets)[0]
-    under = np.where(sizes < targets)[0]
-    surplus = dict(zip(over.tolist(), (sizes[over] - targets[over]).tolist()))
-    deficit = dict(zip(under.tolist(), (targets[under] - sizes[under]).tolist()))
-    cand = np.where(np.isin(labels, over))[0]
+    surplus = np.bincount(labels, minlength=targets.size) - targets
+    over = np.flatnonzero(surplus > 0)
+    under = np.flatnonzero(surplus < 0)
+    cand = np.flatnonzero(np.isin(labels, over))
     d2 = cdist(X[cand], centroids[under], metric="sqeuclidean")
+    # a list: indexing it per pair is several times faster than a numpy array
+    surplus = surplus.tolist()
     for flat in np.argsort(d2, axis=None, kind="stable"):
         p_local, u_local = divmod(int(flat), under.size)
         point, dest = int(cand[p_local]), int(under[u_local])
         src = int(labels[point])
-        if surplus.get(src, 0) > 0 and deficit[dest] > 0:
+        if surplus[src] > 0 and surplus[dest] < 0:
             labels[point] = dest
             surplus[src] -= 1
-            deficit[dest] -= 1
+            surplus[dest] += 1
 
 
 def disjoint_partition(X: np.ndarray, M: int, seed: int) -> Partition:
     """Partition by k-means clusters on the inputs, rebalanced to near-equal sizes."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_rows(X)
     n = X.shape[0]
     _check_counts(n, M)
-    if M == 1:
-        subsets = [np.arange(n)]
-    elif M == n:
+    if M == n:
         subsets = [np.array([i]) for i in range(n)]
     else:
         rng = np.random.default_rng(seed)
@@ -176,9 +180,7 @@ def disjoint_partition(X: np.ndarray, M: int, seed: int) -> Partition:
 
 def grbcm_partition(X: np.ndarray, M: int, seed: int) -> Partition:
     """One random communication subset of size n // M, k-means on the rest."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_rows(X)
     n = X.shape[0]
     _check_counts(n, M, minimum_M=2)
     rng = np.random.default_rng(seed)

@@ -277,6 +277,22 @@ def test_csv_header_of_another_width_is_one_error_line(tmp_path, capsys, target)
     assert not out.exists()
 
 
+def test_csv_header_naming_a_column_twice_is_one_error_line(tmp_path, capsys):
+    # the run took the first "y" as the target, kept the second as an input
+    # and exited 0
+    rows = [f"{x:.1f},{x * x:.2f},{np.sin(x):.4f}" for x in np.linspace(0.0, 2.0, 20)]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(["x,y,y", *rows]) + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--csv", str(path), "--target-col", "y", "--subset-size", "8",
+                 "--max-evals", "3", "--methods", "poe", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"gpcommittee-bench: error: {path}: the header names the column 'y' more than once"]
+    assert not out.exists()
+
+
 def test_cli_adds_no_defaults_of_its_own():
     args = _parser().parse_args(["run", "--dataset", "toy200", "--subset-size", "50"])
     assert _config_from_args(args) == ExperimentConfig(dataset="toy", n=200, m0=50)

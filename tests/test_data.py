@@ -94,6 +94,15 @@ def test_csv_header_must_be_as_wide_as_its_rows(tmp_path, header, width, target)
         load_csv(path, target_column=target, test_fraction=0.25, seed=0)
 
 
+@pytest.mark.parametrize("header", ["x,y,y", "y,x,y"])
+@pytest.mark.parametrize("target", ["y", -1])
+def test_csv_header_must_name_each_column_once(tmp_path, header, target):
+    # "y" named its first column as the target and kept the other as an input
+    path = _write(tmp_path, header + "\n1,2,3\n4,5,6\n7,8,9\n2,1,0\n")
+    with pytest.raises(DataError, match="the header names the column 'y' more than once"):
+        load_csv(path, target_column=target, test_fraction=0.25, seed=0)
+
+
 def test_csv_non_numeric_cell_reported(tmp_path):
     path = _write(tmp_path, "1,2\n3,oops\n5,6\n")
     with pytest.raises(DataError, match=r"row 1, column 1"):

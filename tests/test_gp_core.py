@@ -57,6 +57,22 @@ def test_fit_rejects_non_finite():
         fit(np.array([[np.nan]]), np.array([0.0]), hp_1d())
 
 
+@pytest.mark.parametrize("bad_X", [True, False], ids=["inf-in-X", "nan-in-y"])
+def test_fit_names_the_first_non_finite_row(bad_X):
+    # the check train makes before its first evaluation, with the same message
+    rng = np.random.default_rng(4)
+    X = rng.uniform(size=(12, 2))
+    y = rng.normal(size=12)
+    if bad_X:
+        X[5, 1] = np.inf
+        y[9] = np.nan
+    else:
+        y[5] = np.nan
+        X[9, 0] = np.inf
+    with pytest.raises(DataError, match="training row 5 is not finite"):
+        fit(X, y, Hyperparams(0.0, np.zeros(2), -1.0))
+
+
 def test_nlml_scalar_example():
     value, _ = nlml(np.array([[0.0]]), np.array([0.0]), hp_1d())
     assert value == pytest.approx(1.2655121234846454, rel=1e-12)

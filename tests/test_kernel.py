@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from gpcommittee import Hyperparams, kernel_matrix, kernel_matrix_grads, se_kernel
+from gpcommittee import Hyperparams, kernel_matrix, kernel_matrix_grads
+
+
+def se_kernel(x, x_prime, hp):
+    """Squared-exponential covariance between two points, the scalar
+    reference for :func:`kernel_matrix`.
+
+    ``k(x, x') = output_variance * exp(-0.5 * sum_i (x_i - x'_i)^2 / l_i^2)``
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    x_prime = np.asarray(x_prime, dtype=float).ravel()
+    if x.shape[0] != hp.input_dim or x_prime.shape[0] != hp.input_dim:
+        raise ValueError("input vectors must match the hyperparameter dimension")
+    z = (x - x_prime) / hp.lengthscales
+    return hp.output_variance * float(np.exp(-0.5 * np.dot(z, z)))
 
 
 def hp_1d(log_sf=0.0, log_l=0.0, log_noise=-1.0):

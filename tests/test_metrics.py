@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpcommittee import DegenerateTargets, msll, smse
+from gpcommittee import DataError, msll, smse
 
 
 def test_smse_perfect_predictions():
@@ -25,7 +25,7 @@ def test_smse_constant_shift():
 
 
 def test_smse_degenerate_targets():
-    with pytest.raises(DegenerateTargets):
+    with pytest.raises(DataError):
         smse(np.array([0.0, 1.0]), np.array([2.0, 2.0]))
 
 

@@ -54,6 +54,15 @@ def test_disjoint_single_subset():
     np.testing.assert_array_equal(part.subsets[0], np.arange(12))
 
 
+def test_disjoint_single_subset_of_repeated_rows():
+    # one k-means cluster keeps every row in order, however the rows repeat
+    X = np.random.default_rng(3).normal(size=(12, 2))
+    X[:6] = X[6:]
+    part = disjoint_partition(X, 1, seed=0)
+    assert len(part.subsets) == 1
+    np.testing.assert_array_equal(part.subsets[0], np.arange(12))
+
+
 def test_disjoint_singletons():
     X = np.random.default_rng(4).normal(size=(6, 1))
     part = disjoint_partition(X, 6, seed=0)
