@@ -19,18 +19,22 @@ blocks (``np.array_split``) whose working set, ``8 B (N + M^2)`` bytes for
 block :func:`gp.retain_freed_memory` keeps on the heap. Its memory is then
 O(B (N + M^2)) however many points are asked for, at the cost of
 (blocks - 1) M (M - 1) / 2 pair kernels computed again; a test set that fits
-is one block. Both of its per-expert loops, the M expert terms and the
-M (M - 1) / 2 expert-pair products that fill those systems, are dealt
-round-robin to the committee's ``workers`` threads (:func:`gp.fan_out`,
-which pins BLAS to one thread while they run); every call in them releases
-the interpreter lock. The result does not depend on the thread count.
+is one block; each block returns its means and variances, and the blocks
+are joined in order. Both of its per-expert loops, the M expert terms
+(:func:`gp._expert_terms`, each writing its own diagonal entry of the
+systems) and the M (M - 1) / 2 expert-pair products that fill the rest, are
+dealt round-robin to the committee's ``workers`` slots, the calling thread
+and up to ``workers - 1`` new threads (:func:`gp.fan_out`, which pins BLAS
+to one thread while they run); every call in them releases the interpreter
+lock.
+The result does not depend on the slot count.
 Each block's points are solved as one batch on the calling thread: one
 stacked Cholesky factorization and one stacked solve against the factors.
 Only if a block cannot be factored does each of its points get the
 escalating-jitter ladder of :func:`gp.chol_with_jitter`, and the solve
 stays the batched one.
 The other rules read their expert rows from :func:`experts_predict`, which
-deals the experts to the same threads.
+deals the experts to the same slots.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from scipy.linalg import cho_solve  # noqa: F401
 
 from .ensemble import ExpertEnsemble, experts_predict
 from .errors import NumericalBreakdown
-from .gp import (_RETAINED_BLOCK_BYTES, _VARIANCE_GUARD, BlockExtension, _mean_and_whitened,
+from .gp import (_RETAINED_BLOCK_BYTES, _VARIANCE_GUARD, BlockExtension, _expert_terms,
                  as_test_inputs, chol_with_jitter, fan_out, triangular_product)
 # unused here; the benchmark's traced run patches this name in this module
 from .gp import predict  # noqa: F401
@@ -187,10 +191,10 @@ def _npae_block_count(n_test: int, n_train: int, M: int) -> int:
     return max(1, min(-(-n_test // fits), n_test // 2))
 
 
-def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, offset: int,
-                means: np.ndarray, variances: np.ndarray) -> None:
-    """NPAE at one block of test points, written into ``means`` and
-    ``variances``; ``offset`` is the global index of the block's first point.
+def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs,
+                offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """NPAE's means and variances at one block of test points; ``offset``
+    is the index in the whole test set of the block's first point.
     """
     hp = ensemble.hp
     experts = ensemble.experts
@@ -198,17 +202,15 @@ def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, offset: int,
     M = len(experts)
     n_test = Xstar.shape[0]
     rhs = np.empty((n_test, M, 2))    # [cov[mu_i, y*], mu_i] per test point
+    K_agg = np.empty((n_test, M, M))  # cov[mu_i, mu_j] per test point
     U = [None] * M                    # C_i^-1 K_i* = L_i^-T V_i
 
     def expert_terms(i):
-        rhs[:, i, 1], V = _mean_and_whitened(experts[i], Xstar)
-        rhs[:, i, 0] = np.einsum("ij,ij->j", V, V)
+        rhs[:, i, 1], rhs[:, i, 0], V = _expert_terms(experts[i], Xstar)
+        K_agg[:, i, i] = rhs[:, i, 0]
         U[i] = triangular_product(experts[i].chol_inv, V, transpose=True)
 
     fan_out(expert_terms, M, workers)
-    K_agg = np.empty((n_test, M, M))  # cov[mu_i, mu_j] per test point
-    for i in range(M):
-        K_agg[:, i, i] = rhs[:, i, 0]
 
     def pair_covariance(p):
         i, j = pairs[p]
@@ -239,10 +241,9 @@ def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs, offset: int,
                                          test_index=offset + t) from exc
     z = np.linalg.solve(L, rhs)
     z_k, z_mu = z[:, :, 0], z[:, :, 1]
-    means[:] = np.einsum("tm,tm->t", z_k, z_mu)
-    variances[:] = np.maximum(
-        hp.prior_variance - np.einsum("tm,tm->t", z_k, z_k),
-        hp.noise_variance * _VARIANCE_GUARD)
+    return (np.einsum("tm,tm->t", z_k, z_mu),
+            np.maximum(hp.prior_variance - np.einsum("tm,tm->t", z_k, z_k),
+                       hp.noise_variance * _VARIANCE_GUARD))
 
 
 def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
@@ -256,14 +257,16 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     :func:`gp.predict`. Building ``K_A`` costs one product per expert pair,
     so time grows with the square of the total training size N.
 
-    The test points are split by ``np.array_split`` into the fewest
-    near-equal blocks whose working set, ``8 B (N + M^2)`` bytes for ``B``
-    points (every expert's ``C_i^-1 K_i*`` and the block's ``K_A`` stack),
+    The indices of the test points are split by ``np.array_split`` into the
+    fewest near-equal blocks whose working set, ``8 B (N + M^2)`` bytes for
+    ``B`` points (every expert's ``C_i^-1 K_i*`` and the block's ``K_A`` stack),
     fits 32 MiB, the largest block :func:`gp.retain_freed_memory` keeps on
     the heap; no block holds a single point. So memory is
     O(B (N + M^2)) whatever the number of test points, and each block reuses
     what the block before it freed. A test set that fits is one block. Each
-    further block computes the M (M - 1) / 2 pair kernels ``K_ij`` again.
+    block returns its own means and variances, joined here in order, and
+    each further block computes the M (M - 1) / 2 pair kernels ``K_ij``
+    again.
     A non-finite test input raises :class:`DataError` before any block
     (:func:`gp.as_test_inputs`).
 
@@ -275,26 +278,24 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     test point by its index in ``Xstar``, is that of a per-point solve.
 
     The expert terms and then the pair products are dealt round-robin to
-    ``ensemble.workers`` threads by :func:`gp.fan_out` while the calling
-    thread waits, with BLAS on one thread; each term or pair writes only its
-    own entries. The blocks depend only on the number of test points, N and
-    M, so every thread count gives the same bits. An exception in any thread
-    is raised here once every thread has stopped.
+    ``ensemble.workers`` slots by :func:`gp.fan_out`, the calling thread
+    running slot 0, with BLAS on one thread; each expert's term writes its
+    own diagonal entry of ``K_A`` and each pair its two off-diagonal ones.
+    The blocks depend only on the number of test points, N and M, so every
+    slot count gives the same bits. An exception in any slot is raised here
+    once every slot has stopped.
     """
     Xstar = as_test_inputs(Xstar)
     experts = ensemble.experts
     M = len(experts)
     n_test = Xstar.shape[0]
-    blocks = np.array_split(Xstar, _npae_block_count(n_test, sum(model.n for model in experts), M))
+    blocks = np.array_split(np.arange(n_test),
+                            _npae_block_count(n_test, sum(model.n for model in experts), M))
     pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    means = np.empty(n_test)
-    variances = np.empty(n_test)
-    start = 0
-    for block in blocks:
-        stop = start + block.shape[0]
-        _npae_block(ensemble, block, pairs, start, means[start:stop], variances[start:stop])
-        start = stop
-    return AggregatedPrediction(means, variances)
+    # an empty test set is one empty block
+    means, variances = zip(*[_npae_block(ensemble, Xstar[rows], pairs,
+                                         int(rows[0]) if rows.size else 0) for rows in blocks])
+    return AggregatedPrediction(np.concatenate(means), np.concatenate(variances))
 
 
 def grbcm_fuse(means, variances, prior_var: float) -> AggregatedPrediction:

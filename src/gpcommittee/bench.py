@@ -337,6 +337,9 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int]) -> dict:
     SMSE, MSLL, degeneracy count and median interior predictive variance,
     plus two flags per method that compare that variance with the true
     noise variance. :func:`check_sweep_config` runs before the first run.
+    A repetition with no test point inside ``TOY_TRAIN_RANGE`` has no
+    median interior variance, and raises :class:`DataError` naming its n
+    and repetition.
     When ``base_config.out_dir`` is set, the report is written there as
     sweep.json; the per-n runs write nothing.
     """
@@ -346,6 +349,11 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int]) -> dict:
     per_n: dict[int, dict] = {}
     for n in n_list:
         res = run_experiment(replace(base_config, n=n, out_dir=None))
+        for rep, art in enumerate(res.artifacts):
+            if not art.interior_mask.any():
+                raise DataError(f"n={n}, repetition {rep}: no test point lies in the interior "
+                                f"{list(TOY_TRAIN_RANGE)} of the training range, so the median "
+                                "interior variance is undefined")
         summary: dict[str, dict] = {}
         for label in labels:
             # run_experiment appends records repetition by repetition

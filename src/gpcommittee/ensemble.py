@@ -10,8 +10,9 @@ neither the f2py LAPACK wrappers (which hold the interpreter lock) nor
 ``cdist`` and ``exp`` on expert-sized blocks scale across threads. The
 final fits and GRBCM's augmented experts are loops over the experts in
 subset-index order on the calling thread. Prediction deals the experts to
-the same number of threads (:func:`gp.fan_out`); every call in it releases
-the lock, and every thread count gives the same bits. Every per-expert
+the same number of slots (:func:`gp.fan_out`), the calling thread as slot 0
+as in training and one new thread per extra slot; every call in it releases
+the lock, and every slot count gives the same bits. Every per-expert
 loop runs with BLAS on one thread (:func:`gp.blas_threads`): :func:`train`
 pins it before it forks, :func:`prepare_grbcm` for its extensions and
 :func:`gp.fan_out` for the prediction loops. GRBCM's augmented experts, the
@@ -48,7 +49,7 @@ class ExpertEnsemble:
     ``workers`` is the number of parallel slots of the committee: :func:`train`
     ran its objective terms on that many processes (:class:`ExpertBlocks`),
     and every per-expert prediction loop, here and in NPAE, is dealt to that
-    many threads (:func:`gp.fan_out`).
+    many slots, the calling thread and new threads (:func:`gp.fan_out`).
     """
 
     hp: Hyperparams
@@ -241,7 +242,7 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition, max_evals: int,
     on ``workers`` (at least 1) slots, one the calling process and the others
     forked processes (:class:`ExpertBlocks`), which are stopped and joined
     before this returns or raises. ``workers`` is kept on the ensemble for
-    its prediction threads. BLAS runs on one thread while training.
+    its prediction slots. BLAS runs on one thread while training.
     """
     X, y = gp.as_training_rows(X, y)
     partition.validate(X.shape[0])
@@ -295,8 +296,8 @@ def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
     it, and row ``i + 1`` the i-th extension. Expert 0's terms ``L_c^-1 K_c*``
     and ``L_c^-1 y_c`` are formed once and each extension adds its own block
     (see :func:`gp.predict_extended`). Either way the rows are dealt to
-    ``ensemble.workers`` threads, and every thread count gives the same
-    bits. A non-finite test input raises :class:`DataError`
+    ``ensemble.workers`` slots, and every slot count gives the same bits. A
+    non-finite test input raises :class:`DataError`
     (:func:`gp.as_test_inputs`).
     """
     if extensions is not None:

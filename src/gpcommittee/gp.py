@@ -3,13 +3,18 @@
 Fitting factorizes the noisy kernel matrix once with an escalating jitter
 ladder (LAPACK ``potrf``) and inverts the factor once. Prediction then needs
 one triangular matrix product, ``V = L^-1 K*``, so nothing is solved per test
-point or per right-hand side. Every product with a stored factor inverse goes
-through :func:`triangular_product`, BLAS ``trmm`` in place on the right-hand
-block, which does half the flops of a full ``gemm``.
+point or per right-hand side. :func:`_expert_terms` is the one place a
+fitted expert meets test inputs: it returns the mean ``K*' alpha``, the
+column sums of squares ``|V|^2`` and ``V`` itself, for :func:`predict`, the
+base row of :func:`predict_extended` and NPAE's per-expert terms alike.
+Every product with a stored factor inverse goes through
+:func:`triangular_product`, BLAS ``trmm`` in place on the right-hand block,
+which does half the flops of a full ``gemm``.
 
-Per-expert prediction loops run on the committee's ``workers`` threads
-(:func:`fan_out`), so every call inside them must release the interpreter
-lock. numpy's products, ``cdist`` and ``exp`` do. scipy's f2py wrapper of
+Per-expert prediction loops run on the committee's ``workers`` slots
+(:func:`fan_out`): the calling thread and up to ``workers - 1`` new
+threads, so every call inside them must release the interpreter lock.
+numpy's products, ``cdist`` and ``exp`` do. scipy's f2py wrapper of
 ``dtrmm`` does not, so :func:`triangular_product` calls the same BLAS
 routine through the function pointer that ``scipy.linalg.cython_blas``
 exports, as a ``ctypes`` foreign function, and ctypes releases the lock for
@@ -100,11 +105,12 @@ def retain_freed_memory() -> None:
     independent of what ran before.
 
     A retained block is reused only by the heap (arena) that freed it, and
-    glibc gives each new thread an arena of its own. The prediction threads
-    of :func:`fan_out` are new on every call, so each would keep up to
-    32 MiB of freed blocks in a fresh arena that no later thread reuses; one
-    arena for the whole process makes every thread reuse the same freed
-    blocks. Nothing happens where the C library has no ``mallopt``.
+    glibc gives each new thread an arena of its own. :func:`fan_out` runs
+    slot 0 on the calling thread but starts its other slots' threads anew on
+    every call, so each of those would keep up to 32 MiB of freed blocks in
+    a fresh arena that no later thread reuses; one arena for the whole
+    process makes every thread reuse the same freed blocks, the caller's
+    among them. Nothing happens where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -175,39 +181,39 @@ def blas_threads(count: int):
 
 def fan_out(task, count: int, workers: int) -> None:
     """Run ``task(k)`` for every ``k`` in ``range(count)``, dealt
-    round-robin to ``slots = min(workers, count)`` threads.
+    round-robin to ``slots = min(workers, count)`` slots.
 
     Slot ``s`` runs ``k = s, s + slots, ...`` in that order; each ``k`` must
-    write only its own outputs. With one slot the tasks run on the calling
-    thread and no thread starts; otherwise the calling thread waits for all
-    slots.
-    Either way BLAS runs on one thread meanwhile (:func:`blas_threads`), so
-    the slots do not compete with BLAS threads for the cores, and every
-    ``workers`` gives the bits of one BLAS thread. A slot stops at its first
-    exception. Once every thread has stopped, the exception of the smallest
-    failing ``k`` is raised, the one a serial loop would have raised.
+    write only its own outputs. As in ``ensemble.ExpertBlocks``, the calling
+    thread is slot 0 and ``slots - 1`` new threads run the others, so one
+    slot starts no thread. Every slot runs under the caller's
+    ``np.errstate``, read once per call, and BLAS runs on one thread
+    meanwhile (:func:`blas_threads`), so the slots do not compete with BLAS
+    threads for the cores and every ``workers`` gives the bits of one BLAS
+    thread. A slot stops at its first exception. Once every slot has
+    stopped, the exception of the smallest failing ``k`` is raised, the one
+    a serial loop would have raised.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    slots = min(workers, count)
+    slots = max(1, min(workers, count))
+    errstate = np.geterr()
     failures = [None] * slots
 
     def run(slot):
-        for k in range(slot, count, slots):
-            try:
-                task(k)
-            except BaseException as exc:
-                failures[slot] = (k, exc)
-                return
+        with np.errstate(**errstate):
+            for k in range(slot, count, slots):
+                try:
+                    task(k)
+                except BaseException as exc:
+                    failures[slot] = (k, exc)
+                    return
 
     with blas_threads(1):
-        if slots <= 1:
-            for k in range(count):
-                task(k)
-            return
-        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(slots)]
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(1, slots)]
         for thread in threads:
             thread.start()
+        run(0)
         for thread in threads:
             thread.join()
     raised = [failure for failure in failures if failure is not None]
@@ -471,22 +477,26 @@ def predict(model: GPModel, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(model, GPModel):
         raise ValueError("predict requires a fitted GPModel")
     Xstar = as_test_inputs(Xstar)
-    means, V = _mean_and_whitened(model, Xstar)
-    # the column sums of V * V without forming it; for two or more test
-    # points the same bits as np.sum(V * V, axis=0), which adds row by row
-    return means, _noisy_variance(model.hp, np.einsum("ij,ij->j", V, V))
+    means, explained, _ = _expert_terms(model, Xstar)
+    return means, _noisy_variance(model.hp, explained)
 
 
-def _mean_and_whitened(model: GPModel, Xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(K*' alpha, L^-1 K*)`` of ``model`` at the 2-D test inputs ``Xstar``.
+def _expert_terms(model: GPModel, Xstar: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(K*' alpha, |V|^2, V)`` of ``model`` at the 2-D test inputs
+    ``Xstar``, with ``V = L^-1 K*`` and ``|V|^2`` its column sums of squares.
 
-    The one place a fitted expert meets test inputs: :func:`predict`,
-    :func:`predict_extended` and NPAE read every expert term from it. The
-    mean is formed before ``trmm`` overwrites ``K*`` with ``L^-1 K*``.
+    The one place a fitted expert meets test inputs: :func:`predict`, the
+    base row of :func:`predict_extended` and NPAE's per-expert task read
+    every expert term from it. The mean is formed before ``trmm`` overwrites
+    ``K*`` with ``V``.
     """
     Kstar = kernel_matrix(model.X, Xstar, model.hp)
     means = Kstar.T @ model.weight_vector
-    return means, triangular_product(model.chol_inv, Kstar)
+    V = triangular_product(model.chol_inv, Kstar)
+    # the column sums of V * V without forming it; for two or more test
+    # points the same bits as np.sum(V * V, axis=0), which adds row by row
+    return means, np.einsum("ij,ij->j", V, V), V
 
 
 @dataclass(frozen=True)
@@ -533,25 +543,25 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     """Predictive means and noisy variances of ``base`` and of each of its extensions.
 
     Row 0 is ``base`` itself, exactly what :func:`predict` returns; row
-    ``i + 1`` is ``extensions[i]``. The base terms ``V_b = L_b^-1 K_b*`` and
-    ``z_b = L_b^-1 y_b`` are formed once, on the calling thread with BLAS on
-    one thread as in :func:`fan_out`. Extension i
-    adds ``W_i = S_i^-1 (K_i* - cross_i V_b)`` and
-    ``z_i = S_i^-1 (y_i - cross_i z_b)``: its mean is ``V_b' z_b + W_i' z_i``
-    and its variance the prior minus ``|V_b|^2 + |W_i|^2``, floored as in
-    :func:`predict`. The extensions are dealt to ``workers`` threads by
-    :func:`fan_out`; every thread count gives the same bits. A non-finite
-    test input raises :class:`DataError` (:func:`as_test_inputs`).
+    ``i + 1`` is ``extensions[i]``. The base terms ``V_b = L_b^-1 K_b*``
+    with ``|V_b|^2`` (:func:`_expert_terms`) and ``z_b = L_b^-1 y_b`` are
+    formed once, on the calling thread with BLAS on one thread as in
+    :func:`fan_out`. Extension i adds ``W_i = S_i^-1 (K_i* - cross_i V_b)``
+    and ``z_i = S_i^-1 (y_i - cross_i z_b)``: its mean is
+    ``V_b' z_b + W_i' z_i`` and its variance the prior minus
+    ``|V_b|^2 + |W_i|^2``, floored as in :func:`predict`. The extensions
+    are dealt to ``workers`` slots by :func:`fan_out`; every slot count
+    gives the same bits. A non-finite test input raises :class:`DataError`
+    (:func:`as_test_inputs`).
     """
     hp = base.hp
     Xstar = as_test_inputs(Xstar)
     means = np.empty((len(extensions) + 1, Xstar.shape[0]))
     variances = np.empty_like(means)
     with blas_threads(1):
-        means[0], V_b = _mean_and_whitened(base, Xstar)
+        means[0], base_explained, V_b = _expert_terms(base, Xstar)
         z_b = base.chol_inv @ base.y
         base_mean = V_b.T @ z_b
-    base_explained = np.einsum("ij,ij->j", V_b, V_b)
     variances[0] = _noisy_variance(hp, base_explained)
 
     def extension_row(k):

@@ -422,14 +422,14 @@ def test_npae_non_finite_factor_names_the_first_test_point(monkeypatch):
     # block's points up to it
     start = len(np.array_split(np.arange(ds.n_test), 3)[0])
     poisoned = ds.X_test[start + 1:, 0]
-    mean_and_whitened = aggregate._mean_and_whitened
+    expert_terms = aggregate._expert_terms
 
     def nan_columns_from_the_poisoned_points(model, Xstar):
-        means, V = mean_and_whitened(model, Xstar)
+        means, explained, V = expert_terms(model, Xstar)
         V[:, np.isin(Xstar[:, 0], poisoned)] = np.nan
-        return means, V
+        return means, explained, V
 
-    monkeypatch.setattr(aggregate, "_mean_and_whitened", nan_columns_from_the_poisoned_points)
+    monkeypatch.setattr(aggregate, "_expert_terms", nan_columns_from_the_poisoned_points)
     calls.clear()
     with pytest.raises(NumericalBreakdown) as info:
         npae(committee, ds.X_test)
@@ -595,10 +595,11 @@ def test_expert_rows_give_the_same_bits_for_every_workers(rows, M, workers):
 
 def test_experts_predict_raises_the_first_failing_expert_from_a_pool_thread(monkeypatch):
     ds, committee = _committee(n=150, M=4)
-    # with 2 workers, expert 1 runs on the second thread and expert 2 on the
-    # first. Expert 2 fails at once and expert 1 only after a pause, so the
-    # error raised first is expert 2's, but a serial loop meets expert 1's
-    # first, and the second thread is still running when expert 2 fails
+    # with 2 workers, expert 1 runs on the one pool thread and expert 2 on
+    # the calling thread (slot 0). Expert 2 fails at once and expert 1 only
+    # after a pause, so the error raised first is expert 2's, but a serial
+    # loop meets expert 1's first, and the pool thread is still running when
+    # expert 2 fails
     delays = {id(committee.experts[1].X): (1, 0.2), id(committee.experts[2].X): (2, 0.0)}
     block = gp.kernel_matrix
     raised_on = []
@@ -610,7 +611,7 @@ def test_experts_predict_raises_the_first_failing_expert_from_a_pool_thread(monk
         if id(X) in delays:
             k, delay = delays[id(X)]
             time.sleep(delay)
-            raised_on.append(threading.current_thread())
+            raised_on.append((k, threading.current_thread()))
             raise ExpertFailure(f"expert {k} failed")
         return block(X, X_prime, hp)
 
@@ -631,8 +632,10 @@ def test_experts_predict_raises_the_first_failing_expert_from_a_pool_thread(monk
     assert not caller.is_alive()
     # only the caller itself runs beside the threads that ran before
     assert outcome == [("expert 1 failed", threads_before + 1)]
-    # raised on two pool threads, not on the caller
-    assert len(set(raised_on)) == 2 and caller not in raised_on
+    # expert 2 raised on the caller, expert 1 on the one pool thread
+    threads = dict(raised_on)
+    assert len(raised_on) == 2 and threads[2] is caller
+    assert threads[1] not in (caller, threading.main_thread())
     assert threading.active_count() == threads_before
 
 

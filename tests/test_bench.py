@@ -7,8 +7,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gpcommittee import (AggregatedPrediction, ExperimentConfig, PartitionKind, RunRecord,
-                         aggregate, consistency_sweep, grbcm_partition, run_experiment,
+from gpcommittee import (AggregatedPrediction, DataError, ExperimentConfig, PartitionKind,
+                         RunRecord, aggregate, consistency_sweep, grbcm_partition, run_experiment,
                          toy_generate, train)
 from gpcommittee.bench import (_RULES, METHOD_CHOICES, SCHEMA_VERSION, _predict_method,
                                write_results_csv)
@@ -224,6 +224,20 @@ def test_sweep_with_M_fixed_tabulates_the_run_records(tmp_path):
         assert entry["msll"] == [r.msll for r in recs]
         assert entry["degeneracy_count"] == [r.degeneracy_count for r in recs]
         assert len(entry["median_interior_variance"]) == 2
+
+
+def test_sweep_repetition_with_no_interior_test_point_is_a_data_error(tmp_path):
+    # at seed 6, both test points of repetition 1 at n=200 lie outside the
+    # training range: the median interior variance was numpy's NaN of an
+    # empty slice, with a warning, and every flag read false
+    config = ExperimentConfig(n=100, n_test=2, M=2, max_evals=3, repetitions=2, seed=6,
+                              methods=("poe", "grbcm"), out_dir=str(tmp_path / "out"))
+    with pytest.raises(DataError) as info:
+        consistency_sweep(config, [100, 200])
+    assert str(info.value) == (
+        "n=200, repetition 1: no test point lies in the interior [0.0, 1.0] of the "
+        "training range, so the median interior variance is undefined")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_rejects_csv_data_and_invalid_sizes(tmp_path):

@@ -325,6 +325,21 @@ def test_sweep_with_M_fixed(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report["flags"]
 
 
+def test_sweep_with_no_interior_test_point_is_one_error_line(tmp_path, capsys):
+    # at seed 28 neither test point of n=100 lies in the training range; the
+    # sweep warned "Mean of empty slice", reported every flag false and exited 0
+    out = tmp_path / "out"
+    assert main(["sweep", "--subset-size", "50", "--max-evals", "3", "--methods", "poe,grbcm",
+                 "--n-list", "100,200", "--n-test", "2", "--seed", "28",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "gpcommittee-bench: error: n=100, repetition 0: no test point lies in the interior "
+        "[0.0, 1.0] of the training range, so the median interior variance is undefined"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["--csv", "table.csv", "--subset-size", "50"], "unrecognized arguments: --csv table.csv"),
     (["--experts", "60"], "M=60 exceeds n=50"),

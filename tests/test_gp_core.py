@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.linalg.blas import dtrmm
 
 from gpcommittee import DataError, Hyperparams, NumericalBreakdown, fit, nlml, predict
 from gpcommittee import gp
-from gpcommittee.gp import (_triangular_inverse, blas_threads, chol_with_jitter, extend,
+from gpcommittee.gp import (_triangular_inverse, blas_threads, chol_with_jitter, extend, fan_out,
                             predict_extended, retain_freed_memory, triangular_product)
 from gpcommittee.kernel import kernel_matrix
 
@@ -431,9 +432,50 @@ def test_fan_out_pins_blas_to_one_thread_while_its_tasks_run():
     probe = _run_probe(_FAN_OUT_PROBE)
     if not probe["controls"]:
         pytest.skip("no scipy-openblas build with thread functions is loaded")
-    # two slots on two threads, then one slot on the calling thread
+    # two slots, the calling thread and one new thread, then one slot on the
+    # calling thread alone
     assert probe["seen"] == [[1] * probe["controls"]] * 3
     assert probe["after"] == [2] * probe["controls"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_fan_out_runs_slot_0_on_the_calling_thread(monkeypatch, count, workers):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    ran_on = [None] * count
+
+    def task(k):
+        ran_on[k] = threading.current_thread()
+
+    fan_out(task, count, workers)
+    slots = min(workers, count)
+    assert len(started) == max(0, slots - 1)
+    assert not any(thread.is_alive() for thread in started)
+    # slot s runs k = s, s + slots, ...; slot 0 is the caller and slot s > 0
+    # the s-th thread started
+    for k, thread in enumerate(ran_on):
+        slot = k % slots
+        assert thread is (threading.current_thread() if slot == 0 else started[slot - 1])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_fan_out_runs_every_slot_under_the_callers_errstate(workers):
+    # task 1 runs on a new thread whenever there are two slots or more; a new
+    # thread starts with numpy's default error state, which only warns
+    def task(k):
+        if k == 1:
+            np.log(-1)
+
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            fan_out(task, 5, workers)
 
 
 def test_blas_threads_without_openblas_changes_nothing(monkeypatch):
