@@ -191,16 +191,18 @@ def _npae_block_count(n_test: int, n_train: int, M: int) -> int:
     return max(1, min(-(-n_test // fits), n_test // 2))
 
 
-def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs,
-                offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """NPAE's means and variances at one block of test points; ``offset``
-    is the index in the whole test set of the block's first point.
+def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, rows: np.ndarray,
+                pairs) -> tuple[np.ndarray, np.ndarray]:
+    """NPAE's means and variances at the test points ``Xstar[rows]``, one
+    block of the whole test set ``Xstar``; a breakdown names its point by
+    its index in ``Xstar``.
     """
     hp = ensemble.hp
     experts = ensemble.experts
     workers = ensemble.workers
     M = len(experts)
-    n_test = Xstar.shape[0]
+    Xstar = Xstar[rows]
+    n_test = rows.size
     rhs = np.empty((n_test, M, 2))    # [cov[mu_i, y*], mu_i] per test point
     K_agg = np.empty((n_test, M, M))  # cov[mu_i, mu_j] per test point
     U = [None] * M                    # C_i^-1 K_i* = L_i^-T V_i
@@ -236,9 +238,9 @@ def _npae_block(ensemble: ExpertEnsemble, Xstar: np.ndarray, pairs,
             try:
                 L[t] = chol_with_jitter(K_agg[t])[0]
             except NumericalBreakdown as exc:
-                raise NumericalBreakdown(f"test point {offset + t}: {exc}",
+                raise NumericalBreakdown(f"test point {rows[t]}: {exc}",
                                          jitters_tried=exc.jitters_tried,
-                                         test_index=offset + t) from exc
+                                         test_index=int(rows[t])) from exc
     z = np.linalg.solve(L, rhs)
     z_k, z_mu = z[:, :, 0], z[:, :, 1]
     return (np.einsum("tm,tm->t", z_k, z_mu),
@@ -292,9 +294,7 @@ def npae(ensemble: ExpertEnsemble, Xstar: np.ndarray) -> AggregatedPrediction:
     blocks = np.array_split(np.arange(n_test),
                             _npae_block_count(n_test, sum(model.n for model in experts), M))
     pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    # an empty test set is one empty block
-    means, variances = zip(*[_npae_block(ensemble, Xstar[rows], pairs,
-                                         int(rows[0]) if rows.size else 0) for rows in blocks])
+    means, variances = zip(*[_npae_block(ensemble, Xstar, rows, pairs) for rows in blocks])
     return AggregatedPrediction(np.concatenate(means), np.concatenate(variances))
 
 

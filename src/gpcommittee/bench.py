@@ -336,24 +336,29 @@ def consistency_sweep(base_config: ExperimentConfig, n_list: list[int]) -> dict:
     Per n and method (config order), the report lists each repetition's
     SMSE, MSLL, degeneracy count and median interior predictive variance,
     plus two flags per method that compare that variance with the true
-    noise variance. :func:`check_sweep_config` runs before the first run.
-    A repetition with no test point inside ``TOY_TRAIN_RANGE`` has no
-    median interior variance, and raises :class:`DataError` naming its n
-    and repetition.
+    noise variance. :func:`check_sweep_config` runs before the first run,
+    and so does the interior check: each repetition's toy data is drawn at
+    every n, and one with no test point inside ``TOY_TRAIN_RANGE``, which
+    has no median interior variance, raises :class:`DataError` naming its n
+    and repetition before anything is trained.
     When ``base_config.out_dir`` is set, the report is written there as
     sweep.json; the per-n runs write nothing.
     """
     check_sweep_config(base_config, n_list)
     labels = [_label(base_config, method) for method in base_config.methods]
 
-    per_n: dict[int, dict] = {}
+    # the interior depends only on the toy data: check every run's before any trains
     for n in n_list:
-        res = run_experiment(replace(base_config, n=n, out_dir=None))
-        for rep, art in enumerate(res.artifacts):
-            if not art.interior_mask.any():
+        config = replace(base_config, n=n)
+        for rep in range(config.repetitions):
+            if not _interior_mask(config, _build_dataset(config, config.seed + rep)).any():
                 raise DataError(f"n={n}, repetition {rep}: no test point lies in the interior "
                                 f"{list(TOY_TRAIN_RANGE)} of the training range, so the median "
                                 "interior variance is undefined")
+
+    per_n: dict[int, dict] = {}
+    for n in n_list:
+        res = run_experiment(replace(base_config, n=n, out_dir=None))
         summary: dict[str, dict] = {}
         for label in labels:
             # run_experiment appends records repetition by repetition

@@ -56,10 +56,6 @@ class Dataset:
     def n_test(self) -> int:
         return self.X_test.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.X_train.shape[1]
-
 
 def _normalize_dataset(X_train, y_train, X_test, y_test, f_test=None) -> Dataset:
     X_train = np.asarray(X_train, dtype=float)

@@ -28,7 +28,6 @@ import signal
 import sys
 import time
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -136,10 +135,11 @@ class ExpertBlocks:
             proc.close()
 
     def _slot_terms(self, slot: int, hp: Hyperparams) -> tuple[np.ndarray, tuple | None]:
-        """One row ``[value, *grad]`` per expert of ``slot``, in order, up to
-        the first that raises, and ``(expert, exception)`` for that one.
+        """One row ``[value, *grad]`` per expert of ``slot``, in order, and
+        ``(expert, exception)`` for the first expert that raises.
 
-        One array pickles in a fraction of the time of a list of pairs.
+        The rows from that expert on are left as they are; no caller reads
+        them. One array pickles in a fraction of the time of a list of pairs.
         """
         experts = range(slot, len(self.blocks), self.slots)
         rows = np.empty((len(experts), 1 + hp.n_params))
@@ -147,7 +147,7 @@ class ExpertBlocks:
             try:
                 rows[r, 0], rows[r, 1:] = _for_expert(k, gp.nlml, *self.blocks[k], hp)
             except Exception as exc:
-                return rows[:r], (k, exc)
+                return rows, (k, exc)
         return rows, None
 
     def _serve(self, slot: int, conn, parent_end) -> None:
@@ -177,14 +177,17 @@ class ExpertBlocks:
         proc.join(_JOIN_SECONDS)
         return RuntimeError(f"training worker {slot} stopped (exit code {proc.exitcode})")
 
-    def terms(self, hp: Hyperparams) -> list[np.ndarray]:
-        """Every expert's row ``[value, *grad]`` of :func:`gp.nlml` at ``hp``,
-        in expert order.
+    def terms(self, hp: Hyperparams) -> np.ndarray:
+        """Every expert's row ``[value, *grad]`` of :func:`gp.nlml` at ``hp``:
+        one ``(M, 1 + n_params)`` array in expert order, slot ``s``'s reply
+        written to ``rows[s::slots]``.
 
         If any expert raises, the exception of the smallest failing expert
         index is raised once every slot has replied: the one a serial loop
-        would have met first. A worker that has died raises
-        :class:`RuntimeError`.
+        would have met first. Only a worker holds the far end of its pipe:
+        the calling process closes it after the fork, and each later worker
+        closes the ends it inherits. So a worker that has died leaves its
+        pipe at end-of-file, and :class:`RuntimeError` is raised.
         """
         message = (hp.to_vector(), np.geterr())
         for slot, (_, conn) in enumerate(self._workers, start=1):
@@ -193,10 +196,7 @@ class ExpertBlocks:
             except BrokenPipeError:
                 raise self._stopped(slot) from None
         replies = [self._slot_terms(0, hp)]
-        for slot, (proc, conn) in enumerate(self._workers, start=1):
-            # a worker that dies closes its pipe, and its sentinel turns ready
-            if conn not in wait([conn, proc.sentinel]):
-                raise self._stopped(slot)
+        for slot, (_, conn) in enumerate(self._workers, start=1):
             try:
                 replies.append(conn.recv())
             except EOFError:
@@ -204,22 +204,22 @@ class ExpertBlocks:
         failures = [failure for _, failure in replies if failure is not None]
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
-        return [replies[k % self.slots][0][k // self.slots] for k in range(len(self.blocks))]
+        rows = np.empty((len(self.blocks), 1 + hp.n_params))
+        for slot, (reply, _) in enumerate(replies):
+            rows[slot::self.slots] = reply
+        return rows
 
 
 def factorized_nlml(blocks: ExpertBlocks, hp: Hyperparams) -> tuple[float, np.ndarray]:
     """Sum of per-expert NLML values and gradients over the expert blocks.
 
-    Identical to the single-GP objective when M = 1. The terms are added in
-    expert order, so every worker count gives the same bits. A factorization
-    failure is re-raised naming the offending expert index.
+    Identical to the single-GP objective when M = 1. ``np.sum`` over the
+    rows of :meth:`ExpertBlocks.terms` adds them one after another from 0,
+    in expert order, so every worker count gives the same bits. A
+    factorization failure is re-raised naming the offending expert index.
     """
-    value = 0.0
-    grad = np.zeros(hp.n_params)
-    for row in blocks.terms(hp):
-        value += row[0]
-        grad += row[1:]
-    return value, grad
+    total = np.sum(blocks.terms(hp), axis=0, initial=0.0)
+    return total[0], total[1:]
 
 
 def _fit_experts(blocks: ExpertBlocks, hp: Hyperparams) -> list[gp.GPModel]:

@@ -303,29 +303,22 @@ _dtrmm = _cython_blas("dtrmm", _FLAG, _FLAG, _FLAG, _FLAG, _INT, _INT,
 _ONE = ctypes.c_double(1.0)
 
 
-def _operand(a, order: str) -> np.ndarray:
-    """``a`` itself if it is a writable float64 array laid out in ``order``
-    (``"C"`` or ``"F"``), else such a copy of it."""
-    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
-            and a.flags["C_CONTIGUOUS" if order == "C" else "F_CONTIGUOUS"]):
-        return a
-    return np.array(a, dtype=np.float64, order=order)
-
-
 def triangular_product(W: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
     """``W @ B``, or ``W' @ B``, for a lower-triangular ``W``, overwriting ``B``.
 
-    ``W`` is a stored factor inverse (Fortran-ordered, as
-    :func:`_triangular_inverse` leaves it) and ``B`` a C-ordered block that
-    the caller owns; BLAS ``trmm`` reads only ``W``'s lower triangle. The
+    ``W`` is a stored factor inverse, a writable Fortran-ordered float64
+    array as :func:`_triangular_inverse` leaves it, and ``B`` a writable
+    C-ordered float64 block that the caller owns; anything else raises
+    ``ValueError``. BLAS ``trmm`` reads only ``W``'s lower triangle. The
     product is taken as its transpose ``B' W'`` (or ``B' W``), whose
     right-hand side ``B'`` is a Fortran-ordered view, so ``B`` is overwritten
-    in place and returned with nothing copied. An operand of another layout
-    or type is copied first, and then the copy of ``B`` is returned. The call
-    releases the interpreter lock (see the module docstring).
+    in place and returned with nothing copied. The call releases the
+    interpreter lock (see the module docstring).
     """
-    W = _operand(W, "F")
-    B = _operand(B, "C")
+    for name, a, layout in (("factor", W, "F_CONTIGUOUS"), ("block", B, "C_CONTIGUOUS")):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
+                and a.flags[layout]):
+            raise ValueError(f"the {name} must be a writable {layout[0]}-ordered float64 array")
     n, k = B.shape
     if W.shape != (n, n):
         raise ValueError(f"a {W.shape} factor cannot multiply {n} rows")
@@ -514,11 +507,6 @@ class BlockExtension:
     cross: np.ndarray
     schur_inv: np.ndarray
     jitter_used: float
-
-    @property
-    def n(self) -> int:
-        """Training rows of the joint model: the base rows plus ``X``'s."""
-        return self.cross.shape[1] + self.X.shape[0]
 
 
 def extend(base: GPModel, X: np.ndarray, y: np.ndarray) -> BlockExtension:

@@ -92,12 +92,18 @@ def minimize(objective: Objective, start: Hyperparams, max_evals: int) -> Optimi
     The returned value never exceeds the objective at the start; the trace
     holds the accepted (non-increasing) iterate values. Raises
     :class:`InvalidStart` if the objective is non-finite at the start.
+
+    The start is evaluated once, here. L-BFGS-B reads it back from the
+    evaluator's cache, so it stops there by its own ``gtol`` test when the
+    largest gradient entry is already below ``GRAD_TOLERANCE``; with the
+    budget spent, its first new point raises ``_BudgetExhausted``, which
+    ends the run.
     """
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     ev = _Evaluator(objective, max_evals)
     x0 = start.to_vector()
-    f0, g0 = ev(x0)
+    f0, _ = ev(x0)
     if not np.isfinite(f0):
         raise InvalidStart("objective is non-finite at the initial hyperparameters")
     trace = [f0]
@@ -108,12 +114,11 @@ def minimize(objective: Objective, start: Hyperparams, max_evals: int) -> Optimi
         if cached is not None:
             trace.append(cached[0])
 
-    if np.linalg.norm(g0, np.inf) >= GRAD_TOLERANCE and ev.evals < ev.max_evals:
-        try:
-            _scipy_minimize(ev, x0, jac=True, method="L-BFGS-B", callback=callback,
-                            options={"maxfun": ev.max_evals, "gtol": GRAD_TOLERANCE,
-                                     "ftol": 0.0})
-        except _BudgetExhausted:
-            pass
+    try:
+        _scipy_minimize(ev, x0, jac=True, method="L-BFGS-B", callback=callback,
+                        options={"maxfun": ev.max_evals, "gtol": GRAD_TOLERANCE,
+                                 "ftol": 0.0})
+    except _BudgetExhausted:
+        pass
     best_x = ev.best_x if ev.best_x is not None else x0
     return OptimizeResult(Hyperparams.from_vector(best_x), ev.best_value, ev.evals, trace)

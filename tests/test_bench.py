@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from gpcommittee import (AggregatedPrediction, DataError, ExperimentConfig, PartitionKind,
-                         RunRecord, aggregate, consistency_sweep, grbcm_partition, run_experiment,
-                         toy_generate, train)
+                         RunRecord, aggregate, bench, consistency_sweep, grbcm_partition,
+                         run_experiment, toy_generate, train)
 from gpcommittee.bench import (_RULES, METHOD_CHOICES, SCHEMA_VERSION, _predict_method,
                                write_results_csv)
 
@@ -238,6 +238,19 @@ def test_sweep_repetition_with_no_interior_test_point_is_a_data_error(tmp_path):
         "n=200, repetition 1: no test point lies in the interior [0.0, 1.0] of the "
         "training range, so the median interior variance is undefined")
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_checks_the_interior_before_it_trains(monkeypatch):
+    # the interior depends only on the toy data, so the error of the test
+    # above comes before any committee is trained, at n=100 as at n=200
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the interior check")
+
+    monkeypatch.setattr(bench, "train", no_training)
+    config = ExperimentConfig(n=100, n_test=2, M=2, max_evals=3, repetitions=2, seed=6,
+                              methods=("poe", "grbcm"))
+    with pytest.raises(DataError, match="n=200, repetition 1: no test point lies"):
+        consistency_sweep(config, [100, 200])
 
 
 def test_sweep_rejects_csv_data_and_invalid_sizes(tmp_path):

@@ -72,14 +72,14 @@ def test_csv_four_rows_even_split(tmp_path):
 def test_csv_header_autodetect(tmp_path):
     path = _write(tmp_path, "a,b,target\n1,2,3\n4,5,6\n7,8,9\n2,1,0\n")
     ds = load_csv(path, target_column="target", test_fraction=0.25, seed=0)
-    assert ds.input_dim == 2
+    assert ds.X_train.shape[1] == 2
     assert ds.n_train + ds.n_test == 4
 
 
 def test_csv_header_after_blank_line(tmp_path):
     path = _write(tmp_path, "\nx,y\n1,2\n3,4\n5,6\n7,8\n")
     ds = load_csv(path, target_column="y", test_fraction=0.5, seed=0)
-    assert ds.input_dim == 1
+    assert ds.X_train.shape[1] == 1
     assert ds.n_train + ds.n_test == 4
 
 

@@ -7,7 +7,7 @@ from gpcommittee import (DataError, ExpertBlocks, Hyperparams, InvalidPartition,
                          MissingCommunicationSubset, NumericalBreakdown,
                          experts_predict, factorized_nlml, fit, grbcm_partition, minimize,
                          nlml, predict, prepare_grbcm, random_partition, toy_generate, train)
-from gpcommittee.gp import BlockExtension
+from gpcommittee.gp import BlockExtension, blas_threads
 from gpcommittee.partition import Partition, PartitionKind, disjoint_partition
 
 
@@ -83,7 +83,9 @@ def test_train_single_expert_equals_exact_training():
     y = np.sin(4 * X[:, 0]) + 0.3 * rng.normal(size=80)
     part = random_partition(80, 1, seed=0)
     committee = train(X, y, part, 40)
-    direct = minimize(lambda hp: nlml(X, y, hp), Hyperparams.default(1), 40)
+    # train pins BLAS to one thread, whatever the environment sets
+    with blas_threads(1):
+        direct = minimize(lambda hp: nlml(X, y, hp), Hyperparams.default(1), 40)
     assert committee.opt_trace == tuple(direct.trace)
     np.testing.assert_array_equal(committee.hp.to_vector(), direct.best_hp.to_vector())
 
@@ -299,14 +301,14 @@ def test_prepare_grbcm_two_subsets_uses_all_data():
     ds, committee = _small_committee(M=2)
     extensions = prepare_grbcm(committee)
     assert len(extensions) == 1
-    assert extensions[0].n == ds.n_train
+    assert extensions[0].cross.shape[1] + extensions[0].X.shape[0] == ds.n_train
 
 
 def test_prepare_grbcm_sizes():
     ds, committee = _small_committee(n=120, M=3)
     comm_size = committee.partition.subsets[0].size
     for aug, idx in zip(prepare_grbcm(committee), committee.partition.subsets[1:]):
-        assert aug.n == comm_size + idx.size
+        assert aug.cross.shape[1] + aug.X.shape[0] == comm_size + idx.size
 
 
 def test_prepare_grbcm_requires_communication_subset():

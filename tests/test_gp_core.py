@@ -370,11 +370,35 @@ def test_triangular_product_equals_scipy_dtrmm(rows, cols, transpose):
     # predict's column sums of squares, formed without the squares: the same
     # bits as adding the squares row by row
     np.testing.assert_array_equal(np.einsum("ij,ij->j", got, got), np.sum(got * got, axis=0))
-    # operands of another layout or type are copied, with the same result
-    np.testing.assert_array_equal(
-        triangular_product(np.ascontiguousarray(W), np.asfortranarray(B), transpose), want)
     with pytest.raises(ValueError, match="cannot multiply"):
         triangular_product(W, np.ones((rows + 1, cols)))
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("operand, make", [
+    ("factor", np.ascontiguousarray),
+    ("block", np.asfortranarray),
+    ("block", _read_only),
+    ("block", lambda a: a.astype(np.float32)),
+])
+def test_triangular_product_rejects_operands_it_would_have_to_copy(operand, make):
+    # only a writable Fortran-ordered float64 factor and a writable C-ordered
+    # float64 block reach BLAS; nothing is copied to make them so
+    rng = np.random.default_rng(0)
+    W = np.asfortranarray(np.tril(rng.normal(size=(4, 4))))
+    B = rng.normal(size=(4, 3))
+    if operand == "factor":
+        W = make(W)
+    else:
+        B = make(B)
+    before = B.copy()
+    with pytest.raises(ValueError, match=f"the {operand} must be"):
+        triangular_product(W, B)
+    np.testing.assert_array_equal(B, before)
 
 
 _BLAS_THREADS_PROBE = """
@@ -510,7 +534,7 @@ def test_block_extension_equals_dense_gp_with_block_jitter(base_kind, ext_kind):
     ext = extend(base, Xe, y[nb:])
     assert (base.jitter_used > 0.0) == (base_kind == "dup")
     assert (ext.jitter_used > 0.0) == (ext_kind == "dup")
-    assert ext.n == X.shape[0]
+    assert ext.cross.shape[1] + ext.X.shape[0] == X.shape[0]
     Xstar = np.linspace(-1.0, max(11.0, X.max() + 1.0), 60)[:, None]
     means, variances = predict_extended(base, [ext], Xstar)
     base_means, base_vars = predict(base, Xstar)

@@ -77,8 +77,10 @@ def serial_sum(problem):
             grad += g
         return value, grad
 
-    result = minimize(objective, START, 30)
-    experts = [gp.fit(X[idx], y[idx], result.best_hp) for idx in part.subsets]
+    # train pins BLAS to one thread, whatever the environment sets
+    with gp.blas_threads(1):
+        result = minimize(objective, START, 30)
+        experts = [gp.fit(X[idx], y[idx], result.best_hp) for idx in part.subsets]
     return SimpleNamespace(hp=result.best_hp, opt_evals=result.evals_used,
                            opt_trace=tuple(result.trace), experts=experts)
 
@@ -92,6 +94,20 @@ def test_every_worker_count_gives_the_bits_of_the_serial_sum(monkeypatch, M, wor
     assert set(slots) == {min(workers, M)}
     assert committee.workers == workers
     assert_same_bits(committee, serial_sum(problem))
+    assert no_children_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_terms_are_one_array_with_each_experts_nlml_as_its_row(workers):
+    X, y, part = uneven_problem([12 + 5 * k for k in range(7)])
+    hp = Hyperparams(0.3, np.array([-0.4]), -1.2)
+    with gp.blas_threads(1):
+        with ExpertBlocks(X, y, part, workers) as blocks:
+            rows = blocks.terms(hp)
+        assert isinstance(rows, np.ndarray) and rows.shape == (7, 1 + hp.n_params)
+        for k, idx in enumerate(part.subsets):
+            value, grad = gp.nlml(X[idx], y[idx], hp)
+            np.testing.assert_array_equal(rows[k], np.concatenate([[value], grad]))
     assert no_children_left()
 
 
