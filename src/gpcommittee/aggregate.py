@@ -7,7 +7,11 @@ PoE and GPoE take no base density ``b``; BCM and RBCM take the prior, so
 far-from-data predictions recover it. GRBCM fuses one committee of M
 densities, stacked like every other rule's: row 0 is the communication
 expert, the base of its fusion, and rows 1 onward are the augmented experts
-that :func:`prepare_grbcm` returns. The rules differ only in their weights
+that :func:`prepare_grbcm` returns unbuilt. Each augmented expert is built,
+predicted and dropped inside its own prediction task, so GRBCM's memory is
+O(workers m0^2) rather than O(M m0^2); the price is that the augmented
+experts are built again on every prediction call, where a stored list
+would be built once. The rules differ only in their weights
 and in their precision floor, a multiple of the prior precision
 ``1 / prior_var``; every rule but PoE takes ``prior_var``
 (:attr:`Hyperparams.prior_variance`) as a float.
@@ -34,11 +38,13 @@ Only if a block cannot be factored does each of its points get the
 escalating-jitter ladder of :func:`gp.chol_with_jitter`, and the solve
 stays the batched one.
 The other rules read their expert rows from :func:`experts_predict`, which
-deals the experts to the same slots.
+deals the experts to the same slots, and so are GRBCM's augmented experts,
+each factored in the slot that predicts it with the lock released.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,15 +323,22 @@ def grbcm_fuse(means, variances, prior_var: float) -> AggregatedPrediction:
     return AggregatedPrediction(mean, var, betas=betas, degeneracy_count=floored)
 
 
-def grbcm(ensemble: ExpertEnsemble, extensions: list[BlockExtension],
+def grbcm(ensemble: ExpertEnsemble, extensions: list[Callable[[], BlockExtension]],
           Xstar: np.ndarray) -> AggregatedPrediction:
     """Committee correction against a communication expert.
 
-    One pass of :func:`experts_predict` over ``extensions``, the augmented
-    experts of :func:`prepare_grbcm`, gives the communication expert (row 0)
-    and the augmented experts; see :func:`grbcm_fuse` for their weights. The
-    correction term divides out the communication density rather than the
-    prior.
+    One pass of :func:`experts_predict` over ``extensions``, the unbuilt
+    augmented experts of :func:`prepare_grbcm`, gives the communication
+    expert (row 0) and the augmented experts; see :func:`grbcm_fuse` for
+    their weights. The correction term divides out the communication density
+    rather than the prior.
+
+    Each augmented expert is built inside the prediction task that predicts
+    its row and is dropped with it (:func:`gp.predict_extended`), so at most
+    ``ensemble.workers`` of them are alive at once: memory is
+    O(workers m0^2) for subsets of m0 rows, whatever M is. The trade is
+    that every call builds the augmented experts again, as the benchmark's
+    GRBCM rule always did by preparing them inside its timed prediction.
     """
     means, variances = experts_predict(ensemble, Xstar, extensions)
     return grbcm_fuse(means, variances, ensemble.hp.prior_variance)

@@ -82,6 +82,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reps", dest="repetitions", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--max-evals", type=int)
+    p.add_argument("--workers", type=int,
+                   help="parallel slots: training processes and prediction threads")
     p.add_argument("--out", dest="out_dir", help="output directory")
 
 

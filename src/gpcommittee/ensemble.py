@@ -6,27 +6,31 @@ processes (:class:`ExpertBlocks`): on Linux the calling process forks one
 worker per extra slot for each :func:`train` call, sends every worker the
 hyperparameters of each evaluation and adds all M terms in expert order,
 so every worker count gives the same bits. Processes, not threads, because
-neither the f2py LAPACK wrappers (which hold the interpreter lock) nor
-``cdist`` and ``exp`` on expert-sized blocks scale across threads. The
-final fits and GRBCM's augmented experts are loops over the experts in
-subset-index order on the calling thread. Prediction deals the experts to
-the same number of slots (:func:`gp.fan_out`), the calling thread as slot 0
-as in training and one new thread per extra slot; every call in it releases
-the lock, and every slot count gives the same bits. Every per-expert
-loop runs with BLAS on one thread (:func:`gp.blas_threads`): :func:`train`
-pins it before it forks, :func:`prepare_grbcm` for its extensions and
-:func:`gp.fan_out` for the prediction loops. GRBCM's augmented experts, the
-list :func:`prepare_grbcm` returns for :func:`experts_predict`, are block
-extensions of the communication expert (:func:`gp.extend`), so its factor
-is never recomputed.
+neither the f2py LAPACK wrappers of the objective (which hold the
+interpreter lock) nor ``cdist`` and ``exp`` on expert-sized blocks scale
+across threads. The final fits are a loop over the experts in subset-index
+order on the calling thread. Prediction deals the experts to the same
+number of slots (:func:`gp.fan_out`), the calling thread as slot 0 as in
+training and one new thread per extra slot; every call in it releases the
+lock, and every slot count gives the same bits. Every per-expert loop runs
+with BLAS on one thread (:func:`gp.blas_threads`): :func:`train` pins it
+before it forks, and :func:`gp.fan_out` for the prediction loops. GRBCM's
+augmented experts, the builders :func:`prepare_grbcm` returns for
+:func:`experts_predict`, are block extensions of the communication expert
+(:func:`gp.extend`), so its factor is never recomputed. Each one is built
+inside its own prediction task, predicted and dropped, so GRBCM holds at
+most one augmented expert per slot: its memory is O(workers m0^2), not
+O(M m0^2), and the augmented experts are built again on every prediction.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import signal
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,8 +266,9 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition, max_evals: int,
                           opt_trace=tuple(result.trace), workers=workers)
 
 
-def prepare_grbcm(ensemble: ExpertEnsemble) -> list[gp.BlockExtension]:
-    """The M-1 augmented experts on (communication subset + subset i), in order.
+def prepare_grbcm(ensemble: ExpertEnsemble) -> list[Callable[[], gp.BlockExtension]]:
+    """The M-1 augmented experts on (communication subset + subset i), in
+    order and unbuilt: one zero-argument builder each.
 
     The communication expert is expert 0 of a random or hybrid partition
     (:attr:`Partition.communication_index`); a disjoint partition has none.
@@ -274,28 +279,31 @@ def prepare_grbcm(ensemble: ExpertEnsemble) -> list[gp.BlockExtension]:
     0's jitter, and the jitter ladder runs on the Schur complement
     ``C_ii - B_i B_i'`` only; a breakdown there names expert i. With M = 1
     the list is empty, and GRBCM is the one expert.
-    As in :func:`train`'s final fits, BLAS runs on one thread meanwhile.
-    The ensemble is left untouched.
+    Nothing is built here: :func:`experts_predict` builds each augmented
+    expert in its own prediction task, predicts its row and drops it
+    (:func:`gp.predict_extended`), so only one per slot is ever alive. The
+    ensemble is left untouched.
     """
     if ensemble.partition.communication_index is None:
         raise MissingCommunicationSubset("a disjoint partition has no communication subset")
     comm, *others = ensemble.experts
-    with gp.blas_threads(1):
-        return [_for_expert(i, gp.extend, comm, model.X, model.y)
-                for i, model in enumerate(others, start=1)]
+    return [functools.partial(_for_expert, i, gp.extend, comm, model.X, model.y)
+            for i, model in enumerate(others, start=1)]
 
 
 def experts_predict(ensemble: ExpertEnsemble, Xstar: np.ndarray,
-                    extensions: list[gp.BlockExtension] | None = None
+                    extensions: list[Callable[[], gp.BlockExtension]] | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-expert predictive means and variances, stacked one row per expert.
 
-    Given ``extensions``, the augmented experts of :func:`prepare_grbcm`
-    (even an empty list), the rows are the GRBCM committee instead: row 0 is
-    expert 0, the communication expert, exactly as :func:`gp.predict` gives
-    it, and row ``i + 1`` the i-th extension. Expert 0's terms ``L_c^-1 K_c*``
-    and ``L_c^-1 y_c`` are formed once and each extension adds its own block
-    (see :func:`gp.predict_extended`). Either way the rows are dealt to
+    Given ``extensions``, the unbuilt augmented experts of
+    :func:`prepare_grbcm` (even an empty list), the rows are the GRBCM
+    committee instead: row 0 is expert 0, the communication expert, exactly
+    as :func:`gp.predict` gives it, and row ``i + 1`` the i-th augmented
+    expert. Expert 0's terms ``L_c^-1 K_c*`` and ``L_c^-1 y_c`` are formed
+    once; each augmented expert is built in its own task, adds its own block
+    and is dropped (see :func:`gp.predict_extended`), so the augmented
+    experts are built again on every call. Either way the rows are dealt to
     ``ensemble.workers`` slots, and every slot count gives the same bits. A
     non-finite test input raises :class:`DataError`
     (:func:`gp.as_test_inputs`).

@@ -14,14 +14,19 @@ which does half the flops of a full ``gemm``.
 Per-expert prediction loops run on the committee's ``workers`` slots
 (:func:`fan_out`): the calling thread and up to ``workers - 1`` new
 threads, so every call inside them must release the interpreter lock.
-numpy's products, ``cdist`` and ``exp`` do. scipy's f2py wrapper of
-``dtrmm`` does not, so :func:`triangular_product` calls the same BLAS
-routine through the function pointer that ``scipy.linalg.cython_blas``
-exports, as a ``ctypes`` foreign function, and ctypes releases the lock for
-the call. Training's :func:`nlml` terms run on the same number of slots as
-forked processes instead (``ensemble.ExpertBlocks``): its LAPACK wrappers
-hold the lock, and its ``cdist`` and ``exp`` on expert-sized blocks do not
-scale across threads. Threads and processes alike assume BLAS runs on one
+numpy's products, ``cdist`` and ``exp`` do. scipy's f2py wrappers of BLAS
+and LAPACK do not, so every routine a task calls, BLAS ``trmm``
+(:func:`triangular_product`) and ``trsm`` and LAPACK ``potrf``
+(:func:`potrf`) and ``trtri`` (:func:`trtri`), goes through the function
+pointer that ``scipy.linalg.cython_blas`` or ``cython_lapack`` exports, as
+a ``ctypes`` foreign function; ctypes releases the lock for the call, and
+the bits are the f2py wrappers'. GRBCM's augmented experts are built by
+:func:`extend` inside those tasks (:func:`predict_extended`), so their
+factorizations run in parallel too. Training's :func:`nlml` terms run on
+the same number of slots as forked processes instead
+(``ensemble.ExpertBlocks``): its ``cho_solve`` and ``lauum`` still hold the
+lock, and its ``cdist`` and ``exp`` on expert-sized blocks do not scale
+across threads. Threads and processes alike assume BLAS runs on one
 thread; :func:`blas_threads` pins it there for every per-expert term, in
 training and in prediction, whatever BLAS setting the caller chose.
 
@@ -67,13 +72,13 @@ import ctypes
 import functools
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.linalg import cho_solve, cython_blas
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
+from scipy.linalg import cho_solve, cython_blas, cython_lapack
+from scipy.linalg.lapack import dlauum
 
 from .errors import DataError, NumericalBreakdown
 from .kernel import Hyperparams, as_rows, kernel_matrix, kernel_matrix_grads
@@ -221,12 +226,99 @@ def fan_out(task, count: int, workers: int) -> None:
         raise min(raised, key=lambda failure: failure[0])[1]
 
 
+def _cython_function(module, name: str, *argtypes):
+    """scipy's BLAS or LAPACK routine ``name`` as a ctypes foreign function.
+
+    ``scipy.linalg.cython_blas`` and ``scipy.linalg.cython_lapack`` export
+    each routine's address in a capsule named by its C signature; ctypes
+    releases the interpreter lock for every call of a ``CFUNCTYPE`` function.
+    """
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = module.__pyx_capi__[name]
+    address = capsule_pointer(capsule, capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+# a flag, a scalar passed by reference, and an array by its first element's address
+_FLAG = ctypes.c_char_p
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_ARRAY = ctypes.c_void_p
+_dtrmm = _cython_function(cython_blas, "dtrmm", _FLAG, _FLAG, _FLAG, _FLAG, _INT, _INT,
+                          _DOUBLE, _ARRAY, _INT, _ARRAY, _INT)
+_dtrsm = _cython_function(cython_blas, "dtrsm", _FLAG, _FLAG, _FLAG, _FLAG, _INT, _INT,
+                          _DOUBLE, _ARRAY, _INT, _ARRAY, _INT)
+_dpotrf = _cython_function(cython_lapack, "dpotrf", _FLAG, _INT, _ARRAY, _INT, _INT)
+_dtrtri = _cython_function(cython_lapack, "dtrtri", _FLAG, _FLAG, _INT, _ARRAY, _INT, _INT)
+_dlaset = _cython_function(cython_lapack, "dlaset", _FLAG, _INT, _INT, _DOUBLE, _DOUBLE,
+                           _ARRAY, _INT)
+_ONE = ctypes.c_double(1.0)
+_MINUS_ONE = ctypes.c_double(-1.0)
+_ZERO = ctypes.c_double(0.0)
+
+
+def _leading_dimension(name: str, a: np.ndarray) -> int:
+    """The leading dimension of ``a``, a writable float64 matrix stored by
+    columns: a Fortran-ordered array, or a block of one. Anything else raises
+    ``ValueError`` naming the operand."""
+    if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64
+            and a.flags.writeable and a.flags.aligned and a.strides[0] == a.itemsize
+            and a.strides[1] >= a.itemsize * max(1, a.shape[0])):
+        raise ValueError(f"the {name} must be a writable F-ordered float64 array")
+    return a.strides[1] // a.itemsize
+
+
+def potrf(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(L, info)`` of LAPACK ``potrf`` on the lower triangle of a square ``A``.
+
+    ``L`` is a Fortran-ordered copy of ``A`` factored in place, with exact
+    zeros above the diagonal: the bits of scipy's
+    ``dpotrf(A, lower=1, clean=1)``, but the call releases the interpreter
+    lock. ``info > 0`` is the order of the leading minor that is not
+    positive definite.
+    """
+    L = np.array(A, dtype=np.float64, order="F")
+    n = L.shape[0]
+    if L.shape != (n, n):
+        raise ValueError(f"potrf factors a square matrix, got shape {L.shape}")
+    info = ctypes.c_int()
+    address = L.ctypes.data
+    _dpotrf(b"L", ctypes.c_int(n), address, ctypes.c_int(max(1, n)), info)
+    if n > 1:
+        # L's strictly upper triangle is the upper triangle, diagonal
+        # included, of the block that starts one column to the right
+        _dlaset(b"U", ctypes.c_int(n - 1), ctypes.c_int(n - 1), _ZERO, _ZERO,
+                address + L.strides[1], ctypes.c_int(n))
+    return L, info.value
+
+
+def trtri(L: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(L, info)`` of LAPACK ``trtri`` on the lower triangle of ``L``, in place.
+
+    ``L`` is square and stored by columns (:func:`_leading_dimension`), a
+    factor or one of its diagonal blocks, so nothing is copied; the entries
+    above the diagonal are not touched. The bits are those of scipy's
+    ``dtrtri(L, lower=1)``, but the call releases the interpreter lock.
+    ``info > 0`` names a zero diagonal entry.
+    """
+    ld = _leading_dimension("factor", L)
+    n = L.shape[0]
+    if L.shape != (n, n):
+        raise ValueError(f"trtri inverts a square factor, got shape {L.shape}")
+    info = ctypes.c_int()
+    _dtrtri(b"L", b"N", ctypes.c_int(n), L.ctypes.data, ctypes.c_int(ld), info)
+    return L, info.value
+
+
 def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``A + jitter*I``, escalating jitter on failure.
 
-    The factorization reads only the lower triangle of ``A``. Returns
-    (L, jitter_used), where ``L`` is Fortran-ordered with exact zeros above
-    the diagonal. Raises :class:`NumericalBreakdown` with the attempted
+    The factorization (:func:`potrf`) reads only the lower triangle of ``A``.
+    Returns (L, jitter_used), where ``L`` is Fortran-ordered with exact zeros
+    above the diagonal. Raises :class:`NumericalBreakdown` with the attempted
     ladder if the largest jitter still fails.
     """
     if not np.all(np.isfinite(A)):
@@ -245,7 +337,7 @@ def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
         else:
             A_jit = np.array(A, dtype=float)
             A_jit.flat[:: A.shape[0] + 1] += jitter
-        L, info = dpotrf(A_jit, lower=1, clean=1)
+        L, info = potrf(A_jit)
         if info == 0:
             return L, jitter
     raise NumericalBreakdown(
@@ -256,51 +348,43 @@ def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
 def _triangular_inverse(L: np.ndarray) -> np.ndarray:
     """``L^-1`` of a lower Cholesky factor, overwriting ``L`` and returning it.
 
-    ``L`` must have exact zeros above the diagonal, as :func:`chol_with_jitter`
-    leaves them; they are the zeros of the result. Blocks of at most 64 rows
-    go to LAPACK ``trtri``. A larger block ``[[L11, 0], [L21, L22]]`` is split
-    in half: ``L22`` is inverted first, then ``W21 = -(W22 L21) L11^-1`` is one
-    product and one ``trsm`` against ``L11`` (LAPACK's own block step, which
-    keeps ``trtri``'s residual bound), and ``L11`` is inverted last.
+    ``L`` is square and stored by columns, as :func:`chol_with_jitter` leaves
+    it (anything else raises ``ValueError`` before ``L`` is touched), and must
+    have exact zeros above the diagonal; they are the zeros of the result.
+    Blocks of at most 64 rows go to LAPACK ``trtri`` (:func:`trtri`). A larger
+    block ``[[L11, 0], [L21, L22]]`` is split in half: ``L22`` is inverted
+    first, then ``W21 = -(W22 L21) L11^-1`` is one product and one BLAS
+    ``trsm`` against ``L11`` (LAPACK's own block step, which keeps
+    ``trtri``'s residual bound), and ``L11`` is inverted last. No call holds
+    the interpreter lock.
     """
-    n = L.shape[0]
-    if n <= _INVERSE_BLOCK:
-        L[...], info = dtrtri(L, lower=1, overwrite_c=1)
-        if info != 0:
-            raise NumericalBreakdown(f"trtri failed to invert the Cholesky factor (info={info})")
-        return L
-    k = n // 2
-    _triangular_inverse(L[k:, k:])
-    product = L[k:, k:] @ L[k:, :k]
-    # the right-side solve X L11 = -W22 L21, written as its transpose
-    # L11' X' = -(W22 L21)', whose right-hand side is a Fortran-ordered view
-    L[k:, :k] = dtrsm(-1.0, L[:k, :k], product.T, lower=1, trans_a=1, overwrite_b=1).T
-    _triangular_inverse(L[:k, :k])
+    ld = _leading_dimension("factor", L)
+    if L.shape[0] != L.shape[1]:
+        raise ValueError(f"the factor must be square, got shape {L.shape}")
+    _invert_block(L, L.ctypes.data, ld)
     return L
 
 
-def _cython_blas(name: str, *argtypes):
-    """scipy's BLAS routine ``name`` as a ctypes foreign function.
-
-    ``scipy.linalg.cython_blas`` exports each routine's address in a capsule
-    named by its C signature; ctypes releases the interpreter lock for every
-    call of a ``CFUNCTYPE`` function.
-    """
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    capsule = cython_blas.__pyx_capi__[name]
-    address = capsule_pointer(capsule, capsule_name(capsule))
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
-
-
-_FLAG = ctypes.c_char_p
-_INT = ctypes.POINTER(ctypes.c_int)
-_dtrmm = _cython_blas("dtrmm", _FLAG, _FLAG, _FLAG, _FLAG, _INT, _INT,
-                      ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, _INT,
-                      ctypes.c_void_p, _INT)
-_ONE = ctypes.c_double(1.0)
+def _invert_block(block: np.ndarray, address: int, ld: int) -> None:
+    """The recursion of :func:`_triangular_inverse` on a diagonal ``block``
+    of the factor, a view whose first element is at ``address``; ``ld`` is
+    the factor's leading dimension, so no block is checked or copied."""
+    n = block.shape[0]
+    if n <= _INVERSE_BLOCK:
+        _, info = trtri(block)
+        if info != 0:
+            raise NumericalBreakdown(f"trtri failed to invert the Cholesky factor (info={info})")
+        return
+    k = n // 2
+    _invert_block(block[k:, k:], address + (k + k * ld) * block.itemsize, ld)
+    product = block[k:, k:] @ block[k:, :k]
+    # the right-side solve X L11 = -W22 L21, written as its transpose
+    # L11' X' = -(W22 L21)', whose right-hand side is the C-ordered product
+    # read by columns
+    _dtrsm(b"L", b"L", b"T", b"N", ctypes.c_int(k), ctypes.c_int(n - k), _MINUS_ONE,
+           address, ctypes.c_int(ld), product.ctypes.data, ctypes.c_int(k))
+    block[k:, :k] = product
+    _invert_block(block[:k, :k], address, ld)
 
 
 def triangular_product(W: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -323,10 +407,9 @@ def triangular_product(W: np.ndarray, B: np.ndarray, transpose: bool = False) ->
     if W.shape != (n, n):
         raise ValueError(f"a {W.shape} factor cannot multiply {n} rows")
     if B.size:
-        # from_buffer hands BLAS each array's own memory; W' is a C-ordered view
         _dtrmm(b"R", b"L", b"N" if transpose else b"T", b"N", ctypes.c_int(k),
-               ctypes.c_int(n), _ONE, ctypes.byref(ctypes.c_char.from_buffer(W.T)),
-               ctypes.c_int(n), ctypes.byref(ctypes.c_char.from_buffer(B)), ctypes.c_int(k))
+               ctypes.c_int(n), _ONE, W.ctypes.data, ctypes.c_int(n), B.ctypes.data,
+               ctypes.c_int(k))
     return B
 
 
@@ -526,21 +609,27 @@ def extend(base: GPModel, X: np.ndarray, y: np.ndarray) -> BlockExtension:
                           jitter_used=jitter)
 
 
-def predict_extended(base: GPModel, extensions: list[BlockExtension],
+def predict_extended(base: GPModel, extensions: list[Callable[[], BlockExtension]],
                      Xstar: np.ndarray, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Predictive means and noisy variances of ``base`` and of each of its extensions.
 
-    Row 0 is ``base`` itself, exactly what :func:`predict` returns; row
-    ``i + 1`` is ``extensions[i]``. The base terms ``V_b = L_b^-1 K_b*``
-    with ``|V_b|^2`` (:func:`_expert_terms`) and ``z_b = L_b^-1 y_b`` are
-    formed once, on the calling thread with BLAS on one thread as in
-    :func:`fan_out`. Extension i adds ``W_i = S_i^-1 (K_i* - cross_i V_b)``
-    and ``z_i = S_i^-1 (y_i - cross_i z_b)``: its mean is
-    ``V_b' z_b + W_i' z_i`` and its variance the prior minus
-    ``|V_b|^2 + |W_i|^2``, floored as in :func:`predict`. The extensions
-    are dealt to ``workers`` slots by :func:`fan_out`; every slot count
+    ``extensions`` holds one zero-argument builder per extension, a callable
+    that returns the :class:`BlockExtension` (as :func:`extend` does). Row 0
+    is ``base`` itself, exactly what :func:`predict` returns; row ``i + 1``
+    is the extension that ``extensions[i]`` builds. The base terms
+    ``V_b = L_b^-1 K_b*`` with ``|V_b|^2`` (:func:`_expert_terms`) and
+    ``z_b = L_b^-1 y_b`` are formed once, on the calling thread with BLAS on
+    one thread as in :func:`fan_out`. Extension i adds
+    ``W_i = S_i^-1 (K_i* - cross_i V_b)`` and ``z_i = S_i^-1 (y_i - cross_i z_b)``:
+    its mean is ``V_b' z_b + W_i' z_i`` and its variance the prior minus
+    ``|V_b|^2 + |W_i|^2``, floored as in :func:`predict`.
+
+    The extensions are dealt to ``workers`` slots by :func:`fan_out`, and
+    each task builds its extension, predicts its row and drops it, so at
+    most one extension per slot is alive at once: memory is O(slots m^2)
+    for extensions of m rows, however many there are. Every slot count
     gives the same bits. A non-finite test input raises :class:`DataError`
-    (:func:`as_test_inputs`).
+    (:func:`as_test_inputs`) before any extension is built.
     """
     hp = base.hp
     Xstar = as_test_inputs(Xstar)
@@ -553,7 +642,7 @@ def predict_extended(base: GPModel, extensions: list[BlockExtension],
     variances[0] = _noisy_variance(hp, base_explained)
 
     def extension_row(k):
-        ext = extensions[k]
+        ext = extensions[k]()
         Kstar = kernel_matrix(ext.X, Xstar, hp)
         Kstar -= ext.cross @ V_b
         W = triangular_product(ext.schur_inv, Kstar)

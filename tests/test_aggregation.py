@@ -593,6 +593,65 @@ def test_expert_rows_give_the_same_bits_for_every_workers(rows, M, workers):
         np.testing.assert_array_equal(a, b)
 
 
+def _two_step_grbcm(committee, Xstar):
+    """GRBCM with every augmented expert built first, on the calling thread,
+    and then each row predicted in a serial loop: the reference for the
+    streamed committee, which builds each one inside its prediction task."""
+    comm, *others = committee.experts
+    hp = committee.hp
+    with gp.blas_threads(1):
+        extensions = [gp.extend(comm, model.X, model.y) for model in others]
+        base_means, explained, V_b = gp._expert_terms(comm, Xstar)
+        z_b = comm.chol_inv @ comm.y
+        base_mean = V_b.T @ z_b
+        rows = [(base_means, gp._noisy_variance(hp, explained))]
+        for ext in extensions:
+            Kstar = kernel_matrix(ext.X, Xstar, hp)
+            Kstar -= ext.cross @ V_b
+            W = gp.triangular_product(ext.schur_inv, Kstar)
+            z = ext.schur_inv @ (ext.y - ext.cross @ z_b)
+            rows.append((base_mean + W.T @ z,
+                         gp._noisy_variance(hp, explained + np.einsum("ij,ij->j", W, W))))
+    means, variances = (np.vstack(r) for r in zip(*rows))
+    return grbcm_fuse(means, variances, hp.prior_variance)
+
+
+@pytest.mark.parametrize("M, kind", [(1, "random"), (2, "random"), (2, "grbcm"),
+                                     (4, "random"), (4, "grbcm")])
+def test_streamed_grbcm_gives_the_bits_of_building_every_extension_first(M, kind):
+    _, committee = _committee(n=402, M=M, seed=M, kind=kind, max_evals=10)
+    Xstar = np.linspace(-0.5, 1.5, 2000)[:, None]
+    want = _two_step_grbcm(committee, Xstar)
+    for workers in (1, 2, 5):
+        fanned = replace(committee, workers=workers)
+        got = _switching_often(lambda: grbcm(fanned, prepare_grbcm(fanned), Xstar))
+        np.testing.assert_array_equal(got.means, want.means)
+        np.testing.assert_array_equal(got.variances, want.variances)
+        np.testing.assert_array_equal(got.betas, want.betas)
+        assert got.degeneracy_count == want.degeneracy_count
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grbcm_memory_does_not_grow_with_the_expert_count(workers):
+    # each augmented expert of m0 rows holds 2 m0^2 doubles (its cross block
+    # and inverse Schur factor); built all at once, M = 13 held eight more of
+    # them than M = 5, about 5 MB. Streamed, each slot holds one at a time
+    m0 = 200
+    peaks = []
+    for M in (5, 13):
+        ds = toy_generate(m0 * M, 50, seed=M)
+        part = grbcm_partition(ds.X_train, M, seed=M)
+        committee = replace(train(ds.X_train, ds.y_train, part, 1), workers=workers)
+        assert {model.n for model in committee.experts} == {m0}
+        tracemalloc.start()
+        try:
+            grbcm(committee, prepare_grbcm(committee), ds.X_test)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * m0 * m0 * 8
+
+
 def test_experts_predict_raises_the_first_failing_expert_from_a_pool_thread(monkeypatch):
     ds, committee = _committee(n=150, M=4)
     # with 2 workers, expert 1 runs on the one pool thread and expert 2 on
@@ -681,14 +740,16 @@ def test_prediction_leaves_models_and_inputs_untouched():
     Xstar = ds.X_test.copy()
     fields = ("X", "y", "chol_inv", "weight_vector")
     stored = [[getattr(m, f).copy() for f in fields] for m in committee.experts]
-    extensions = prepare_grbcm(committee)
+    # each builder makes a new extension; these are built once and handed to
+    # every prediction, so none of them may be overwritten either
+    extensions = [build() for build in prepare_grbcm(committee)]
     ext_fields = ("X", "y", "cross", "schur_inv")
     stored_ext = [[getattr(e, f).copy() for f in ext_fields] for e in extensions]
     comm = committee.experts[committee.partition.communication_index]
 
     def outputs():
         out = [v for m in committee.experts for v in predict(m, Xstar)]
-        out += predict_extended(comm, extensions, Xstar)
+        out += predict_extended(comm, [lambda ext=ext: ext for ext in extensions], Xstar)
         agg = npae(committee, Xstar)
         return out + [agg.means, agg.variances]
 

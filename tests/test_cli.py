@@ -38,9 +38,8 @@ def test_run_writes_matching_csv_and_json(tmp_path, capsys):
     assert "opt_method" not in doc["config"]
 
 
-def test_workers_flag_is_rejected():
-    for flag in (["--workers", "2"], ["--opt-method", "cg"], ["--partition", "grbcm"],
-                 ["--no-rebalance"]):
+def test_removed_flags_are_rejected():
+    for flag in (["--opt-method", "cg"], ["--partition", "grbcm"], ["--no-rebalance"]):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--dataset", "toy200", *SMALL, *flag])
         assert exc.value.code == 2
@@ -67,6 +66,7 @@ def test_workers_flag_is_rejected():
      "methods must name at least one of ('poe', 'gpoe', 'bcm', 'rbcm', 'npae', 'grbcm')"),
     (["--subset-size", "50", "--seed", "-1", "--methods", "poe", "--max-evals", "3"],
      "seed must be >= 0, got -1"),
+    (["--subset-size", "50", "--workers", "0"], "workers must be >= 1, got 0"),
 ])
 def test_invalid_config_is_a_usage_error(capsys, args, message):
     dataset = [] if "--csv" in args else ["--dataset", "toy200"]
@@ -185,6 +185,7 @@ OPTION_VALUES = {
     "--reps": ("3", 3),
     "--seed": ("5", 5),
     "--max-evals": ("9", 9),
+    "--workers": ("2", 2),
     "--out": ("out", "out"),
     "--n-list": ("30,60,90", [30, 60, 90]),
 }
@@ -299,6 +300,19 @@ def test_cli_adds_no_defaults_of_its_own():
     # a run given no data flag takes the config's default toy data
     args = _parser().parse_args(["run", "--subset-size", "50"])
     assert _config_from_args(args) == ExperimentConfig(m0=50)
+
+
+def test_workers_flag_gives_the_records_of_one_worker(tmp_path, capsys):
+    # two training processes and two prediction threads, GRBCM's augmented
+    # experts built in both slots: every record but the timings is the same
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["run", "--dataset", "toy300", "--subset-size", "60", "--max-evals", "5",
+                     "--methods", "npae,grbcm", "--workers", workers, "--out", str(out)]) == 0
+        runs.append(_untimed_records(out))
+    assert runs[0] == runs[1]
+    assert all(rec["error"] is None for rec in runs[0])
 
 
 def test_sweep_writes_flags(tmp_path, capsys):

@@ -112,7 +112,7 @@ def test_factor_inverse_failure_names_expert(monkeypatch):
     def minimize_then_arm(*args, **kwargs):
         # every nlml inverts its factor too; fail only in the final fits
         result = minimize(*args, **kwargs)
-        monkeypatch.setattr(gp, "dtrtri", dtrtri_failing_on_second_expert)
+        monkeypatch.setattr(gp, "trtri", dtrtri_failing_on_second_expert)
         return result
 
     monkeypatch.setattr(ensemble, "minimize", minimize_then_arm)
@@ -135,7 +135,7 @@ def test_nlml_reports_a_failed_block_inverse(monkeypatch):
         calls.append(L.shape)
         return L, (2 if len(calls) == 8 else 0)
 
-    monkeypatch.setattr(gp, "dtrtri", dtrtri_failing_on_last_block)
+    monkeypatch.setattr(gp, "trtri", dtrtri_failing_on_last_block)
     rng = np.random.default_rng(6)
     part = Partition(subsets=np.split(np.arange(180), [10, 20, 30, 40]),
                      kind=PartitionKind.RANDOM, seed=0)
@@ -151,7 +151,7 @@ def test_prepare_grbcm_names_the_expert_whose_schur_ladder_fails(monkeypatch):
     ds, committee = _small_committee(M=4)
     assert committee.partition.communication_index == 0
     calls = []
-    factor = gp.dpotrf
+    factor = gp.potrf
 
     def dpotrf_failing_after_expert_1(A, **kwargs):
         # expert 1's Schur complement factors at once; expert 2's never does
@@ -159,9 +159,10 @@ def test_prepare_grbcm_names_the_expert_whose_schur_ladder_fails(monkeypatch):
         L, info = factor(A, **kwargs)
         return L, (info if len(calls) == 1 else 1)
 
-    monkeypatch.setattr(gp, "dpotrf", dpotrf_failing_after_expert_1)
+    monkeypatch.setattr(gp, "potrf", dpotrf_failing_after_expert_1)
+    # the augmented experts are built where they are predicted
     with pytest.raises(NumericalBreakdown, match="expert 2: Cholesky factorization failed") as err:
-        prepare_grbcm(committee)
+        experts_predict(committee, ds.X_test, prepare_grbcm(committee))
     assert err.value.expert_index == 2
     assert err.value.test_index is None
     # the whole ladder ran on expert 2, and expert 3 was never reached
@@ -289,7 +290,7 @@ def test_prepare_grbcm_returns_the_extensions_and_keeps_the_ensemble(M, kind):
     stored = [[getattr(m, a).copy() for a in arrays] for m in experts]
     extensions = prepare_grbcm(committee)
     assert isinstance(extensions, list) and len(extensions) == M - 1
-    assert all(isinstance(ext, BlockExtension) for ext in extensions)
+    assert all(isinstance(build(), BlockExtension) for build in extensions)
     assert all(getattr(committee, name) is value for name, value in before.items())
     assert all(a is b for a, b in zip(committee.experts, experts, strict=True))
     for model, saved in zip(experts, stored):
@@ -301,13 +302,15 @@ def test_prepare_grbcm_two_subsets_uses_all_data():
     ds, committee = _small_committee(M=2)
     extensions = prepare_grbcm(committee)
     assert len(extensions) == 1
-    assert extensions[0].cross.shape[1] + extensions[0].X.shape[0] == ds.n_train
+    ext = extensions[0]()
+    assert ext.cross.shape[1] + ext.X.shape[0] == ds.n_train
 
 
 def test_prepare_grbcm_sizes():
     ds, committee = _small_committee(n=120, M=3)
     comm_size = committee.partition.subsets[0].size
-    for aug, idx in zip(prepare_grbcm(committee), committee.partition.subsets[1:]):
+    for build, idx in zip(prepare_grbcm(committee), committee.partition.subsets[1:]):
+        aug = build()
         assert aug.cross.shape[1] + aug.X.shape[0] == comm_size + idx.size
 
 

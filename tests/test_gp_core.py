@@ -8,7 +8,8 @@ import threading
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from gpcommittee import DataError, Hyperparams, NumericalBreakdown, fit, nlml, predict
 from gpcommittee import gp
@@ -401,6 +402,100 @@ def test_triangular_product_rejects_operands_it_would_have_to_copy(operand, make
     np.testing.assert_array_equal(B, before)
 
 
+def _f2py_inverse(L):
+    """The blocked factor inverse through scipy's f2py wrappers, which hold
+    the interpreter lock: the reference for the lock-free binding."""
+    n = L.shape[0]
+    if n <= 64:
+        L[...], info = dtrtri(L, lower=1, overwrite_c=1)
+        assert info == 0
+        return L
+    k = n // 2
+    _f2py_inverse(L[k:, k:])
+    product = L[k:, k:] @ L[k:, :k]
+    L[k:, :k] = dtrsm(-1.0, L[:k, :k], product.T, lower=1, trans_a=1, overwrite_b=1).T
+    _f2py_inverse(L[:k, :k])
+    return L
+
+
+def test_lock_free_factor_and_inverse_give_the_bits_of_scipys_f2py_wrappers():
+    # every size from 1 to 300 in steps of 7, the block edge at 64/65 and the
+    # splits at 128/129 and 256/257 included; the upper triangle of A differs
+    # from its lower one, so reading it would show
+    rng = np.random.default_rng(30)
+    sizes = sorted(set(range(1, 301, 7)) | {2, 64, 65, 128, 129, 256, 257, 300})
+    for n in sizes:
+        G = rng.normal(size=(n, n + 2))
+        A = G @ G.T / n + 1e-3 * np.eye(n)
+        A[np.triu_indices(n, 1)] = rng.normal(size=n * (n - 1) // 2)
+        want, info = dpotrf(A, lower=1, clean=1)
+        assert info == 0
+        L, jitter = chol_with_jitter(A)
+        assert jitter == 0.0 and L.flags.f_contiguous
+        assert L.tobytes() == want.tobytes(), n
+        # exact +0.0 above the diagonal, as clean=1 leaves it
+        upper = L[np.triu_indices(n, 1)]
+        assert np.all(upper == 0.0) and not np.any(np.signbit(upper))
+        got = _triangular_inverse(L.copy(order="F"))
+        assert got.tobytes() == _f2py_inverse(want.copy(order="F")).tobytes(), n
+        assert not np.any(np.signbit(got[np.triu_indices(n, 1)]))
+
+
+def test_lock_free_routines_release_the_interpreter_lock():
+    # ctypes holds the lock through a foreign call only for a PYFUNCTYPE
+    for routine in (gp._dtrmm, gp._dtrsm, gp._dpotrf, gp._dtrtri, gp._dlaset):
+        assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+def test_lock_free_factor_keeps_the_jitter_ladder():
+    # duplicated rows need jitter, and the factor is f2py's of A + jitter I
+    X = np.repeat(np.linspace(0.0, 1.0, 40), 2)[:, None]
+    A = kernel_matrix(X, X, Hyperparams(0.0, np.array([0.0]), -50.0))
+    L, jitter = chol_with_jitter(A)
+    assert jitter > 0.0
+    want, info = dpotrf(A + jitter * np.eye(80), lower=1, clean=1)
+    assert info == 0 and L.tobytes() == want.tobytes()
+    # a matrix no jitter on the ladder can make positive definite
+    with pytest.raises(NumericalBreakdown, match="jitter ladder") as err:
+        chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert len(err.value.jitters_tried) == 10
+
+
+@pytest.mark.parametrize("n, zero", [(5, 3), (100, 10), (100, 80)])
+def test_lock_free_inverse_reports_a_zero_pivot(n, zero):
+    # a zero on the diagonal of a single block, of the first block inverted
+    # (bottom-right) and of the last one (top-left) of a split factor
+    rng = np.random.default_rng(n + zero)
+    L = np.asfortranarray(np.tril(rng.uniform(0.5, 1.0, size=(n, n))))
+    L[zero, zero] = 0.0
+    with pytest.raises(NumericalBreakdown, match="trtri failed"):
+        _triangular_inverse(L)
+    _, info = gp.trtri(np.asfortranarray(L[zero:, zero:]))
+    assert info == 1
+
+
+@pytest.mark.parametrize("n", [4, 100])
+@pytest.mark.parametrize("make", [
+    np.ascontiguousarray,
+    _read_only,
+    lambda a: a.astype(np.float32),
+])
+def test_lock_free_inverse_rejects_a_factor_it_would_have_to_copy(n, make):
+    # the inverse overwrites the factor in place, so only a writable float64
+    # array stored by columns reaches LAPACK; the factor is left as it was
+    rng = np.random.default_rng(n)
+    L = make(np.asfortranarray(np.tril(rng.uniform(0.5, 1.0, size=(n, n)))))
+    before = L.copy()
+    for invert in (_triangular_inverse, gp.trtri):
+        with pytest.raises(ValueError, match="the factor must be a writable F-ordered float64"):
+            invert(L)
+        np.testing.assert_array_equal(L, before)
+    with pytest.raises(ValueError, match="square"):
+        gp.trtri(np.asfortranarray(np.tril(np.ones((4, 3)))))
+    with pytest.raises(ValueError, match="square"):
+        gp.potrf(np.ones((4, 3)))
+
+
 _BLAS_THREADS_PROBE = """
 import json
 from gpcommittee.gp import _openblas_thread_controls, blas_threads
@@ -536,7 +631,7 @@ def test_block_extension_equals_dense_gp_with_block_jitter(base_kind, ext_kind):
     assert (ext.jitter_used > 0.0) == (ext_kind == "dup")
     assert ext.cross.shape[1] + ext.X.shape[0] == X.shape[0]
     Xstar = np.linspace(-1.0, max(11.0, X.max() + 1.0), 60)[:, None]
-    means, variances = predict_extended(base, [ext], Xstar)
+    means, variances = predict_extended(base, [lambda: ext], Xstar)
     base_means, base_vars = predict(base, Xstar)
     np.testing.assert_array_equal(means[0], base_means)
     np.testing.assert_array_equal(variances[0], base_vars)
