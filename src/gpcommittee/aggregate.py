@@ -48,15 +48,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; the benchmark's traced run patches this name in this module
-from scipy.linalg import cho_solve  # noqa: F401
 
 from .ensemble import ExpertEnsemble, experts_predict
 from .errors import NumericalBreakdown
 from .gp import (_RETAINED_BLOCK_BYTES, _VARIANCE_GUARD, BlockExtension, _expert_terms,
                  as_test_inputs, chol_with_jitter, fan_out, triangular_product)
-# unused here; the benchmark's traced run patches this name in this module
-from .gp import predict  # noqa: F401
+# unused here; the benchmark's traced run patches these names in this module
+from .gp import cho_solve, predict  # noqa: F401
 from .kernel import kernel_matrix
 
 # precision floor for the BCM-family correction: degeneracy is signalled by

@@ -6,10 +6,14 @@ processes (:class:`ExpertBlocks`): on Linux the calling process forks one
 worker per extra slot for each :func:`train` call, sends every worker the
 hyperparameters of each evaluation and adds all M terms in expert order,
 so every worker count gives the same bits. Processes, not threads, because
-neither the f2py LAPACK wrappers of the objective (which hold the
-interpreter lock) nor ``cdist`` and ``exp`` on expert-sized blocks scale
-across threads. The final fits are a loop over the experts in subset-index
-order on the calling thread. Prediction deals the experts to the same
+they measured faster: every BLAS and LAPACK call of the objective releases
+the interpreter lock, yet on the benchmark's toy1d-predict workload (30
+experts of 100 rows, 2 workers) the objective on :func:`gp.fan_out`
+threads took a median ``train_s`` of 0.42 s against 0.25 s on processes,
+slower in 10 of 10 alternating pairs. The final fits are a loop over the
+experts in subset-index order on the calling thread, which also measured
+faster there: 5.9 ms for the 30 fits, against 6.6 ms on two
+:func:`gp.fan_out` slots. Prediction deals the experts to the same
 number of slots (:func:`gp.fan_out`), the calling thread as slot 0 as in
 training and one new thread per extra slot; every call in it releases the
 lock, and every slot count gives the same bits. Every per-expert loop runs
@@ -91,9 +95,12 @@ class ExpertBlocks:
     Close the blocks (or use them as a context manager) to stop and join the
     workers.
 
-    A forked worker shares the sliced blocks without pickling them and
-    starts in milliseconds, where a spawned one would import numpy and scipy
-    again. A fork copies the calling process with one thread only, so create
+    Processes, not :func:`gp.fan_out` threads, although every BLAS and
+    LAPACK call of :func:`gp.nlml` releases the interpreter lock: on threads
+    toy1d-predict's training took 66% longer (see the module docstring). A
+    forked worker shares the sliced blocks without pickling them and starts
+    in milliseconds, where a spawned one would import numpy and scipy again.
+    A fork copies the calling process with one thread only, so create
     the blocks with no other thread running and BLAS already pinned
     (:func:`gp.blas_threads`); Python 3.12 and later warn at the fork if
     BLAS threads, or any other threads, are alive.

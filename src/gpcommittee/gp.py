@@ -14,21 +14,21 @@ which does half the flops of a full ``gemm``.
 Per-expert prediction loops run on the committee's ``workers`` slots
 (:func:`fan_out`): the calling thread and up to ``workers - 1`` new
 threads, so every call inside them must release the interpreter lock.
-numpy's products, ``cdist`` and ``exp`` do. scipy's f2py wrappers of BLAS
-and LAPACK do not, so every routine a task calls, BLAS ``trmm``
-(:func:`triangular_product`) and ``trsm`` and LAPACK ``potrf``
-(:func:`potrf`) and ``trtri`` (:func:`trtri`), goes through the function
-pointer that ``scipy.linalg.cython_blas`` or ``cython_lapack`` exports, as
-a ``ctypes`` foreign function; ctypes releases the lock for the call, and
-the bits are the f2py wrappers'. GRBCM's augmented experts are built by
-:func:`extend` inside those tasks (:func:`predict_extended`), so their
-factorizations run in parallel too. Training's :func:`nlml` terms run on
-the same number of slots as forked processes instead
-(``ensemble.ExpertBlocks``): its ``cho_solve`` and ``lauum`` still hold the
-lock, and its ``cdist`` and ``exp`` on expert-sized blocks do not scale
-across threads. Threads and processes alike assume BLAS runs on one
-thread; :func:`blas_threads` pins it there for every per-expert term, in
-training and in prediction, whatever BLAS setting the caller chose.
+numpy's products, ``cdist`` and ``exp`` do, and every BLAS and LAPACK call
+releases the lock. Each routine, BLAS ``trmm`` (:func:`triangular_product`)
+and ``trsm``, LAPACK ``potrf`` (:func:`potrf`), ``trtri`` (:func:`trtri`),
+``potrs`` (:func:`cho_solve`), ``lauum`` and ``laset``, is bound once, as a
+``ctypes`` foreign function on the pointer that ``scipy.linalg.cython_blas``
+or ``cython_lapack`` exports (:func:`_cython_function`), and every operand
+passes one rule (:func:`_leading_dimension`). ctypes releases the lock for
+the call, and the bits are those of scipy's f2py wrappers, which hold it.
+GRBCM's augmented experts are built by :func:`extend` inside those tasks
+(:func:`predict_extended`), so their factorizations run in parallel too.
+Training's :func:`nlml` terms run on the same number of slots as forked
+processes instead (``ensemble.ExpertBlocks``), which measured faster than
+threads. Threads and processes alike assume BLAS runs on one thread;
+:func:`blas_threads` pins it there for every per-expert term, in training
+and in prediction, whatever BLAS setting the caller chose.
 
 Every factor inverse in the module comes from :func:`_triangular_inverse`.
 Blocks of at most 64 rows go to LAPACK ``trtri``. A larger factor is split
@@ -50,16 +50,17 @@ the extended model is the GP whose noisy matrix carries the block-diagonal
 jitter ``diag(j_b I, j_s I)``.
 
 The marginal likelihood, evaluated once per expert per optimizer step, is
-the hot path. Each evaluation builds the kernel matrix ``K`` once, adds the
-noise to the diagonal of a copy to get ``C``, factors ``C = L L'`` with
-``potrf`` and forms ``C^-1 = L^-T L^-1`` from the factor inverse with
-LAPACK ``lauum``. The noise gradient is read off ``C^-1``; then
-:func:`kernel.kernel_matrix_grads` multiplies ``C^-1`` by the same ``K``
-in place and contracts all kernel coordinates at once through
-``(K * C^-1) [1, Z]``, so no derivative matrix and no ``C^-1 - a a'`` is
-formed (see :func:`nlml`). Its few ``m x m`` temporaries are freed and
-allocated again on every evaluation, so training first fixes glibc's heap
-thresholds and keeps every thread on one heap (see :func:`retain_freed_memory`).
+the hot path. Each evaluation builds the kernel matrix ``K`` once, adds
+the noise to the diagonal of a copy to get ``C``, factors ``C = L L'``
+with ``potrf``, solves ``a = C^-1 y`` with ``potrs`` and forms
+``C^-1 = L^-T L^-1`` from the factor inverse with LAPACK ``lauum``. The noise
+gradient is read off ``C^-1``; then :func:`kernel.kernel_matrix_grads`
+multiplies ``C^-1`` by the same ``K`` in place and contracts all kernel
+coordinates at once through ``(K * C^-1) [1, Z]``, so no derivative matrix
+and no ``C^-1 - a a'`` is formed (see :func:`nlml`). Its few ``m x m``
+temporaries are freed and allocated again on every evaluation, so training
+first fixes glibc's heap thresholds and keeps every thread on one heap
+(see :func:`retain_freed_memory`).
 
 Failures here carry no committee index; the caller that knows the expert or
 test point adds it.
@@ -77,8 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.linalg import cho_solve, cython_blas, cython_lapack
-from scipy.linalg.lapack import dlauum
+from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import DataError, NumericalBreakdown
 from .kernel import Hyperparams, as_rows, kernel_matrix, kernel_matrix_grads
@@ -255,20 +255,33 @@ _dpotrf = _cython_function(cython_lapack, "dpotrf", _FLAG, _INT, _ARRAY, _INT, _
 _dtrtri = _cython_function(cython_lapack, "dtrtri", _FLAG, _FLAG, _INT, _ARRAY, _INT, _INT)
 _dlaset = _cython_function(cython_lapack, "dlaset", _FLAG, _INT, _INT, _DOUBLE, _DOUBLE,
                            _ARRAY, _INT)
+_dpotrs = _cython_function(cython_lapack, "dpotrs", _FLAG, _INT, _INT, _ARRAY, _INT, _ARRAY,
+                           _INT, _INT)
+_dlauum = _cython_function(cython_lapack, "dlauum", _FLAG, _INT, _ARRAY, _INT, _INT)
 _ONE = ctypes.c_double(1.0)
 _MINUS_ONE = ctypes.c_double(-1.0)
 _ZERO = ctypes.c_double(0.0)
 
 
-def _leading_dimension(name: str, a: np.ndarray) -> int:
+def _leading_dimension(name: str, a: np.ndarray, order: str = "F") -> int:
     """The leading dimension of ``a``, a writable float64 matrix stored by
-    columns: a Fortran-ordered array, or a block of one. Anything else raises
-    ``ValueError`` naming the operand."""
+    columns: a Fortran-ordered array, or a block of one. With ``order="C"``,
+    ``a`` is stored by rows instead (a C-ordered array, or a block of one)
+    and the leading dimension is its transpose's. Anything else raises
+    ``ValueError`` naming the operand; an empty matrix passes.
+
+    The one operand rule of the module: every array a caller hands to a BLAS
+    or LAPACK call is checked here and used in place. Only :func:`potrf` and
+    :func:`cho_solve` copy an operand, into a Fortran-ordered array of their
+    own."""
+    if isinstance(a, np.ndarray) and order == "C":
+        a = a.T
     if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64
-            and a.flags.writeable and a.flags.aligned and a.strides[0] == a.itemsize
-            and a.strides[1] >= a.itemsize * max(1, a.shape[0])):
-        raise ValueError(f"the {name} must be a writable F-ordered float64 array")
-    return a.strides[1] // a.itemsize
+            and a.flags.writeable and a.flags.aligned
+            and (a.size == 0 or a.strides[0] == a.itemsize
+                 and a.strides[1] >= a.itemsize * max(1, a.shape[0]))):
+        raise ValueError(f"the {name} must be a writable {order}-ordered float64 array")
+    return max(1, a.shape[0], a.strides[1] // a.itemsize)
 
 
 def potrf(A: np.ndarray) -> tuple[np.ndarray, int]:
@@ -311,6 +324,26 @@ def trtri(L: np.ndarray) -> tuple[np.ndarray, int]:
     info = ctypes.c_int()
     _dtrtri(b"L", b"N", ctypes.c_int(n), L.ctypes.data, ctypes.c_int(ld), info)
     return L, info.value
+
+
+def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``C^-1 b`` for the lower Cholesky factor ``L`` of ``C``, by LAPACK
+    ``potrs`` on a Fortran-ordered copy of the vector or matrix ``b``.
+
+    ``L`` is square and stored by columns (:func:`_leading_dimension`), as
+    :func:`chol_with_jitter` leaves it; only its lower triangle is read. The
+    bits are those of scipy's ``cho_solve((L, True), b)``, but the call
+    releases the interpreter lock.
+    """
+    ld = _leading_dimension("factor", L)
+    n = L.shape[0]
+    x = np.array(b, dtype=np.float64, order="F")
+    if L.shape != (n, n) or x.shape[:1] != (n,):
+        raise ValueError(f"a {L.shape} factor cannot solve for shape {x.shape}")
+    # potrs's info reports only illegal arguments
+    _dpotrs(b"L", ctypes.c_int(n), ctypes.c_int(x.size // max(1, n)), L.ctypes.data,
+            ctypes.c_int(ld), x.ctypes.data, ctypes.c_int(max(1, n)), ctypes.c_int())
+    return x
 
 
 def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -390,26 +423,25 @@ def _invert_block(block: np.ndarray, address: int, ld: int) -> None:
 def triangular_product(W: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.ndarray:
     """``W @ B``, or ``W' @ B``, for a lower-triangular ``W``, overwriting ``B``.
 
-    ``W`` is a stored factor inverse, a writable Fortran-ordered float64
-    array as :func:`_triangular_inverse` leaves it, and ``B`` a writable
-    C-ordered float64 block that the caller owns; anything else raises
-    ``ValueError``. BLAS ``trmm`` reads only ``W``'s lower triangle. The
-    product is taken as its transpose ``B' W'`` (or ``B' W``), whose
-    right-hand side ``B'`` is a Fortran-ordered view, so ``B`` is overwritten
-    in place and returned with nothing copied. The call releases the
-    interpreter lock (see the module docstring).
+    ``W`` is a stored factor inverse, or a diagonal block of one, stored by
+    columns as :func:`_triangular_inverse` leaves it; ``B`` is a writable
+    float64 block stored by rows that the caller owns, a C-ordered array or
+    a block of its columns. Anything else raises ``ValueError``
+    (:func:`_leading_dimension`). BLAS ``trmm`` reads only ``W``'s lower
+    triangle. The product is taken as its transpose ``B' W'`` (or ``B' W``),
+    whose right-hand side ``B'`` is stored by columns, so ``B`` is
+    overwritten in place and returned with nothing copied. The call releases
+    the interpreter lock, as every BLAS and LAPACK call here does.
     """
-    for name, a, layout in (("factor", W, "F_CONTIGUOUS"), ("block", B, "C_CONTIGUOUS")):
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
-                and a.flags[layout]):
-            raise ValueError(f"the {name} must be a writable {layout[0]}-ordered float64 array")
+    ld_w = _leading_dimension("factor", W)
+    ld_b = _leading_dimension("block", B, order="C")
     n, k = B.shape
     if W.shape != (n, n):
         raise ValueError(f"a {W.shape} factor cannot multiply {n} rows")
     if B.size:
         _dtrmm(b"R", b"L", b"N" if transpose else b"T", b"N", ctypes.c_int(k),
-               ctypes.c_int(n), _ONE, W.ctypes.data, ctypes.c_int(n), B.ctypes.data,
-               ctypes.c_int(k))
+               ctypes.c_int(n), _ONE, W.ctypes.data, ctypes.c_int(ld_w), B.ctypes.data,
+               ctypes.c_int(ld_b))
     return B
 
 
@@ -478,7 +510,7 @@ def fit(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> GPModel:
     C = kernel_matrix(X, X, hp)
     C.flat[:: X.shape[0] + 1] += hp.noise_variance
     L, jitter = chol_with_jitter(C)
-    alpha = cho_solve((L, True), y, check_finite=False)
+    alpha = cho_solve(L, y)
     return GPModel(X=X, y=y, hp=hp, chol_inv=_triangular_inverse(L),
                    weight_vector=alpha, jitter_used=jitter)
 
@@ -510,14 +542,15 @@ def nlml(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarr
     C = K.copy()
     C.flat[:: n + 1] += hp.noise_variance
     L, _ = chol_with_jitter(C)
-    alpha = cho_solve((L, True), y, check_finite=False)
+    alpha = cho_solve(L, y)
     value = (0.5 * float(y @ alpha)
              + float(np.sum(np.log(np.diag(L))))
              + 0.5 * n * np.log(2.0 * np.pi))
 
     # the inverse overwrites L, so it comes after every other use of L;
-    # lauum's info reports only illegal arguments
-    Cinv, _ = dlauum(_triangular_inverse(L), lower=1, overwrite_c=1)
+    # lauum overwrites it in turn, and its info reports only illegal arguments
+    Cinv = _triangular_inverse(L)
+    _dlauum(b"L", ctypes.c_int(n), Cinv.ctypes.data, ctypes.c_int(max(1, n)), ctypes.c_int())
     # lauum fills the lower triangle of a Fortran-ordered array and leaves
     # L's zeros above it; the transpose is a C-ordered view like K.
     Cinv = Cinv.T

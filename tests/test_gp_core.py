@@ -7,15 +7,15 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.blas import dtrmm, dtrsm
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from gpcommittee import DataError, Hyperparams, NumericalBreakdown, fit, nlml, predict
 from gpcommittee import gp
 from gpcommittee.gp import (_triangular_inverse, blas_threads, chol_with_jitter, extend, fan_out,
                             predict_extended, retain_freed_memory, triangular_product)
-from gpcommittee.kernel import kernel_matrix
+from gpcommittee.kernel import kernel_matrix, kernel_matrix_grads
 
 
 def hp_1d(log_sf=0.0, log_l=0.0, log_noise=0.0):
@@ -375,6 +375,27 @@ def test_triangular_product_equals_scipy_dtrmm(rows, cols, transpose):
         triangular_product(W, np.ones((rows + 1, cols)))
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+def test_triangular_product_of_strided_blocks_gives_the_dense_bits(transpose):
+    # a diagonal block of a larger factor and a column block of a larger
+    # array reach BLAS with their leading dimensions, uncopied
+    rng = np.random.default_rng(12)
+    big_W = np.asfortranarray(np.tril(rng.normal(size=(80, 80))))
+    big_B = rng.normal(size=(70, 40))
+    W, B = big_W[5:75, 5:75], big_B[:, 10:33]
+    assert not W.flags.f_contiguous and not B.flags.c_contiguous
+    want = triangular_product(W.copy(order="F"), B.copy(), transpose=transpose)
+    outside = big_B.copy()
+    assert triangular_product(W, B, transpose=transpose) is B
+    assert B.tobytes() == want.tobytes()
+    # the columns around the block are not touched
+    np.testing.assert_array_equal(big_B[:, :10], outside[:, :10])
+    np.testing.assert_array_equal(big_B[:, 33:], outside[:, 33:])
+    # no test point: nothing to multiply, and nothing is rejected
+    empty = np.empty((70, 0))
+    assert triangular_product(W, empty) is empty
+
+
 def _read_only(a):
     a.setflags(write=False)
     return a
@@ -418,13 +439,15 @@ def _f2py_inverse(L):
     return L
 
 
+# every size from 1 to 300 in steps of 7, the block edge of the inverse at
+# 64/65 and its splits at 128/129 and 256/257 included
+_F2PY_SIZES = sorted(set(range(1, 301, 7)) | {2, 64, 65, 128, 129, 256, 257, 300})
+
+
 def test_lock_free_factor_and_inverse_give_the_bits_of_scipys_f2py_wrappers():
-    # every size from 1 to 300 in steps of 7, the block edge at 64/65 and the
-    # splits at 128/129 and 256/257 included; the upper triangle of A differs
-    # from its lower one, so reading it would show
+    # the upper triangle of A differs from its lower one, so reading it would show
     rng = np.random.default_rng(30)
-    sizes = sorted(set(range(1, 301, 7)) | {2, 64, 65, 128, 129, 256, 257, 300})
-    for n in sizes:
+    for n in _F2PY_SIZES:
         G = rng.normal(size=(n, n + 2))
         A = G @ G.T / n + 1e-3 * np.eye(n)
         A[np.triu_indices(n, 1)] = rng.normal(size=n * (n - 1) // 2)
@@ -441,9 +464,74 @@ def test_lock_free_factor_and_inverse_give_the_bits_of_scipys_f2py_wrappers():
         assert not np.any(np.signbit(got[np.triu_indices(n, 1)]))
 
 
+def test_lock_free_solve_and_lauum_give_the_bits_of_scipys_f2py_wrappers():
+    # potrs on a vector and on a block of right-hand sides, and lauum's
+    # L^-T L^-1 in the lower triangle of the factor inverse, in place; NaN
+    # above the diagonal shows a read of the upper triangle
+    rng = np.random.default_rng(31)
+    for n in _F2PY_SIZES:
+        G = rng.normal(size=(n, n + 2))
+        L, _ = chol_with_jitter(G @ G.T / n + 1e-3 * np.eye(n))
+        L[np.triu_indices(n, 1)] = np.nan
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            want = cho_solve((L, True), b, check_finite=False)
+            got = gp.cho_solve(L, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+            assert np.all(np.isfinite(got)), n
+        W = np.asfortranarray(np.tril(rng.normal(size=(n, n))))
+        want, info = dlauum(W, lower=1)
+        assert info == 0
+        gp._dlauum(b"L", ctypes.c_int(n), W.ctypes.data, ctypes.c_int(n), ctypes.c_int())
+        assert W.tobytes() == want.tobytes(), n
+
+
+def _f2py_nlml(X, y, hp):
+    """:func:`gp.nlml` with its LAPACK steps taken by scipy's f2py wrappers,
+    which hold the interpreter lock: the reference for the lock-free binding."""
+    n = X.shape[0]
+    K = kernel_matrix(X, X, hp)
+    C = K + hp.noise_variance * np.eye(n)
+    L, info = dpotrf(C, lower=1, clean=1)
+    assert info == 0
+    alpha = cho_solve((L, True), y, check_finite=False)
+    value = (0.5 * float(y @ alpha) + float(np.sum(np.log(np.diag(L))))
+             + 0.5 * n * np.log(2.0 * np.pi))
+    Cinv, info = dlauum(_f2py_inverse(L.copy(order="F")), lower=1)
+    assert info == 0
+    Cinv = Cinv.T
+    Cinv += Cinv.T
+    Cinv.flat[:: n + 1] *= 0.5
+    grads = np.empty(hp.n_params)
+    grads[-1] = hp.noise_variance * (np.trace(Cinv) - alpha @ alpha)
+    grads[:-1] = kernel_matrix_grads(X, hp, K, Cinv, alpha)
+    return value, grads
+
+
+def test_nlml_gives_the_bits_of_scipys_f2py_wrappers():
+    # every LAPACK call of the objective goes through the lock-free table
+    rng = np.random.default_rng(32)
+    hp = Hyperparams(0.3, np.array([0.2, -0.4]), -1.0)
+    for n in _F2PY_SIZES:
+        X, y = rng.uniform(-2, 2, size=(n, 2)), rng.normal(size=n)
+        value, grads = nlml(X, y, hp)
+        want_value, want_grads = _f2py_nlml(X, y, hp)
+        assert value == want_value and grads.tobytes() == want_grads.tobytes(), n
+
+
+def test_lock_free_solve_rejects_operands_it_cannot_read():
+    L = np.asfortranarray(np.tril(np.ones((4, 4))))
+    with pytest.raises(ValueError, match="the factor must be a writable F-ordered float64"):
+        gp.cho_solve(np.ascontiguousarray(L), np.ones(4))
+    with pytest.raises(ValueError, match="cannot solve"):
+        gp.cho_solve(L, np.ones(5))
+    with pytest.raises(ValueError, match="cannot solve"):
+        gp.cho_solve(L[:, :3], np.ones(4))
+
+
 def test_lock_free_routines_release_the_interpreter_lock():
     # ctypes holds the lock through a foreign call only for a PYFUNCTYPE
-    for routine in (gp._dtrmm, gp._dtrsm, gp._dpotrf, gp._dtrtri, gp._dlaset):
+    for routine in (gp._dtrmm, gp._dtrsm, gp._dpotrf, gp._dtrtri, gp._dlaset, gp._dpotrs,
+                    gp._dlauum):
         assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 

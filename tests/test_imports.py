@@ -37,3 +37,41 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+# scipy's f2py wrappers of BLAS and LAPACK hold the interpreter lock; the
+# library reaches every routine through gp's lock-free table instead
+F2PY_MODULES = ("scipy.linalg.lapack", "scipy.linalg.blas")
+F2PY_NAMES = ("cho_solve", "cho_factor", "solve_triangular", "lapack", "blas")
+
+
+def f2py_imports(source: str) -> list[str]:
+    """``line: name`` for each import in ``source`` of scipy's f2py BLAS or
+    LAPACK modules, or of a solver from ``scipy.linalg`` that calls them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith(F2PY_MODULES)]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(F2PY_MODULES):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg":
+            names = [a.name for a in node.names if a.name in F2PY_NAMES]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_f2py_blas_or_lapack_in_the_library(path):
+    assert f2py_imports(path.read_text()) == []
+
+
+def test_f2py_scan_finds_each_kind_of_import():
+    source = ("import scipy.linalg.lapack\n"
+              "from scipy.linalg.blas import dtrmm\n"
+              "from scipy.linalg import cho_solve, cython_lapack, lapack\n"
+              "from gpcommittee.gp import cho_solve\n")
+    assert f2py_imports(source) == ["1: scipy.linalg.lapack", "2: scipy.linalg.blas.dtrmm",
+                                    "3: cho_solve", "3: lapack"]
