@@ -30,7 +30,7 @@ from .metrics import msll as msll_metric
 from .metrics import smse as smse_metric
 from .partition import Partition, disjoint_partition, grbcm_partition, random_partition
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 # each rule's prediction (ensemble, Xstar, config); every name is looked up when
 # called, so one patched in its module (as a traced run does) is the one run
 _RULES = {
@@ -122,7 +122,10 @@ class ExperimentConfig:
 class RunRecord:
     """Scores and timings for one (method, repetition) cell.
 
-    The fields, in order, are the columns of ``results.csv``.
+    The fields, in order, are the columns of ``results.csv``. ``opt_evals``
+    and ``opt_stop`` are the committee's training evaluations and why its
+    optimizer stopped (see :func:`gpcommittee.optimize.minimize`), the same
+    for every method of a repetition.
     """
 
     method: str
@@ -131,6 +134,8 @@ class RunRecord:
     smse: float
     msll: float
     train_time_seconds: float
+    opt_evals: int
+    opt_stop: str
     predict_time_seconds: float
     degeneracy_count: int
     beta_mean: float | None = None
@@ -255,6 +260,7 @@ def _score_method(method, committee, dataset, config, rep, rep_seed, art):
         return RunRecord(method=label, repetition=rep, seed=rep_seed,
                          smse=math.nan, msll=math.nan,
                          train_time_seconds=committee.train_time_seconds,
+                         opt_evals=committee.opt_evals, opt_stop=committee.opt_stop,
                          predict_time_seconds=math.nan, degeneracy_count=0,
                          error=f"{type(exc).__name__}: {exc}")
     # original units only: SMSE and MSLL do not change under the affine map
@@ -272,6 +278,7 @@ def _score_method(method, committee, dataset, config, rep, rep_seed, art):
         smse=smse_metric(means_eval, y_eval),
         msll=msll_metric(means_eval, vars_eval, y_eval, train_mean, train_var),
         train_time_seconds=committee.train_time_seconds,
+        opt_evals=committee.opt_evals, opt_stop=committee.opt_stop,
         predict_time_seconds=predict_time,
         degeneracy_count=agg.degeneracy_count,
         beta_mean=None if betas is None else float(np.mean(betas)),

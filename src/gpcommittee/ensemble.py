@@ -57,14 +57,18 @@ class ExpertEnsemble:
     ran its objective terms on that many processes (:class:`ExpertBlocks`),
     and every per-expert prediction loop, here and in NPAE, is dealt to that
     many slots, the calling thread and new threads (:func:`gp.fan_out`).
+    ``opt_evals``, ``opt_trace`` and ``opt_stop`` are the optimizer's
+    evaluation count, accepted values and stop reason
+    (:class:`~gpcommittee.optimize.OptimizeResult`).
     """
 
     hp: Hyperparams
     partition: Partition
     experts: list[gp.GPModel]
     train_time_seconds: float
-    opt_evals: int = 0
-    opt_trace: tuple[float, ...] = ()
+    opt_evals: int
+    opt_trace: tuple[float, ...]
+    opt_stop: str
     workers: int = 1
 
     @property
@@ -270,7 +274,8 @@ def train(X: np.ndarray, y: np.ndarray, partition: Partition, max_evals: int,
     elapsed = time.perf_counter() - t0
     return ExpertEnsemble(hp=result.best_hp, partition=partition, experts=experts,
                           train_time_seconds=elapsed, opt_evals=result.evals_used,
-                          opt_trace=tuple(result.trace), workers=workers)
+                          opt_trace=tuple(result.trace), opt_stop=result.stop,
+                          workers=workers)
 
 
 def prepare_grbcm(ensemble: ExpertEnsemble) -> list[Callable[[], gp.BlockExtension]]:

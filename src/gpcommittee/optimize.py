@@ -1,9 +1,25 @@
 """Unconstrained minimization of (value, gradient) objectives over hyperparameters.
 
-The minimizer is scipy's L-BFGS-B, run from a given start under a
-function-evaluation budget counted on the objective itself. It stops when
-the largest gradient entry falls below ``GRAD_TOLERANCE`` or the budget runs
-out, and returns the best iterate seen.
+The minimizer is scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995), run from
+a given start under a function-evaluation budget counted on the objective
+itself, and it returns the best iterate seen. It stops on the first of:
+
+- the gradient test: the largest gradient entry falls below
+  ``GRAD_TOLERANCE``;
+- the decrease test: a step lowers the value by at most
+  ``factr * eps = 2.22e-9`` of ``max(|f_k|, |f_k+1|, 1)``, scipy's own
+  default ``ftol`` (``factr = 1e7``);
+- the budget;
+- an abnormal end, when the line search finds no lower point.
+
+The decrease test is kept at scipy's default, not scaled to the problem:
+it is relative already. The committee's objective is a sum of one term per
+expert over every training row, so ``|f|`` and its rounding floor grow
+with the row count, and the test's bar grows with them. The gradient test
+is absolute: on a sum over thousands of rows the gradient can stay above
+``GRAD_TOLERANCE`` after the value has gone flat to rounding, so that test
+alone would run on to the budget or to an abnormal end.
+:class:`OptimizeResult` names the test that ended the run.
 """
 
 from __future__ import annotations
@@ -22,10 +38,15 @@ GRAD_TOLERANCE = 1e-6
 
 
 class OptimizeResult(NamedTuple):
+    """The best iterate, its value, the evaluations spent, the accepted
+    values, and the test that stopped the run: ``"gradient"``,
+    ``"decrease"``, ``"budget"`` or ``"abnormal"``."""
+
     best_hp: Hyperparams
     best_value: float
     evals_used: int
     trace: list[float]
+    stop: str
 
 
 class _BudgetExhausted(Exception):
@@ -115,10 +136,30 @@ def minimize(objective: Objective, start: Hyperparams, max_evals: int) -> Optimi
             trace.append(cached[0])
 
     try:
-        _scipy_minimize(ev, x0, jac=True, method="L-BFGS-B", callback=callback,
-                        options={"maxfun": ev.max_evals, "gtol": GRAD_TOLERANCE,
-                                 "ftol": 0.0})
+        res = _scipy_minimize(ev, x0, jac=True, method="L-BFGS-B", callback=callback,
+                              options={"maxfun": ev.max_evals, "gtol": GRAD_TOLERANCE})
+        stop = _stop_reason(res.status, res.message)
     except _BudgetExhausted:
-        pass
+        stop = "budget"
     best_x = ev.best_x if ev.best_x is not None else x0
-    return OptimizeResult(Hyperparams.from_vector(best_x), ev.best_value, ev.evals, trace)
+    return OptimizeResult(Hyperparams.from_vector(best_x), ev.best_value, ev.evals, trace,
+                          stop)
+
+
+def _stop_reason(status: int, message: str) -> str:
+    """The test that ended an L-BFGS-B run, from scipy's status and message.
+
+    Status 1 is scipy's own call or iteration limit, which counts cache hits
+    too. A convergence message names the projected gradient or the reduction
+    of f, spelt ``NORM_OF_PROJECTED_GRADIENT_<=_PGTOL`` and
+    ``REL_REDUCTION_OF_F_<=_FACTR*EPSMCH`` by older scipy releases and with
+    spaces by newer ones, so only the words are matched.
+    """
+    if status == 1:
+        return "budget"
+    words = message.upper().replace("_", " ")
+    if "PROJECTED GRADIENT" in words:
+        return "gradient"
+    if "REDUCTION OF F" in words:
+        return "decrease"
+    return "abnormal"

@@ -167,24 +167,58 @@ def written_cell(value) -> str:
 def test_results_csv_round_trips_failed_records(tmp_path):
     records = [
         RunRecord(method="rbcm", repetition=0, seed=3, smse=math.nan, msll=math.nan,
-                  train_time_seconds=0.25, predict_time_seconds=math.nan,
-                  degeneracy_count=0, error='NumericalBreakdown: bad, "quoted" value'),
+                  train_time_seconds=0.25, opt_evals=50, opt_stop="budget",
+                  predict_time_seconds=math.nan, degeneracy_count=0,
+                  error='NumericalBreakdown: bad, "quoted" value'),
         RunRecord(method="poe", repetition=1, seed=4, smse=0.1, msll=-1.5,
-                  train_time_seconds=0.5, predict_time_seconds=0.01, degeneracy_count=2),
+                  train_time_seconds=0.5, opt_evals=17, opt_stop="gradient",
+                  predict_time_seconds=0.01, degeneracy_count=2),
         RunRecord(method="grbcm", repetition=1, seed=4, smse=1 / 3, msll=-2.0,
-                  train_time_seconds=0.5, predict_time_seconds=0.02, degeneracy_count=0,
+                  train_time_seconds=0.5, opt_evals=17, opt_stop="gradient",
+                  predict_time_seconds=0.02, degeneracy_count=0,
                   beta_mean=0.7, beta_min=0.1, beta_max=2 / 3),
     ]
     path = str(tmp_path / "results.csv")
     write_results_csv(records, path)
     with open(path) as fh:
         assert fh.readline().rstrip() == (
-            "method,repetition,seed,smse,msll,train_time_seconds,predict_time_seconds,"
-            "degeneracy_count,beta_mean,beta_min,beta_max,error")
+            "method,repetition,seed,smse,msll,train_time_seconds,opt_evals,opt_stop,"
+            "predict_time_seconds,degeneracy_count,beta_mean,beta_min,beta_max,error")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert rows == [[written_cell(getattr(rec, f.name)) for f in fields(RunRecord)]
                     for rec in records]
+
+
+@pytest.mark.parametrize("max_evals", [3, 500])
+def test_results_record_why_training_stopped(tmp_path, monkeypatch, max_evals):
+    # every record of a repetition carries its committee's evaluation count and
+    # stop reason, in results.json and, as text, in results.csv
+    committees = []
+
+    def kept_train(*args, **kwargs):
+        committees.append(train(*args, **kwargs))
+        return committees[-1]
+
+    monkeypatch.setattr(bench, "train", kept_train)
+    config = ExperimentConfig(n=200, n_test=40, m0=50, max_evals=max_evals, repetitions=2,
+                              methods=("poe", "grbcm"), out_dir=str(tmp_path))
+    records = run_experiment(config).records
+    assert [(rec.opt_evals, rec.opt_stop) for rec in records] == [
+        (c.opt_evals, c.opt_stop) for c in committees for _ in config.methods]
+    for c in committees:
+        if max_evals == 3:
+            assert (c.opt_evals, c.opt_stop) == (3, "budget")
+        else:
+            assert c.opt_stop in ("gradient", "decrease") and c.opt_evals < max_evals
+    with open(tmp_path / "results.json") as fh:
+        doc = json.load(fh)
+    assert [(rec["opt_evals"], rec["opt_stop"]) for rec in doc["records"]] == [
+        (rec.opt_evals, rec.opt_stop) for rec in records]
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["opt_evals"], row["opt_stop"]) for row in rows] == [
+        (str(rec.opt_evals), rec.opt_stop) for rec in records]
 
 
 def test_artifacts_keep_every_rules_predictions_per_repetition():

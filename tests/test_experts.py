@@ -87,6 +87,7 @@ def test_train_single_expert_equals_exact_training():
     with blas_threads(1):
         direct = minimize(lambda hp: nlml(X, y, hp), Hyperparams.default(1), 40)
     assert committee.opt_trace == tuple(direct.trace)
+    assert committee.opt_stop == direct.stop
     np.testing.assert_array_equal(committee.hp.to_vector(), direct.best_hp.to_vector())
 
 

@@ -5,6 +5,10 @@ import scipy.stats
 
 from gpcommittee import ExperimentConfig, Hyperparams, InvalidStart, minimize, nlml
 from gpcommittee.kernel import kernel_matrix
+from gpcommittee.optimize import GRAD_TOLERANCE, _stop_reason
+
+# scipy's default ftol for L-BFGS-B: factr = 1e7 times the machine epsilon
+SCIPY_FTOL = 1e7 * np.finfo(float).eps
 
 
 def quadratic_about(theta0):
@@ -145,6 +149,7 @@ def test_budget_binds_mid_run():
 
     result = minimize(objective, Hyperparams.from_vector(np.array([0.5, -1.0, 0.0])), 7)
     assert result.evals_used == len(evaluated) == 7
+    assert result.stop == "budget"
     assert len(result.trace) > 1
     assert all(b <= a for a, b in zip(result.trace, result.trace[1:]))
     best_value, best_x = min(evaluated, key=lambda e: e[0])
@@ -157,6 +162,66 @@ def test_already_converged_returns_immediately():
     # start is the exact minimizer: gradient 0, single evaluation
     assert result.evals_used == 1
     assert result.best_value == 0.0
+    assert result.stop == "gradient"
+
+
+def quartic_bowl(offset):
+    """``offset`` plus a shallow quartic bowl about (1, -1, 0.5)."""
+    target = np.array([1.0, -1.0, 0.5])
+
+    def objective(hp):
+        v = hp.to_vector() - target
+        return offset + 0.01 * float(np.sum(v ** 4)), 0.04 * v ** 3
+
+    return objective
+
+
+@pytest.mark.parametrize("offset", [1e6, -1e6])
+def test_flat_objective_stops_on_the_relative_decrease(offset):
+    # On a constant of magnitude 1e6 the bowl's third evaluation lowers the value
+    # by 1.6e-10 of it, below scipy's ftol, while the largest gradient entry is
+    # still 1.9e-3. Without the decrease test the run would go on for 12
+    # evaluations, to the gradient test, as the bowl alone does below.
+    objective = quartic_bowl(offset)
+    result = minimize(objective, Hyperparams.from_vector(np.zeros(3)), 50)
+    assert result.stop == "decrease"
+    assert result.evals_used <= 5
+    _, grad = objective(result.best_hp)
+    assert np.max(np.abs(grad)) > GRAD_TOLERANCE
+    before, after = result.trace[-2:]
+    assert 0.0 <= before - after <= SCIPY_FTOL * max(abs(before), abs(after), 1.0)
+    # the test is relative: without the constant the same bowl meets the gradient test
+    bowl = minimize(quartic_bowl(0.0), Hyperparams.from_vector(np.zeros(3)), 50)
+    assert bowl.stop == "gradient"
+    assert bowl.evals_used > result.evals_used
+
+
+def test_uphill_gradient_ends_abnormal():
+    # the gradient points uphill, so no line search finds a lower point
+    def objective(hp):
+        v = hp.to_vector()
+        return float(v @ v), -2.0 * v
+
+    start = Hyperparams.from_vector(np.array([1.0, 0.5, -0.5]))
+    result = minimize(objective, start, 50)
+    assert result.stop == "abnormal"
+    assert result.evals_used < 50
+    assert result.trace == [result.best_value] == [1.5]
+
+
+@pytest.mark.parametrize("status, message, stop", [
+    # the messages of older scipy releases, then of scipy 1.17
+    (0, "CONVERGENCE: NORM_OF_PROJECTED_GRADIENT_<=_PGTOL", "gradient"),
+    (0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", "gradient"),
+    (0, "CONVERGENCE: REL_REDUCTION_OF_F_<=_FACTR*EPSMCH", "decrease"),
+    (0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", "decrease"),
+    (1, "STOP: TOTAL NO. of f AND g EVALUATIONS EXCEEDS LIMIT", "budget"),
+    (1, "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT", "budget"),
+    (2, "ABNORMAL_TERMINATION_IN_LNSRCH", "abnormal"),
+    (2, "ABNORMAL: ", "abnormal"),
+])
+def test_stop_reason_reads_every_scipy_spelling(status, message, stop):
+    assert _stop_reason(status, message) == stop
 
 
 def test_config_validation():

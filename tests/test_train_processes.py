@@ -38,6 +38,7 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.hp.to_vector(), b.hp.to_vector())
     assert a.opt_evals == b.opt_evals
     assert a.opt_trace == b.opt_trace
+    assert a.opt_stop == b.opt_stop
     assert len(a.experts) == len(b.experts)
     for ea, eb in zip(a.experts, b.experts):
         np.testing.assert_array_equal(ea.chol_inv, eb.chol_inv)
@@ -82,7 +83,8 @@ def serial_sum(problem):
         result = minimize(objective, START, 30)
         experts = [gp.fit(X[idx], y[idx], result.best_hp) for idx in part.subsets]
     return SimpleNamespace(hp=result.best_hp, opt_evals=result.evals_used,
-                           opt_trace=tuple(result.trace), experts=experts)
+                           opt_trace=tuple(result.trace), opt_stop=result.stop,
+                           experts=experts)
 
 
 @pytest.mark.parametrize("M", [1, 2, 7])
